@@ -8,172 +8,16 @@ failure bounds, the classical impossibility check, and an experiment
 harness with a CLI (``qpebble --help``).
 """
 
-from .agent import (
-    Adaptive,
-    AgentStrategy,
-    ClassicalTable,
-    DecisionTable,
-    FailureKind,
-    FixedN,
-    QuditOneShot,
-    RandomWalk,
-    TrialResult,
-    classical_trajectory,
-    decide_fixed,
-    measure_node_adaptive,
-    measure_node_fixed,
-    run_trial,
-)
-from .analysis import (
-    BoundReport,
-    ComparisonReport,
-    FullPathBound,
-    ImpossibilityReport,
-    bitsign4_wrong_run_prob,
-    bound_report,
-    check_impossibility,
-    compare_single_vs_per_node,
-    full_path_log_bound,
-    required_n,
-    success_lower_bound,
-)
-from .encoding import (
-    FULL_PATH_CAP,
-    EncodingScheme,
-    Placement,
-    QuantumPebble,
-    basis_family,
-    decode_full_path,
-    decode_outcome,
-    decode_qudit,
-    encode_full_path,
-    encode_port,
-    encode_qudit,
-    place_pebbles,
-    placement_from_json,
-    placement_to_json,
-)
-from .graph import (
-    GadgetSpec,
-    GraphFormatError,
-    PortGraph,
-    gen_gpqr,
-    gen_padded_path,
-    gpqr_family,
-    neighbor_via_port,
-    parse_graph,
-    serialize_graph,
-    shortest_path,
-    validate,
-)
-from .harness import (
-    ExperimentConfig,
-    ExperimentResult,
-    SummaryStats,
-    parse_graph_source,
-    parse_strategy,
-    records_to_csv,
-    records_to_json,
-    run_experiment,
-    sweep,
-    wilson_ci,
-)
-from .quantum import (
-    KET0,
-    KET1,
-    KET_MINUS,
-    KET_PLUS,
-    MINUS,
-    PLUS,
-    MeasurementBasis,
-    Outcome,
-    QubitState,
-    bloch_angles,
-    born_probability,
-    build_basis,
-    cross_overlap_closed_form,
-    delta_bound,
-    sample_measurement,
-)
-from .rng import RngStream
+from . import agent, analysis, encoding, graph, harness, quantum, rng
+from .agent import *  # noqa: F403
+from .analysis import *  # noqa: F403
+from .encoding import *  # noqa: F403
+from .graph import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .quantum import *  # noqa: F403
+from .rng import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Adaptive",
-    "AgentStrategy",
-    "BoundReport",
-    "ClassicalTable",
-    "ComparisonReport",
-    "DecisionTable",
-    "EncodingScheme",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "FULL_PATH_CAP",
-    "FailureKind",
-    "FixedN",
-    "FullPathBound",
-    "GadgetSpec",
-    "GraphFormatError",
-    "ImpossibilityReport",
-    "KET0",
-    "KET1",
-    "KET_MINUS",
-    "KET_PLUS",
-    "MINUS",
-    "MeasurementBasis",
-    "Outcome",
-    "PLUS",
-    "Placement",
-    "PortGraph",
-    "QuantumPebble",
-    "QubitState",
-    "QuditOneShot",
-    "RandomWalk",
-    "RngStream",
-    "SummaryStats",
-    "TrialResult",
-    "basis_family",
-    "bitsign4_wrong_run_prob",
-    "bloch_angles",
-    "born_probability",
-    "bound_report",
-    "build_basis",
-    "check_impossibility",
-    "classical_trajectory",
-    "compare_single_vs_per_node",
-    "cross_overlap_closed_form",
-    "decide_fixed",
-    "decode_full_path",
-    "decode_outcome",
-    "decode_qudit",
-    "delta_bound",
-    "encode_full_path",
-    "encode_port",
-    "encode_qudit",
-    "full_path_log_bound",
-    "gen_gpqr",
-    "gen_padded_path",
-    "gpqr_family",
-    "measure_node_adaptive",
-    "measure_node_fixed",
-    "neighbor_via_port",
-    "parse_graph",
-    "parse_graph_source",
-    "parse_strategy",
-    "place_pebbles",
-    "placement_from_json",
-    "placement_to_json",
-    "records_to_csv",
-    "records_to_json",
-    "required_n",
-    "run_experiment",
-    "run_trial",
-    "sample_measurement",
-    "serialize_graph",
-    "shortest_path",
-    "success_lower_bound",
-    "sweep",
-    "validate",
-    "wilson_ci",
-]
+# the package exports exactly what each module lists as public
+__all__ = sorted(name for module in (agent, analysis, encoding, graph, harness, quantum, rng) for name in module.__all__)

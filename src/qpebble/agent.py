@@ -15,6 +15,11 @@ Decoding rules:
   first time it contradicts its own previous outcome; decode once a single
   basis survives, give up at the measurement cap.
 * qudit one-shot: read the level in one computational-basis measurement.
+
+Both qubit rules compare each uniform draw with the Born probability as
+snapped by ``quantum.snap_certain``, the rule ``sample_measurement`` uses,
+so a correct-basis run is always uniform. Ports decode through
+``encoding.decode_outcome``.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .encoding import (
     decode_qudit,
 )
 from .graph import PortGraph, neighbor_via_port
-from .quantum import MINUS, PLUS, Outcome, QubitState, born_probability
+from .quantum import MINUS, PLUS, Outcome, QubitState, born_probability, snap_certain
 from .rng import RngStream
 
 __all__ = [
@@ -53,8 +58,6 @@ __all__ = [
     "run_trial",
     "classical_trajectory",
 ]
-
-_CERTAINTY_TOL = 1e-12
 
 
 class FailureKind(str, enum.Enum):
@@ -120,16 +123,11 @@ class RandomWalk:
 AgentStrategy = Union[FixedN, Adaptive, QuditOneShot, ClassicalTable, RandomWalk]
 
 
-def _emitted(pebble: Union[QuantumPebble, QubitState]) -> QubitState:
-    return pebble.emitted_state if isinstance(pebble, QuantumPebble) else pebble
-
-
-def _snap(p: float) -> float:
-    if p >= 1.0 - _CERTAINTY_TOL:
-        return 1.0
-    if p <= _CERTAINTY_TOL:
-        return 0.0
-    return p
+def _plus_probabilities(pebble: Union[QuantumPebble, QubitState], delta: int, scheme: EncodingScheme) -> list[float]:
+    """P(plus) of the emitted state in each family basis, in index order,
+    snapped to certainty."""
+    state = pebble.emitted_state if isinstance(pebble, QuantumPebble) else pebble
+    return [snap_certain(born_probability(state, b.plus_vec)) for b in basis_family(scheme, delta)]
 
 
 def measure_node_fixed(
@@ -146,14 +144,12 @@ def measure_node_fixed(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    state = _emitted(pebble)
-    bases = basis_family(scheme, delta)
-    draws = rng.uniforms(n * len(bases))
+    p_plus = _plus_probabilities(pebble, delta, scheme)
+    draws = rng.uniforms(n * len(p_plus))
     tallies = []
-    for i, basis in enumerate(bases):
-        p_plus = _snap(born_probability(state, basis.plus_vec))
+    for i, p in enumerate(p_plus):
         block = draws[i * n : (i + 1) * n]
-        tallies.append(np.where(block < p_plus, PLUS, MINUS).astype(np.int8))
+        tallies.append(np.where(block < p, PLUS, MINUS).astype(np.int8))
     return tallies
 
 
@@ -188,12 +184,10 @@ def measure_node_adaptive(
     cap first returns None. The cursor stays in place on elimination, so
     the successor basis is sampled next.
     """
-    state = _emitted(pebble)
-    bases = basis_family(scheme, delta)
-    if cap < len(bases):
-        raise ValueError(f"cap {cap} below family size {len(bases)}")
-    p_plus = [_snap(born_probability(state, b.plus_vec)) for b in bases]
-    live = list(range(len(bases)))
+    p_plus = _plus_probabilities(pebble, delta, scheme)
+    if cap < len(p_plus):
+        raise ValueError(f"cap {cap} below family size {len(p_plus)}")
+    live = list(range(len(p_plus)))
     last: dict[int, int] = {}
     used = 0
     pos = 0
@@ -210,7 +204,7 @@ def measure_node_adaptive(
             pos += 1
         if len(live) == 1 and live[0] in last:
             survivor = live[0]
-            return decode_outcome(Outcome(bases[survivor].index, last[survivor]), delta), used
+            return decode_outcome(Outcome(survivor, last[survivor]), delta), used
     return None, used
 
 
@@ -256,7 +250,7 @@ def run_trial(
     for _ in range(step_budget):
         degree = g.degree(cur)
         has_pebble = cur in pebbled
-        if isinstance(strategy, (FixedN, Adaptive)):
+        if quantum:
             if not has_pebble:
                 return _fail(FailureKind.MISSING_PEBBLE, steps, meas)
             pebble = placement.pebbles[cur]
@@ -266,20 +260,15 @@ def run_trial(
                 port = decide_fixed(tallies, placement.delta)
                 if port is None:
                     return _fail(FailureKind.AMBIGUOUS_DECODE, steps, meas)
-            else:
+            elif isinstance(strategy, Adaptive):
                 port, used = measure_node_adaptive(pebble, placement.delta, strategy.cap, rng, placement.scheme)
                 meas += used
                 if port is None:
                     return _fail(FailureKind.DECLARED_FAILURE, steps, meas)
+            else:
+                meas += 1
+                port = decode_qudit(pebble.emitted_state)
             internal = port - 1
-            if internal >= degree:
-                return _fail(FailureKind.WRONG_PORT_RANGE, steps, meas)
-        elif isinstance(strategy, QuditOneShot):
-            if not has_pebble:
-                return _fail(FailureKind.MISSING_PEBBLE, steps, meas)
-            level = placement.pebbles[cur].emitted_state
-            meas += 1
-            internal = decode_qudit(level) - 1
             if internal >= degree:
                 return _fail(FailureKind.WRONG_PORT_RANGE, steps, meas)
         elif isinstance(strategy, ClassicalTable):

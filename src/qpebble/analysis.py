@@ -64,12 +64,18 @@ class BoundReport:
         }
 
 
+def _log_node_failure(delta: int, n: int) -> float:
+    """ln of the union bound delta * delta_bound(delta)^n on one node's
+    chance that some wrong basis mimics a uniform n-run."""
+    return math.log(delta) + n * math.log(delta_bound(delta))
+
+
 def success_lower_bound(dist: int, delta: int, n: int) -> float:
     """(1 - delta * delta_bound^n)^dist, clamped to 0 when the inner
     failure term reaches 1. Log-space throughout."""
     if dist < 1 or n < 1:
         raise ValueError(f"dist and n must be >= 1, got dist={dist}, n={n}")
-    log_fail = math.log(delta) + n * math.log(delta_bound(delta))
+    log_fail = _log_node_failure(delta, n)
     if log_fail >= 0.0:
         return 0.0
     return math.exp(dist * math.log1p(-math.exp(log_fail)))
@@ -90,7 +96,7 @@ def required_n(dist: int, delta: int, eps: float = 0.01) -> int:
     target = eps / dist
 
     def ok(n: int) -> bool:
-        return math.log(delta) + n * math.log(db) <= math.log(target * (1.0 + _THRESHOLD_SLACK))
+        return _log_node_failure(delta, n) <= math.log(target * (1.0 + _THRESHOLD_SLACK))
 
     guess = (math.log(delta) - math.log(target)) / -math.log(db)
     n = max(1, math.ceil(guess - _THRESHOLD_SLACK))
@@ -109,11 +115,10 @@ def bound_report(dist: int, delta: int, n: int | None = None, eps: float = 0.01)
     need = required_n(dist, delta, eps)
     if n is None:
         n = need
-    db = delta_bound(delta)
     # log_fail <= ln(delta), so exp never overflows even when the bound is vacuous
-    per_node = math.exp(math.log(delta) + n * math.log(db))
+    per_node = math.exp(_log_node_failure(delta, n))
     return BoundReport(
-        delta_bound=db,
+        delta_bound=delta_bound(delta),
         per_node_failure=per_node,
         success_lower=success_lower_bound(dist, delta, n),
         required_n=need,
@@ -275,7 +280,8 @@ def check_impossibility() -> ImpossibilityReport:
         max_steps = max(max_steps, len(traj) - 1)
         return traj[-1] == g.treasure
 
-    for key, table in _all_tables():
+    tables = _all_tables()
+    for key, table in tables:
         witness = None
         for spec, g in family:
             if all(not reaches(g, bits, table) for bits in placements):
@@ -290,7 +296,6 @@ def check_impossibility() -> ImpossibilityReport:
     # on 'no pebble' wins on the empty placement immediately.
     no_universal = True
     empty = frozenset()
-    tables = _all_tables()
     for spec, g in family:
         if not any(reaches(g, empty, table) for _, table in tables):
             no_universal = False

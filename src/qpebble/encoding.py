@@ -14,6 +14,10 @@ j-1) because the encodings index states from 1:
 * Full path: the entire port sequence becomes a single index in
   [1, delta^D], encoded in the general family with delta replaced by
   delta^D. Analysis-only; no walking agent can use it.
+
+This module owns the port code (:func:`port_outcome` and its inverse
+:func:`decode_outcome`), the degree rounding of qubit families
+(:func:`family_delta`) and the pebbled route (:func:`route`).
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .quantum import (
     KET1,
     KET_MINUS,
     KET_PLUS,
+    MINUS,
     PLUS,
     MeasurementBasis,
     Outcome,
@@ -65,12 +70,11 @@ class EncodingScheme(str, enum.Enum):
 # Direct-mode cap for the full-path variant: delta^D states at most.
 FULL_PATH_CAP = 1 << 20
 
-_BITSIGN4_STATES = (KET0, KET1, KET_PLUS, KET_MINUS)
 
-
-def _family_delta(delta: int) -> int:
-    """Odd degrees round up to the next even value for family size only."""
-    return delta + (delta & 1)
+def family_delta(delta: int) -> int:
+    """The even degree bound a qubit family is built for: odd degrees round
+    up to the next even value, and the floor is 2."""
+    return max(2, delta + (delta & 1))
 
 
 @lru_cache(maxsize=None)
@@ -79,7 +83,7 @@ def basis_family(scheme: EncodingScheme, delta: int) -> tuple[MeasurementBasis, 
     if delta < 1:
         raise ValueError(f"delta must be >= 1, got {delta}")
     if scheme is EncodingScheme.GENERAL:
-        fd = _family_delta(max(delta, 2))
+        fd = family_delta(delta)
         return tuple(build_basis(j, fd) for j in range(fd // 2))
     if scheme is EncodingScheme.BITSIGN4:
         if delta > 4:
@@ -95,14 +99,22 @@ def encode_port(j: int, delta: int, scheme: EncodingScheme = EncodingScheme.GENE
     """State a pebble emits to advertise 1-based exit port ``j``."""
     if not 1 <= j <= delta:
         raise ValueError(f"port {j} outside 1..{delta}")
+    o = port_outcome(j)
     if scheme is EncodingScheme.GENERAL:
-        basis = build_basis((j - 1) // 2, _family_delta(max(delta, 2)))
-        return basis.plus_vec if j % 2 else basis.minus_vec
-    if scheme is EncodingScheme.BITSIGN4:
-        if delta > 4:
-            raise ValueError(f"bitsign4 handles degree <= 4, got {delta}")
-        return _BITSIGN4_STATES[j - 1]
-    raise ValueError(f"encode_port does not apply to scheme {scheme.value}")
+        # built on demand: full-path indices make delta far too large to
+        # materialize the whole family
+        basis = build_basis(o.basis_index, family_delta(delta))
+    elif scheme is EncodingScheme.BITSIGN4:
+        basis = basis_family(scheme, delta)[o.basis_index]
+    else:
+        raise ValueError(f"encode_port does not apply to scheme {scheme.value}")
+    return basis.plus_vec if o.sign == PLUS else basis.minus_vec
+
+
+def port_outcome(j: int) -> Outcome:
+    """The (basis_index, sign) advertising 1-based port ``j``: basis (j-1)//2,
+    plus iff j is odd. Inverse of :func:`decode_outcome`."""
+    return Outcome((j - 1) // 2, PLUS if j % 2 else MINUS)
 
 
 def decode_outcome(o: Outcome, delta: int) -> int:
@@ -186,11 +198,22 @@ class Placement:
     pebbles: Mapping[int, QuantumPebble]
 
 
+def route(g: PortGraph) -> list[tuple[int, int]]:
+    """(node, 0-based exit port) for each step of the deterministic
+    smallest-port shortest path from start, treasure excluded."""
+    _, ports = shortest_path(g, g.start, g.treasure)
+    steps = []
+    cur = g.start
+    for port in ports:
+        steps.append((cur, port))
+        cur = g.adjacency[cur][port][0]
+    return steps
+
+
 def place_pebbles(g: PortGraph, scheme: EncodingScheme) -> Placement:
     """One pebble per on-path node (treasure excluded), encoding its exit port.
 
-    The path is the deterministic smallest-port shortest path from start to
-    treasure; delta is the graph's max degree.
+    The path is :func:`route`; delta is the graph's max degree.
     """
     violation = validate(g)
     if violation is not None:
@@ -198,17 +221,14 @@ def place_pebbles(g: PortGraph, scheme: EncodingScheme) -> Placement:
     if scheme is EncodingScheme.FULL_PATH:
         raise ValueError("full_path is analysis-only; a walking agent cannot decode it")
     delta = g.max_degree
-    _, ports = shortest_path(g, g.start, g.treasure)
     pebbles: dict[int, QuantumPebble] = {}
-    cur = g.start
-    for port in ports:
+    for node, port in route(g):
         j = port + 1
         if scheme is EncodingScheme.QUDIT:
             state: Union[QubitState, int] = encode_qudit(j, delta)
         else:
             state = encode_port(j, delta, scheme)
-        pebbles[cur] = QuantumPebble(cur, state, j)
-        cur = g.adjacency[cur][port][0]
+        pebbles[node] = QuantumPebble(node, state, j)
     return Placement(scheme=scheme, delta=delta, pebbles=pebbles)
 
 
@@ -221,12 +241,12 @@ def placement_to_json(placement: Placement) -> str:
         if placement.scheme is EncodingScheme.QUDIT:
             rows.append({"node": node, "level": pebble.emitted_state})
         else:
-            j = pebble.exit_port
+            o = port_outcome(pebble.exit_port)
             rows.append(
                 {
                     "node": node,
-                    "basis_index": (j - 1) // 2,
-                    "sign": "+" if j % 2 else "-",
+                    "basis_index": o.basis_index,
+                    "sign": "+" if o.sign == PLUS else "-",
                 }
             )
     doc = {"scheme": placement.scheme.value, "delta": placement.delta, "pebbles": rows}
@@ -244,6 +264,6 @@ def placement_from_json(text: str) -> Placement:
             level = row["level"]
             pebbles[node] = QuantumPebble(node, level, decode_qudit(level))
         else:
-            j = 2 * row["basis_index"] + (1 if row["sign"] == "+" else 2)
+            j = decode_outcome(Outcome(row["basis_index"], PLUS if row["sign"] == "+" else MINUS), delta)
             pebbles[node] = QuantumPebble(node, encode_port(j, delta, scheme), j)
     return Placement(scheme=scheme, delta=delta, pebbles=pebbles)

@@ -99,23 +99,25 @@ def validate(g: PortGraph) -> str | None:
     for v in range(n):
         if sorted(ports[v]) != list(range(len(ports[v]))):
             return f"port set not contiguous at node {v}: {sorted(ports[v])}"
+    # ids, ports and edges are sound by now, so g.adjacency is exact;
     # isolated nodes (empty port set) fall out of the connectivity check
-    reached = {0}
-    frontier = [0]
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, _, v, _ in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    while frontier:
-        cur = frontier.pop()
-        for nxt in adj[cur]:
-            if nxt not in reached:
-                reached.add(nxt)
-                frontier.append(nxt)
-    if len(reached) != n:
-        missing = min(set(range(n)) - reached)
-        return f"not connected: node {missing} unreachable"
+    dist = _bfs(g, 0)
+    if -1 in dist:
+        return f"not connected: node {dist.index(-1)} unreachable"
     return None
+
+
+def _bfs(g: PortGraph, root: int) -> list[int]:
+    """Hop distance from ``root`` to every node, -1 where unreachable."""
+    dist = [-1] * g.node_count
+    dist[root] = 0
+    queue = [root]
+    for cur in queue:  # the loop also visits nodes appended while it runs
+        for nbr, _ in g.adjacency[cur].values():
+            if dist[nbr] < 0:
+                dist[nbr] = dist[cur] + 1
+                queue.append(nbr)
+    return dist
 
 
 def neighbor_via_port(g: PortGraph, v: int, port: int) -> tuple[int, int]:
@@ -135,17 +137,7 @@ def shortest_path(g: PortGraph, s: int, t: int) -> tuple[int, list[int]]:
     n = g.node_count
     if not (0 <= s < n and 0 <= t < n):
         raise ValueError(f"invalid endpoint: s={s}, t={t}")
-    dist = [-1] * n
-    dist[t] = 0
-    queue = [t]
-    head = 0
-    while head < len(queue):
-        cur = queue[head]
-        head += 1
-        for nbr, _ in g.adjacency[cur].values():
-            if dist[nbr] < 0:
-                dist[nbr] = dist[cur] + 1
-                queue.append(nbr)
+    dist = _bfs(g, t)
     if dist[s] < 0:
         raise ValueError(f"no path from {s} to {t}")
     ports: list[int] = []

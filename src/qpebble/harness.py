@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Sequence, Union
+from itertools import chain
+from typing import Sequence, Union, get_args
 
 from .agent import (
     Adaptive,
@@ -29,7 +31,7 @@ from .agent import (
     run_trial,
 )
 from .analysis import BoundReport, bound_report, required_n
-from .encoding import EncodingScheme, Placement, place_pebbles
+from .encoding import EncodingScheme, Placement, family_delta, place_pebbles, route
 from .graph import PortGraph, GadgetSpec, gen_gpqr, gen_padded_path, parse_graph, shortest_path
 from .rng import RngStream
 
@@ -120,6 +122,13 @@ def _parse_kv(body: str, what: str) -> dict[str, str]:
     return out
 
 
+def _spec_int(value: str, kind: str, text: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"cannot read {value!r} as an integer in {kind} {text!r}") from None
+
+
 def parse_graph_source(source: Union[str, PortGraph], seed: int) -> PortGraph:
     """Resolve a graph spec string, file path, or PortGraph to a graph."""
     if isinstance(source, PortGraph):
@@ -127,8 +136,8 @@ def parse_graph_source(source: Union[str, PortGraph], seed: int) -> PortGraph:
     if source.startswith("path:"):
         kv = _parse_kv(source[len("path:") :], "path generator")
         try:
-            dist = int(kv.pop("D"))
-            delta = int(kv.pop("delta"))
+            dist = _spec_int(kv.pop("D"), "graph source", source)
+            delta = _spec_int(kv.pop("delta"), "graph source", source)
         except KeyError as missing:
             raise ValueError(f"path generator needs D and delta, missing {missing}") from None
         if kv:
@@ -137,7 +146,7 @@ def parse_graph_source(source: Union[str, PortGraph], seed: int) -> PortGraph:
     if source.startswith("gpqr:"):
         kv = _parse_kv(source[len("gpqr:") :], "gpqr generator")
         try:
-            pends = (int(kv.pop("p")), int(kv.pop("q")), int(kv.pop("r")))
+            pends = tuple(_spec_int(kv.pop(key), "graph source", source) for key in "pqr")
         except KeyError as missing:
             raise ValueError(f"gpqr generator needs p, q, r, missing {missing}") from None
         swaps_txt = kv.pop("swaps", "000")
@@ -158,11 +167,11 @@ def parse_strategy(text: str) -> AgentStrategy:
     if head == "fixed":
         if rest in ("auto", ""):
             return FixedN(None)
-        return FixedN(int(rest.removeprefix("n=")))
+        return FixedN(_spec_int(rest.removeprefix("n="), "strategy", text))
     if head == "adaptive":
         if rest == "":
             return Adaptive()
-        return Adaptive(int(rest.removeprefix("cap=")))
+        return Adaptive(_spec_int(rest.removeprefix("cap="), "strategy", text))
     if head == "qudit":
         return QuditOneShot()
     if head == "random":
@@ -175,32 +184,16 @@ def parse_strategy(text: str) -> AgentStrategy:
                 raise ValueError(f"table keys look like 3p/3n/1p/1n, got {key!r}")
             degree = int(key[:-1])
             pebbled = key[-1] == "p"
-            actions[(degree, pebbled)] = None if val == "s" else int(val)
+            actions[(degree, pebbled)] = None if val == "s" else _spec_int(val, "strategy", text)
         if not actions:
             raise ValueError("table strategy needs at least one action")
         return ClassicalTable(DecisionTable(actions))
     raise ValueError(f"unknown strategy {text!r}")
 
 
-def _effective_delta(g: PortGraph) -> int:
-    """Degree bound used for sample counts: rounded up to even, floor 2."""
-    d = g.max_degree
-    return max(2, d + (d & 1))
-
-
-def _pebbled_nodes(g: PortGraph) -> frozenset[int]:
-    """On-path nodes (start up to, excluding, the treasure)."""
-    _, ports = shortest_path(g, g.start, g.treasure)
-    nodes = []
-    cur = g.start
-    for port in ports:
-        nodes.append(cur)
-        cur = g.adjacency[cur][port][0]
-    return frozenset(nodes)
-
-
 def _trial_range(args) -> list[TrialResult]:
     g, placement, strategy, budget, seed, lo, hi = args
+    # run_trial is looked up per trial, as this module's global, so it can be replaced
     return [run_trial(g, placement, strategy, budget, RngStream(seed, stream_id=i)) for i in range(lo, hi)]
 
 
@@ -215,7 +208,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     g = parse_graph_source(cfg.graph_source, cfg.seed)
     dist, _ = shortest_path(g, g.start, g.treasure)
     budget = cfg.step_budget if cfg.step_budget is not None else dist
-    eff_delta = _effective_delta(g)
+    eff_delta = family_delta(g.max_degree)
 
     strategy = cfg.strategy
     if isinstance(strategy, FixedN) and strategy.n is None:
@@ -223,23 +216,22 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
 
     placement: Union[Placement, frozenset[int]]
     if isinstance(strategy, (ClassicalTable, RandomWalk)):
-        placement = _pebbled_nodes(g)
+        placement = frozenset(node for node, _ in route(g))
     else:
         placement = place_pebbles(g, cfg.scheme)
 
-    records: list[TrialResult | None] = [None] * cfg.trials
-    if workers <= 1:
-        for i in range(cfg.trials):
-            records[i] = run_trial(g, placement, strategy, budget, RngStream(cfg.seed, stream_id=i))
+    # one chunk per worker; a single chunk runs in this process
+    chunk = -(-cfg.trials // max(workers, 1))
+    payloads = [
+        (g, placement, strategy, budget, cfg.seed, lo, min(lo + chunk, cfg.trials))
+        for lo in range(0, cfg.trials, chunk)
+    ]
+    if len(payloads) == 1:
+        blocks = [_trial_range(payloads[0])]
     else:
-        chunk = -(-cfg.trials // workers)
-        ranges = [(lo, min(lo + chunk, cfg.trials)) for lo in range(0, cfg.trials, chunk)]
-        payloads = [(g, placement, strategy, budget, cfg.seed, lo, hi) for lo, hi in ranges]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for (lo, hi), block in zip(ranges, pool.map(_trial_range, payloads)):
-                records[lo:hi] = block
-
-    done: tuple[TrialResult, ...] = tuple(records)  # type: ignore[arg-type]
+            blocks = list(pool.map(_trial_range, payloads))
+    done = tuple(chain.from_iterable(blocks))
     successes = sum(r.success for r in done)
     breakdown: dict[str, int] = {kind.value: 0 for kind in FailureKind}
     for r in done:
@@ -327,23 +319,38 @@ def sweep_table_csv(axis: str, rows: Sequence[tuple[int, SummaryStats]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# config_from_dict's accepted value types per key, and how errors name them
+_CONFIG_TYPES = {
+    "graph_source": ((str, PortGraph), "a generator spec or file path"),
+    "scheme": ((str, EncodingScheme), "a scheme name"),
+    "strategy": ((str, *get_args(AgentStrategy)), "a strategy spec"),
+    "trials": (numbers.Integral, "an integer"),
+    "seed": (numbers.Integral, "an integer"),
+    "step_budget": (numbers.Integral, "an integer"),
+    "eps": (numbers.Real, "a number"),
+}
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Build a config from JSON-ish fields (strings for scheme/strategy)."""
-    kwargs: dict = {}
-    if "graph_source" in doc:
-        kwargs["graph_source"] = doc["graph_source"]
-    if "scheme" in doc:
-        kwargs["scheme"] = EncodingScheme(doc["scheme"])
-    if "strategy" in doc:
-        raw = doc["strategy"]
-        kwargs["strategy"] = parse_strategy(raw) if isinstance(raw, str) else raw
-    for key in ("trials", "seed", "step_budget"):
-        if key in doc and doc[key] is not None:
-            kwargs[key] = int(doc[key])
-    if "eps" in doc:
-        kwargs["eps"] = float(doc["eps"])
+    """Build a config from JSON-ish fields (strings for scheme/strategy).
+
+    Unknown keys and values of the wrong type raise ValueError naming the
+    key; None leaves a field at its default.
+    """
+    unknown = sorted(set(doc) - set(_CONFIG_TYPES))
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
+    kwargs = {key: value for key, value in doc.items() if value is not None}
     if "graph_source" not in kwargs:
         raise ValueError("config needs a graph_source")
+    for key, value in kwargs.items():
+        types, want = _CONFIG_TYPES[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
+    if "scheme" in kwargs:
+        kwargs["scheme"] = EncodingScheme(kwargs["scheme"])
+    if isinstance(kwargs.get("strategy"), str):
+        kwargs["strategy"] = parse_strategy(kwargs["strategy"])
     return ExperimentConfig(**kwargs)
 
 

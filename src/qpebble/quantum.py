@@ -12,6 +12,10 @@ bound ``delta``::
 Index ``j = 0`` gives the Hadamard pair. Overlaps between family members
 have the closed forms ``(1 +- cos((k - j) phi)) / 2``, bounded by
 ``delta_bound(delta) = cos^2(pi / (2 delta))``.
+
+This module owns the certainty rule, :func:`snap_certain`. Every sampler,
+here and in ``agent``, compares a uniform draw with the snapped Born
+probability, so all of them give the same sign for the same draw.
 """
 
 from __future__ import annotations
@@ -44,8 +48,7 @@ PLUS = 1
 MINUS = -1
 
 _NORM_TOL = 1e-12
-# Born probabilities this close to 0 or 1 are certainty: snapping them makes
-# probability-1 events (correct-basis measurement) exact, not just likely.
+# Born probabilities this close to 0 or 1 are certainty (snap_certain).
 _CERTAINTY_TOL = 1e-12
 
 
@@ -143,23 +146,27 @@ def cross_overlap_closed_form(j: int, k: int, sign_j: int, sign_k: int, delta: i
     return 0.5 * (1.0 - c)
 
 
+def snap_certain(p: float) -> float:
+    """Born probability ``p``, snapped to exactly 0 or 1 when within 1e-12 of
+    it, so probability-1 events (a correct-basis run) are exact."""
+    if p >= 1.0 - _CERTAINTY_TOL:
+        return 1.0
+    if p <= _CERTAINTY_TOL:
+        return 0.0
+    return p
+
+
 def sample_measurement(state: QubitState, basis: MeasurementBasis, rng: RngStream) -> Outcome:
     """Measure one fresh qubit; consumes exactly one uniform draw.
 
-    Probabilities within 1e-12 of certainty are snapped to 0/1 before
-    thresholding, so eigenstate measurements are deterministic. The draw is
+    The draw is thresholded against :func:`snap_certain` of the Born
+    probability, so eigenstate measurements are deterministic. It is
     consumed either way to keep the stream position independent of the
     state being measured.
     """
-    p_plus = born_probability(state, basis.plus_vec)
-    u = rng.uniform()
-    if p_plus >= 1.0 - _CERTAINTY_TOL:
-        sign = PLUS
-    elif p_plus <= _CERTAINTY_TOL:
-        sign = MINUS
-    else:
-        sign = PLUS if u < p_plus else MINUS
-    return Outcome(basis.index, sign)
+    p_plus = snap_certain(born_probability(state, basis.plus_vec))
+    # u lies in [0, 1), so a snapped 1 always gives plus and a snapped 0 minus
+    return Outcome(basis.index, PLUS if rng.uniform() < p_plus else MINUS)
 
 
 def bloch_angles(state: QubitState) -> tuple[float, float]:

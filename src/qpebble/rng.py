@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["RngStream"]
+
 # PCG32 reference constants. The multiplier is the PCG 64-bit default; the
 # per-stream increment (2*stream_id + 1) must be odd.
 MULTIPLIER = 6364136223846793005

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from qpebble import (
+    KET0,
+    KET_MINUS,
+    KET_PLUS,
     MINUS,
     PLUS,
     Adaptive,
@@ -18,6 +21,7 @@ from qpebble import (
     QuditOneShot,
     RandomWalk,
     RngStream,
+    basis_family,
     classical_trajectory,
     decide_fixed,
     encode_port,
@@ -27,6 +31,7 @@ from qpebble import (
     measure_node_fixed,
     place_pebbles,
     run_trial,
+    sample_measurement,
 )
 
 GENERAL = EncodingScheme.GENERAL
@@ -51,6 +56,22 @@ def test_measure_node_fixed_shapes_and_certainty():
     # its own basis never flips; the other basis has both signs w.h.p.
     assert (tallies[0] == PLUS).all()
     assert len(set(tallies[1].tolist())) == 2
+
+
+@pytest.mark.parametrize("state", [KET_PLUS, KET_MINUS, KET0], ids=["certain+", "certain-", "uncertain"])
+def test_samplers_agree_on_the_same_draw(state):
+    """The three samplers snap certainty alike: at one stream position they
+    give the same sign. Degree 2 has one basis, so each takes one draw."""
+    basis = basis_family(GENERAL, 2)[0]  # the Hadamard pair
+    signs = set()
+    for stream in range(200):
+        one = sample_measurement(state, basis, fresh(4, stream)).sign
+        fixed = int(measure_node_fixed(state, 2, 1, fresh(4, stream))[0][0])
+        port, used = measure_node_adaptive(state, 2, 1, fresh(4, stream))
+        assert used == 1
+        assert one == fixed == (PLUS if port == 1 else MINUS)
+        signs.add(one)
+    assert len(signs) == (2 if state == KET0 else 1)
 
 
 def test_measure_node_fixed_accepts_pebble_objects():

@@ -33,6 +33,7 @@ from qpebble import (
     placement_to_json,
     shortest_path,
 )
+from qpebble.encoding import port_outcome
 
 GENERAL = EncodingScheme.GENERAL
 BITSIGN4 = EncodingScheme.BITSIGN4
@@ -57,6 +58,8 @@ def test_encode_decode_is_a_bijection(delta):
         assert key not in seen
         seen.add(key)
         assert decode_outcome(Outcome(*key), delta) == j
+        assert port_outcome(j) == Outcome(*key)
+        assert decode_outcome(port_outcome(j), delta) == j
     assert len(seen) == delta
 
 

@@ -88,7 +88,7 @@ def test_validate_rejects_disconnected():
         start=0,
         treasure=1,
     )
-    assert "not connected" in validate(g)
+    assert validate(g) == "not connected: node 2 unreachable"
 
 
 def test_neighbor_via_port_errors_on_missing_port():

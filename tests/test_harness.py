@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -247,8 +248,18 @@ def test_config_from_dict():
     assert cfg.scheme is EncodingScheme.BITSIGN4
     assert cfg.strategy == FixedN(12)
     assert (cfg.trials, cfg.seed, cfg.step_budget, cfg.eps) == (77, 5, 9, 0.05)
+    # every field is accepted, in its in-memory form too
+    assert config_from_dict({f.name: getattr(cfg, f.name) for f in fields(ExperimentConfig)}) == cfg
     with pytest.raises(ValueError, match="graph_source"):
         config_from_dict({"trials": 3})
+    base = {"graph_source": "path:D=4,delta=4"}
+    with pytest.raises(ValueError, match="unknown config keys: \\['trails'\\]"):
+        config_from_dict({**base, "trails": 5})
+    for key, value in [("trials", [5]), ("seed", "7"), ("step_budget", 2.5), ("eps", True), ("graph_source", 3)]:
+        with pytest.raises(ValueError, match=f"config key '{key}' must be"):
+            config_from_dict({**base, key: value})
+    with pytest.raises(ValueError, match="strategy 'fixed:abc'"):
+        config_from_dict({**base, "strategy": "fixed:abc"})
 
 
 def test_env_seed_default(monkeypatch):
