@@ -20,4 +20,5 @@ from .rng import *  # noqa: F403
 __version__ = "0.1.0"
 
 # the package exports exactly what each module lists as public
-__all__ = sorted(name for module in (agent, analysis, encoding, graph, harness, quantum, rng) for name in module.__all__)
+_MODULES = (agent, analysis, encoding, graph, harness, quantum, rng)
+__all__ = sorted(name for module in _MODULES for name in module.__all__)
