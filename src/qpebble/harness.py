@@ -14,7 +14,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import chain
 from typing import Sequence, Union, get_args
 
@@ -319,7 +319,8 @@ def sweep_table_csv(axis: str, rows: Sequence[tuple[int, SummaryStats]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# config_from_dict's accepted value types per key, and how errors name them
+# config_from_dict's type check per key, and how errors name the expected type;
+# the accepted keys are ExperimentConfig's fields
 _CONFIG_TYPES = {
     "graph_source": ((str, PortGraph), "a generator spec or file path"),
     "scheme": ((str, EncodingScheme), "a scheme name"),
@@ -337,15 +338,15 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     Unknown keys and values of the wrong type raise ValueError naming the
     key; None leaves a field at its default.
     """
-    unknown = sorted(set(doc) - set(_CONFIG_TYPES))
+    unknown = sorted(set(doc) - {f.name for f in fields(ExperimentConfig)})
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
     kwargs = {key: value for key, value in doc.items() if value is not None}
     if "graph_source" not in kwargs:
         raise ValueError("config needs a graph_source")
-    for key, value in kwargs.items():
-        types, want = _CONFIG_TYPES[key]
-        if isinstance(value, bool) or not isinstance(value, types):
+    for key, (types, want) in _CONFIG_TYPES.items():
+        value = kwargs.get(key)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, types)):
             raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
     if "scheme" in kwargs:
         kwargs["scheme"] = EncodingScheme(kwargs["scheme"])

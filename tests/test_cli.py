@@ -153,16 +153,16 @@ def test_impossible_subcommand(capsys):
 def test_config_errors_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["simulate", "--gen", "path:D=x,delta=4", "--trials", "2"])
     assert code == 2
-    assert "cannot read 'x' as an integer in graph source 'path:D=x,delta=4'" in err
+    assert "qpebble: error: cannot read 'x' as an integer in graph source 'path:D=x,delta=4'" in err
     code, _, err = run_cli(capsys, ["simulate", "--gen", "path:D=3,delta=4", "--strategy", "fixed:abc"])
     assert code == 2
-    assert "strategy 'fixed:abc'" in err
+    assert "qpebble: error:" in err and "strategy 'fixed:abc'" in err
     for extra, named in [({"trials": [5]}, "'trials'"), ({"trails": 5}, "'trails'")]:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"graph_source": "path:D=3,delta=4", **extra}))
         code, _, err = run_cli(capsys, ["simulate", "--config", str(cfg)])
         assert code == 2
-        assert named in err
+        assert "qpebble: error:" in err and named in err
     code, _, err = run_cli(capsys, ["simulate", "--trials", "2"])
     assert code == 2
     assert "graph_source" in err
