@@ -9,10 +9,25 @@ A change that alters a digest on purpose must say why in CHANGES.md.
 """
 
 import hashlib
+import json
 
 import pytest
 
-from qpebble import EncodingScheme, ExperimentConfig, parse_strategy, records_to_csv, run_experiment
+from qpebble import (
+    EncodingScheme,
+    ExperimentConfig,
+    FailureKind,
+    FixedN,
+    RngStream,
+    gen_padded_path,
+    parse_strategy,
+    place_pebbles,
+    placement_from_json,
+    placement_to_json,
+    records_to_csv,
+    run_experiment,
+    run_trial,
+)
 
 SEED = 11
 TRIALS = 60
@@ -121,3 +136,48 @@ def test_records_digest(case, tmp_path):
     )
     text = records_to_csv(run_experiment(cfg).records)
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[case]
+
+
+# Fixed-n walks long enough to be measured in several stretches of nodes,
+# whole and cut short by a step budget below the distance. At n=200 about
+# one trial in five fails, at a node anywhere along the route.
+ROUTE_TRIALS = 30
+ROUTE_CASES = {
+    ("path:D=200,delta=8", "fixed:auto", None): "cec8e3ef8daf10c67fbadd2651b144f94cd39ed98f1b6f5cbc6b10f62c1140d7",
+    ("path:D=200,delta=8", "fixed:200", None): "105de83d7e54c41b9dc2437a67f199e05e0c0a25efb43b968285fa3112111dbf",
+    ("path:D=200,delta=8", "fixed:200", 120): "c483f1dc6d39575646bbe46135232e819c6eea822e069f9c7516f3c52c9a40fb",
+    ("path:D=6,delta=4", "fixed:3", 4): "9156e7900ee9a0391ee592cc4cc0fe1cfd9b8f6860bda419a132a23397cbcb59",
+}
+
+
+@pytest.mark.parametrize("case", list(ROUTE_CASES), ids=lambda c: "-".join(map(str, c)))
+def test_route_records_digest(case):
+    source, strategy, budget = case
+    cfg = ExperimentConfig(
+        graph_source=source,
+        strategy=parse_strategy(strategy),
+        trials=ROUTE_TRIALS,
+        seed=SEED,
+        step_budget=budget,
+    )
+    text = records_to_csv(run_experiment(cfg).records)
+    assert hashlib.sha256(text.encode()).hexdigest() == ROUTE_CASES[case]
+
+
+# Node 5 of this route leaves through port 1 (basis 0, plus); flipping the
+# sign sends the agent through port 2 to a decoy, which has no pebble.
+FLIPPED_NODE = 5
+FLIPPED_DIGEST = "83ef54b02eb1683e99a0d23d9222c1d5a3c9ac6cf62b2ecb1c6929eeb142dea3"
+
+
+def test_flipped_sign_records_digest():
+    g = gen_padded_path(12, 4, SEED)
+    doc = json.loads(placement_to_json(place_pebbles(g, EncodingScheme.GENERAL)))
+    row = next(r for r in doc["pebbles"] if r["node"] == FLIPPED_NODE)
+    assert row["sign"] == "+"
+    row["sign"] = "-"
+    placement = placement_from_json(json.dumps(doc))
+    records = [run_trial(g, placement, FixedN(20), 12, RngStream(SEED, i)) for i in range(TRIALS)]
+    assert any(r.failure_kind is FailureKind.MISSING_PEBBLE and r.steps_taken == FLIPPED_NODE + 1 for r in records)
+    text = records_to_csv(records)
+    assert hashlib.sha256(text.encode()).hexdigest() == FLIPPED_DIGEST
