@@ -11,6 +11,14 @@ Decoding rules:
 * fixed-n: sample every family basis n times; commit to a port only if
   exactly one basis came back as a uniform run (all n outcomes one sign).
   Anything else, including zero uniform bases, is an ambiguous failure.
+  Round r of a trial uses draws [r*n*F, (r+1)*n*F), F the family size. A
+  pebble's decode is *forced* when exactly one basis is certain: that basis
+  always runs uniform, so the node decodes to its port or fails as
+  ambiguous. The walk follows forced ports ahead of the agent, up to a
+  missing pebble, the treasure, an unforced node, a port out of range, the
+  step budget or ``_BLOCK_DRAWS``; draws that block in one call; and stops
+  at the first node whose count of uniform bases is not one. Only the
+  block's last node needs a real decode.
 * adaptive: round-robin over the bases still alive, killing a basis the
   first time it contradicts its own previous outcome; decode once a single
   basis survives, give up at the measurement cap.
@@ -26,6 +34,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import AbstractSet, Mapping, Union
 
 import numpy as np
@@ -123,11 +132,19 @@ class RandomWalk:
 AgentStrategy = Union[FixedN, Adaptive, QuditOneShot, ClassicalTable, RandomWalk]
 
 
-def _plus_probabilities(pebble: Union[QuantumPebble, QubitState], delta: int, scheme: EncodingScheme) -> list[float]:
-    """P(plus) of the emitted state in each family basis, in index order,
-    snapped to certainty."""
-    state = pebble.emitted_state if isinstance(pebble, QuantumPebble) else pebble
-    return [snap_certain(born_probability(state, b.plus_vec)) for b in basis_family(scheme, delta)]
+# Most draws one block of a fixed-n walk asks for, so memory stays flat in
+# the route length.
+_BLOCK_DRAWS = 1 << 16
+
+
+@lru_cache(maxsize=1024)
+def _decode_table(state: QubitState, delta: int, scheme: EncodingScheme) -> tuple[tuple[float, ...], int | None]:
+    """P(plus) of ``state`` in each family basis, in index order, snapped
+    to certainty; and the forced port, the decode of the one certain basis
+    (None unless exactly one basis is certain)."""
+    p_plus = tuple(snap_certain(born_probability(state, b.plus_vec)) for b in basis_family(scheme, delta))
+    certain = [Outcome(i, PLUS if p else MINUS) for i, p in enumerate(p_plus) if p in (0.0, 1.0)]
+    return p_plus, decode_outcome(certain[0], delta) if len(certain) == 1 else None
 
 
 def measure_node_fixed(
@@ -144,13 +161,10 @@ def measure_node_fixed(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    p_plus = _plus_probabilities(pebble, delta, scheme)
-    draws = rng.uniforms(n * len(p_plus))
-    tallies = []
-    for i, p in enumerate(p_plus):
-        block = draws[i * n : (i + 1) * n]
-        tallies.append(np.where(block < p, PLUS, MINUS).astype(np.int8))
-    return tallies
+    state = pebble.emitted_state if isinstance(pebble, QuantumPebble) else pebble
+    p_plus, _ = _decode_table(state, delta, scheme)
+    draws = rng.uniforms(n * len(p_plus)).reshape(len(p_plus), n)
+    return list(np.where(draws < np.array(p_plus)[:, None], PLUS, MINUS).astype(np.int8))
 
 
 def decide_fixed(tallies: list[np.ndarray], delta: int) -> int | None:
@@ -184,7 +198,8 @@ def measure_node_adaptive(
     cap first returns None. The cursor stays in place on elimination, so
     the successor basis is sampled next.
     """
-    p_plus = _plus_probabilities(pebble, delta, scheme)
+    state = pebble.emitted_state if isinstance(pebble, QuantumPebble) else pebble
+    p_plus, _ = _decode_table(state, delta, scheme)
     if cap < len(p_plus):
         raise ValueError(f"cap {cap} below family size {len(p_plus)}")
     live = list(range(len(p_plus)))
@@ -225,6 +240,9 @@ def run_trial(
     steps_taken <= step_budget (a classical 'stay' burns a round without a
     move, which keeps stay-forever tables finite). Classical strategies may
     receive a bare set of pebbled nodes instead of a full Placement.
+
+    A failed fixed-n trial may leave ``rng`` past the last round's draws,
+    because its final block was drawn ahead of the failing node.
     """
     if step_budget < 1:
         raise ValueError(f"step_budget must be >= 1, got {step_budget}")
@@ -242,6 +260,8 @@ def run_trial(
         bad = [v for v in placement.pebbles if not 0 <= v < g.node_count]
         if bad:
             raise ValueError(f"placement references nodes outside the graph: {bad}")
+    if isinstance(strategy, FixedN):
+        return _walk_fixed(g, placement, strategy.n, step_budget, rng)
     pebbled = placement.pebbles if isinstance(placement, Placement) else placement
 
     cur = g.start
@@ -254,13 +274,7 @@ def run_trial(
             if not has_pebble:
                 return _fail(FailureKind.MISSING_PEBBLE, steps, meas)
             pebble = placement.pebbles[cur]
-            if isinstance(strategy, FixedN):
-                tallies = measure_node_fixed(pebble, placement.delta, strategy.n, rng, placement.scheme)
-                meas += strategy.n * len(tallies)
-                port = decide_fixed(tallies, placement.delta)
-                if port is None:
-                    return _fail(FailureKind.AMBIGUOUS_DECODE, steps, meas)
-            elif isinstance(strategy, Adaptive):
+            if isinstance(strategy, Adaptive):
                 port, used = measure_node_adaptive(pebble, placement.delta, strategy.cap, rng, placement.scheme)
                 meas += used
                 if port is None:
@@ -287,6 +301,48 @@ def run_trial(
         if cur == g.treasure:
             return TrialResult(True, steps, meas, FailureKind.NONE)
     return _fail(FailureKind.STEP_BUDGET_EXHAUSTED, steps, meas)
+
+
+def _walk_fixed(g: PortGraph, placement: Placement, n: int, step_budget: int, rng: RngStream) -> TrialResult:
+    """run_trial for FixedN, one draw call per block of nodes (module docstring)."""
+    delta, scheme = placement.delta, placement.scheme
+    family = len(basis_family(scheme, delta))
+    # each round begun measures n * F qubits; each finished one moves a step
+    per_node = n * family
+    cur, steps = g.start, 0
+    while steps < step_budget:
+        rows = []
+        node = cur
+        limit = min(step_budget - steps, max(1, _BLOCK_DRAWS // per_node))
+        while node in placement.pebbles:
+            p_plus, forced = _decode_table(placement.pebbles[node].emitted_state, delta, scheme)
+            rows.append(p_plus)
+            last = node
+            if forced is None or forced > g.degree(node) or len(rows) == limit:
+                break
+            node = g.adjacency[node][forced - 1][0]
+            if node == g.treasure:
+                break
+        if not rows:
+            return _fail(FailureKind.MISSING_PEBBLE, steps, steps * per_node)
+        k = len(rows)
+        below = rng.uniforms(k * per_node).reshape(k, family, n) < np.array(rows)[:, :, None]
+        plus_runs = below.all(axis=2)
+        uniform = plus_runs | ~below.any(axis=2)
+        ambiguous = np.flatnonzero(uniform.sum(axis=1) != 1)
+        if ambiguous.size:
+            m = steps + int(ambiguous[0])
+            return _fail(FailureKind.AMBIGUOUS_DECODE, m, (m + 1) * per_node)
+        # every node before the last decoded to its forced port
+        steps += k
+        basis = int(uniform[-1].argmax())
+        port = decode_outcome(Outcome(basis, PLUS if plus_runs[-1, basis] else MINUS), delta)
+        if port > g.degree(last):
+            return _fail(FailureKind.WRONG_PORT_RANGE, steps - 1, steps * per_node)
+        cur = g.adjacency[last][port - 1][0]
+        if cur == g.treasure:
+            return TrialResult(True, steps, steps * per_node, FailureKind.NONE)
+    return _fail(FailureKind.STEP_BUDGET_EXHAUSTED, steps, steps * per_node)
 
 
 def classical_trajectory(

@@ -32,7 +32,7 @@ from .agent import (
 )
 from .analysis import BoundReport, bound_report, required_n
 from .encoding import EncodingScheme, Placement, family_delta, place_pebbles, route
-from .graph import PortGraph, GadgetSpec, gen_gpqr, gen_padded_path, parse_graph, shortest_path
+from .graph import PortGraph, GadgetSpec, gen_gpqr, gen_padded_path, parse_graph, shortest_path, validate
 from .rng import RngStream
 
 __all__ = [
@@ -216,6 +216,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
 
     placement: Union[Placement, frozenset[int]]
     if isinstance(strategy, (ClassicalTable, RandomWalk)):
+        # place_pebbles validates the graph for the quantum strategies
+        violation = validate(g)
+        if violation is not None:
+            raise ValueError(f"invalid graph: {violation}")
         placement = frozenset(node for node, _ in route(g))
     else:
         placement = place_pebbles(g, cfg.scheme)

@@ -13,6 +13,7 @@ from qpebble import (
     EncodingScheme,
     ExperimentConfig,
     FixedN,
+    PortGraph,
     QuditOneShot,
     RandomWalk,
     gen_padded_path,
@@ -118,6 +119,15 @@ def test_classical_strategies_run_without_quantum_placement():
     res = run_experiment(cfg)
     assert res.summary.successes == 0
     assert all(r.failure_kind.value == "step_budget_exhausted" for r in res.records)
+
+
+@pytest.mark.parametrize("strategy", ["random", "table:1p=0,1n=0,2p=1,2n=1", "fixed:auto", "adaptive"])
+def test_invalid_in_memory_graph_is_rejected_for_every_strategy(strategy):
+    # node 1 has ports 0 and 2 but no port 1
+    gap = PortGraph(3, ((0, 0, 1, 0), (1, 2, 2, 0)), 0, 2)
+    cfg = ExperimentConfig(graph_source=gap, strategy=parse_strategy(strategy), trials=3)
+    with pytest.raises(ValueError, match=r"^invalid graph: port set not contiguous at node 1: \[0, 2\]$"):
+        run_experiment(cfg)
 
 
 def test_adaptive_and_qudit_through_the_harness():
