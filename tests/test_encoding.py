@@ -33,7 +33,7 @@ from qpebble import (
     placement_to_json,
     shortest_path,
 )
-from qpebble.encoding import port_outcome
+from qpebble.encoding import port_outcome, route
 
 GENERAL = EncodingScheme.GENERAL
 BITSIGN4 = EncodingScheme.BITSIGN4
@@ -225,6 +225,28 @@ def test_place_pebbles_rejects_full_path_and_bad_graphs():
     bad = PortGraph(node_count=2, edges=((0, 0, 1, 0),), start=0, treasure=0)
     with pytest.raises(ValueError, match="invalid graph"):
         place_pebbles(bad, GENERAL)
+    # the graph is checked before the scheme
+    with pytest.raises(ValueError, match="invalid graph"):
+        place_pebbles(bad, FULL_PATH)
+
+
+def test_route_follows_the_smallest_port_shortest_path():
+    g = gen_padded_path(6, 4, 3)
+    assert route(g) == path_nodes(g)
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        (((0, 0, 1, 0), (1, 2, 2, 0)), r"^invalid graph: port set not contiguous at node 1: \[0, 2\]$"),
+        (((0, 0, 1, 0),), r"^invalid graph: not connected: node 2 unreachable$"),
+    ],
+)
+def test_route_rejects_an_invalid_graph(edges, message):
+    from qpebble import PortGraph
+
+    with pytest.raises(ValueError, match=message):
+        route(PortGraph(3, edges, 0, 1))
 
 
 @pytest.mark.parametrize("scheme", [GENERAL, BITSIGN4, QUDIT])

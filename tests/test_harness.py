@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -25,6 +26,9 @@ from qpebble import (
     sweep,
     wilson_ci,
 )
+from qpebble import graph as graph_module
+from qpebble.analysis import bound_report
+from qpebble.graph import serialize_graph
 from qpebble.harness import config_from_dict, env_seed_default, sweep_table_csv
 
 
@@ -121,13 +125,54 @@ def test_classical_strategies_run_without_quantum_placement():
     assert all(r.failure_kind.value == "step_budget_exhausted" for r in res.records)
 
 
+@pytest.mark.parametrize(
+    "graph, message",
+    [
+        # node 1 has ports 0 and 2 but no port 1
+        (PortGraph(3, ((0, 0, 1, 0), (1, 2, 2, 0)), 0, 2), r"port set not contiguous at node 1: \[0, 2\]"),
+        # two separate edges, start and treasure on different ones
+        (PortGraph(4, ((0, 0, 1, 0), (2, 0, 3, 0)), 0, 3), r"not connected: node 2 unreachable"),
+    ],
+)
 @pytest.mark.parametrize("strategy", ["random", "table:1p=0,1n=0,2p=1,2n=1", "fixed:auto", "adaptive"])
-def test_invalid_in_memory_graph_is_rejected_for_every_strategy(strategy):
-    # node 1 has ports 0 and 2 but no port 1
-    gap = PortGraph(3, ((0, 0, 1, 0), (1, 2, 2, 0)), 0, 2)
-    cfg = ExperimentConfig(graph_source=gap, strategy=parse_strategy(strategy), trials=3)
-    with pytest.raises(ValueError, match=r"^invalid graph: port set not contiguous at node 1: \[0, 2\]$"):
+def test_invalid_in_memory_graph_is_rejected_for_every_strategy(strategy, graph, message):
+    cfg = ExperimentConfig(graph_source=graph, strategy=parse_strategy(strategy), trials=3)
+    with pytest.raises(ValueError, match=f"^invalid graph: {message}$"):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize("strategy", ["fixed:auto", "adaptive", "random"])
+@pytest.mark.parametrize("source", ["path", "file", "memory"])
+def test_a_run_checks_the_graph_once_and_searches_the_route_once(source, strategy, tmp_path, monkeypatch):
+    """One validation (whose connectivity check is one BFS) and one route
+    BFS per run, however the graph arrives."""
+    graph_source = {
+        "path": lambda: "path:D=6,delta=4",
+        "file": lambda: _write_graph(tmp_path / "g.txt", gen_padded_path(6, 4, 2)),
+        "memory": lambda: gen_padded_path(6, 4, 2),
+    }[source]()
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(graph_module, "_bfs", counted("bfs", graph_module._bfs))
+    monkeypatch.setattr(graph_module, "_first_violation", counted("validation", graph_module._first_violation))
+    cfg = ExperimentConfig(graph_source=graph_source, strategy=parse_strategy(strategy), trials=3, seed=1)
+    res = run_experiment(cfg)
+    assert counts == {"bfs": 2, "validation": 1}
+    assert res.summary.bound == bound_report(6, 4, n=res.summary.bound.required_n, eps=cfg.eps)
+    if strategy != "random":
+        assert all(r.steps_taken <= 6 for r in res.records)
+
+
+def _write_graph(path, g):
+    path.write_text(serialize_graph(g))
+    return str(path)
 
 
 def test_adaptive_and_qudit_through_the_harness():
