@@ -200,7 +200,11 @@ class Placement:
 
 def route(g: PortGraph) -> list[tuple[int, int]]:
     """(node, 0-based exit port) for each step of the deterministic
-    smallest-port shortest path from start, treasure excluded."""
+    smallest-port shortest path from start, treasure excluded. An invalid
+    graph raises ``ValueError("invalid graph: ...")`` first."""
+    violation = validate(g)
+    if violation is not None:
+        raise ValueError(f"invalid graph: {violation}")
     _, ports = shortest_path(g, g.start, g.treasure)
     steps = []
     cur = g.start
@@ -213,16 +217,14 @@ def route(g: PortGraph) -> list[tuple[int, int]]:
 def place_pebbles(g: PortGraph, scheme: EncodingScheme) -> Placement:
     """One pebble per on-path node (treasure excluded), encoding its exit port.
 
-    The path is :func:`route`; delta is the graph's max degree.
+    The path is :func:`route` (which checks the graph); delta is the graph's max degree.
     """
-    violation = validate(g)
-    if violation is not None:
-        raise ValueError(f"invalid graph: {violation}")
+    steps = route(g)
     if scheme is EncodingScheme.FULL_PATH:
         raise ValueError("full_path is analysis-only; a walking agent cannot decode it")
     delta = g.max_degree
     pebbles: dict[int, QuantumPebble] = {}
-    for node, port in route(g):
+    for node, port in steps:
         j = port + 1
         if scheme is EncodingScheme.QUDIT:
             state: Union[QubitState, int] = encode_qudit(j, delta)

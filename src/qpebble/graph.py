@@ -65,14 +65,23 @@ class PortGraph:
     def max_degree(self) -> int:
         return max(self.degree(v) for v in range(self.node_count))
 
+    @cached_property
+    def violation(self) -> str | None:
+        """:func:`validate`'s answer, computed once: the graph is frozen."""
+        return _first_violation(self)
+
 
 def validate(g: PortGraph) -> str | None:
     """None if all invariants hold, else a message naming the first violation.
 
     Checked in order: node ids in range, start != treasure, no self-loops,
     no parallel edges, contiguous port sets 0..deg-1 at every node,
-    connectivity.
+    connectivity. The answer is cached on the graph.
     """
+    return g.violation
+
+
+def _first_violation(g: PortGraph) -> str | None:
     n = g.node_count
     if n < 2:
         return f"node_count must be >= 2, got {n}"

@@ -32,7 +32,8 @@ from .agent import (
 )
 from .analysis import BoundReport, bound_report, required_n
 from .encoding import EncodingScheme, Placement, family_delta, place_pebbles, route
-from .graph import PortGraph, GadgetSpec, gen_gpqr, gen_padded_path, parse_graph, shortest_path, validate
+# shortest_path is not called here, but bench/spans.py wraps this name
+from .graph import PortGraph, GadgetSpec, gen_gpqr, gen_padded_path, parse_graph, shortest_path
 from .rng import RngStream
 
 __all__ = [
@@ -206,23 +207,21 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     if cfg.trials < 1:
         raise ValueError("trials must be >= 1")
     g = parse_graph_source(cfg.graph_source, cfg.seed)
-    dist, _ = shortest_path(g, g.start, g.treasure)
+    # route checks g and gives the path the pebbles sit on; D is its length
+    placement: Union[Placement, frozenset[int]]
+    if isinstance(cfg.strategy, (ClassicalTable, RandomWalk)):
+        steps = route(g)
+        placement = frozenset(node for node, _ in steps)
+        dist = len(steps)
+    else:
+        placement = place_pebbles(g, cfg.scheme)
+        dist = len(placement.pebbles)
     budget = cfg.step_budget if cfg.step_budget is not None else dist
     eff_delta = family_delta(g.max_degree)
 
     strategy = cfg.strategy
     if isinstance(strategy, FixedN) and strategy.n is None:
         strategy = FixedN(required_n(dist, eff_delta, cfg.eps))
-
-    placement: Union[Placement, frozenset[int]]
-    if isinstance(strategy, (ClassicalTable, RandomWalk)):
-        # place_pebbles validates the graph for the quantum strategies
-        violation = validate(g)
-        if violation is not None:
-            raise ValueError(f"invalid graph: {violation}")
-        placement = frozenset(node for node, _ in route(g))
-    else:
-        placement = place_pebbles(g, cfg.scheme)
 
     # one chunk per worker; a single chunk runs in this process
     chunk = -(-cfg.trials // max(workers, 1))
