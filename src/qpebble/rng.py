@@ -71,24 +71,8 @@ class RngStream:
         self.seed = seed & _MASK64
         self.stream_id = stream_id & _MASK64
         self._inc = ((self.stream_id << 1) | 1) & _MASK64
-        # PCG32 seeding: step, add seed, step.
-        self._state = 0
-        self._advance(1)
-        self._state = (self._state + self.seed) & _MASK64
-        self._advance(1)
-
-    def _advance(self, k: int) -> None:
-        # state <- A^k * state + (A^k - 1)/(A - 1) * inc, all mod 2^64
-        a, b = 1, 0
-        mult, plus = MULTIPLIER, self._inc
-        while k:
-            if k & 1:
-                a = (a * mult) & _MASK64
-                b = (b * mult + plus) & _MASK64
-            plus = (plus * mult + plus) & _MASK64
-            mult = (mult * mult) & _MASK64
-            k >>= 1
-        self._state = (a * self._state + b) & _MASK64
+        # PCG32 seeding: step from 0 (giving inc), add the seed, step.
+        self._state = ((self._inc + self.seed) * MULTIPLIER + self._inc) & _MASK64
 
     def next_u32(self) -> int:
         old = self._state
