@@ -19,10 +19,12 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 
 from .analysis import bound_report, check_impossibility, compare_single_vs_per_node
 from .graph import GraphFormatError, serialize_graph
 from .harness import (
+    ExperimentConfig,
     config_from_dict,
     env_seed_default,
     parse_graph_source,
@@ -60,7 +62,12 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--gen", help="graph source: path:D=10,delta=4 | gpqr:p=2,q=2,r=2[,swaps=100] | file path")
+    sub.add_argument(
+        "--gen",
+        dest="graph_source",
+        metavar="GEN",
+        help="graph source: path:D=10,delta=4 | gpqr:p=2,q=2,r=2[,swaps=100] | file path",
+    )
     sub.add_argument("--scheme", choices=["general", "bitsign4", "qudit", "full_path"])
     sub.add_argument("--strategy", help="fixed:auto | fixed:N | adaptive[:CAP] | qudit | random | table:3p=1,3n=0,...")
     sub.add_argument("--trials", type=int)
@@ -78,22 +85,11 @@ def _experiment_config(args):
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError("config file must hold a JSON object")
-    if args.gen is not None:
-        doc["graph_source"] = args.gen
-    if args.scheme is not None:
-        doc["scheme"] = args.scheme
-    if args.strategy is not None:
-        doc["strategy"] = args.strategy
-    if args.trials is not None:
-        doc["trials"] = args.trials
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    elif "seed" not in doc:
+    for f in fields(ExperimentConfig):  # each flag's dest is the field it overrides
+        if getattr(args, f.name) is not None:
+            doc[f.name] = getattr(args, f.name)
+    if "seed" not in doc:
         doc["seed"] = env_seed_default()
-    if args.step_budget is not None:
-        doc["step_budget"] = args.step_budget
-    if args.eps is not None:
-        doc["eps"] = args.eps
     return config_from_dict(doc)
 
 

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from qpebble import parse_graph
+from qpebble import cli, parse_graph, run_experiment
 from qpebble.cli import main
+from qpebble.harness import config_from_dict
 
 
 def run_cli(capsys, argv):
@@ -97,6 +98,54 @@ def test_simulate_config_file_with_flag_override(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["simulate", "--config", str(cfg), "--trials", "8"])
     assert code == 0
     assert json.loads(out)["trials"] == 8
+
+
+FILE_CONFIG = {
+    "graph_source": "path:D=2,delta=4",
+    "scheme": "general",
+    "strategy": "fixed:5",
+    "trials": 2,
+    "seed": 1,
+    "step_budget": 2,
+    "eps": 0.01,
+}
+
+
+@pytest.mark.parametrize(
+    "flag, value, key",
+    [
+        ("--gen", "path:D=3,delta=4", "graph_source"),
+        ("--scheme", "bitsign4", "scheme"),
+        ("--strategy", "adaptive", "strategy"),
+        ("--trials", 3, "trials"),
+        ("--seed", 9, "seed"),
+        ("--step-budget", 4, "step_budget"),
+        ("--eps", 0.05, "eps"),
+    ],
+)
+def test_each_flag_overrides_its_config_file_key(flag, value, key, tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(FILE_CONFIG))
+    seen = []
+
+    def recording_run(config, workers):
+        seen.append(config)
+        return run_experiment(config, workers=workers)
+
+    monkeypatch.setattr(cli, "run_experiment", recording_run)
+    code, _, err = run_cli(capsys, ["simulate", "--config", str(cfg), flag, str(value)])
+    assert code == 0, err
+    assert seen == [config_from_dict({**FILE_CONFIG, key: value})]
+    assert seen[0] != config_from_dict(FILE_CONFIG)
+
+
+def test_seed_flag_skips_an_unreadable_env_seed(capsys, monkeypatch):
+    monkeypatch.setenv("QPEBBLE_SEED", "abc")
+    base = ["simulate", "--gen", "path:D=2,delta=4", "--strategy", "fixed:2", "--trials", "3"]
+    assert run_cli(capsys, base + ["--seed", "1"])[0] == 0
+    code, _, err = run_cli(capsys, base)
+    assert code == 2
+    assert "qpebble: error: QPEBBLE_SEED must be an integer, got 'abc'" in err
 
 
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
