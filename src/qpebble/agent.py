@@ -108,6 +108,10 @@ class FixedN:
 
     n: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.n is not None and self.n < 1:
+            raise ValueError(f"FixedN.n must be >= 1, got {self.n}")
+
 
 @dataclass(frozen=True)
 class Adaptive:
@@ -255,7 +259,7 @@ def run_trial(
                 raise ValueError("QuditOneShot requires the qudit scheme")
         elif placement.scheme not in (EncodingScheme.GENERAL, EncodingScheme.BITSIGN4):
             raise ValueError(f"{type(strategy).__name__} cannot decode scheme {placement.scheme.value}")
-        if isinstance(strategy, FixedN) and (strategy.n is None or strategy.n < 1):
+        if isinstance(strategy, FixedN) and strategy.n is None:
             raise ValueError("FixedN.n must be resolved to a positive sample count")
         bad = [v for v in placement.pebbles if not 0 <= v < g.node_count]
         if bad:

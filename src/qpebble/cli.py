@@ -62,12 +62,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--gen",
-        dest="graph_source",
-        metavar="GEN",
-        help="graph source: path:D=10,delta=4 | gpqr:p=2,q=2,r=2[,swaps=100] | file path",
-    )
+    gen_help = "graph source: path:D=10,delta=4 | gpqr:p=2,q=2,r=2[,swaps=100] | file path"
+    sub.add_argument("--gen", dest="graph_source", metavar="GEN", help=gen_help)
     sub.add_argument("--scheme", choices=["general", "bitsign4", "qudit", "full_path"])
     sub.add_argument("--strategy", help="fixed:auto | fixed:N | adaptive[:CAP] | qudit | random | table:3p=1,3n=0,...")
     sub.add_argument("--trials", type=int)

@@ -67,7 +67,6 @@ class PortGraph:
 
     @cached_property
     def violation(self) -> str | None:
-        """:func:`validate`'s answer, computed once: the graph is frozen."""
         return _first_violation(self)
 
 
@@ -76,7 +75,7 @@ def validate(g: PortGraph) -> str | None:
 
     Checked in order: node ids in range, start != treasure, no self-loops,
     no parallel edges, contiguous port sets 0..deg-1 at every node,
-    connectivity. The answer is cached on the graph.
+    connectivity. The answer is cached on the graph, which is frozen.
     """
     return g.violation
 

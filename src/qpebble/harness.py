@@ -206,6 +206,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """
     if cfg.trials < 1:
         raise ValueError("trials must be >= 1")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     g = parse_graph_source(cfg.graph_source, cfg.seed)
     # route checks g and gives the path the pebbles sit on; D is its length
     placement: Union[Placement, frozenset[int]]
@@ -224,7 +226,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
         strategy = FixedN(required_n(dist, eff_delta, cfg.eps))
 
     # one chunk per worker; a single chunk runs in this process
-    chunk = -(-cfg.trials // max(workers, 1))
+    chunk = -(-cfg.trials // workers)
     payloads = [
         (g, placement, strategy, budget, cfg.seed, lo, min(lo + chunk, cfg.trials))
         for lo in range(0, cfg.trials, chunk)
@@ -360,9 +362,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 def env_seed_default() -> int:
     """Seed fallback: QPEBBLE_SEED from the environment, else 0."""
-    raw = os.environ.get("QPEBBLE_SEED")
-    if raw is None:
-        return 0
+    raw = os.environ.get("QPEBBLE_SEED", "0")
     try:
         return int(raw)
     except ValueError:

@@ -221,6 +221,15 @@ def test_config_errors_exit_2(capsys, tmp_path):
     assert code == 2
     code, _, err = run_cli(capsys, ["simulate", "--gen", "missing_file.txt", "--trials", "2"])
     assert code == 2
+    code, _, err = run_cli(capsys, ["simulate", "--gen", "path:D=3,delta=4", "--workers", "-3"])
+    assert code == 2
+    assert "qpebble: error: workers must be >= 1, got -3" in err
+    code, _, err = run_cli(capsys, ["simulate", "--gen", "path:D=3,delta=4", "--strategy", "fixed:0"])
+    assert code == 2
+    assert "qpebble: error: FixedN.n must be >= 1, got 0" in err
+    code, _, err = run_cli(capsys, ["sweep", "--gen", "path:D=3,delta=4", "--axis", "n", "--values", "0"])
+    assert code == 2
+    assert "qpebble: error: FixedN.n must be >= 1, got 0" in err
 
 
 def test_argparse_usage_errors_exit_2():

@@ -224,6 +224,27 @@ def test_sweep_validation():
     g = gen_padded_path(2, 4, 0)
     with pytest.raises(ValueError, match="path generator"):
         sweep(ExperimentConfig(graph_source=g), "D", [2])
+    with pytest.raises(ValueError, match=r"^FixedN.n must be >= 1, got 0$"):
+        sweep(cfg, "n", [0])
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_are_rejected(workers):
+    cfg = ExperimentConfig(graph_source="path:D=2,delta=4", trials=10, seed=0)
+    with pytest.raises(ValueError, match=rf"^workers must be >= 1, got {workers}$"):
+        run_experiment(cfg, workers=workers)
+    with pytest.raises(ValueError, match=rf"^workers must be >= 1, got {workers}$"):
+        sweep(cfg, "n", [2], workers=workers)
+
+
+def test_fixed_n_rejects_a_sample_count_below_one():
+    assert FixedN().n is None
+    assert FixedN(1).n == 1
+    for n in (0, -2):
+        with pytest.raises(ValueError, match=rf"^FixedN.n must be >= 1, got {n}$"):
+            FixedN(n)
+    with pytest.raises(ValueError, match=r"^FixedN.n must be >= 1, got 0$"):
+        parse_strategy("fixed:0")
 
 
 def test_sweep_table_csv_shape():
