@@ -229,6 +229,9 @@ def test_run_trial_validation():
         run_trial(g, placement, FixedN(5), 0, fresh(0))
     with pytest.raises(ValueError, match="resolved"):
         run_trial(g, placement, FixedN(), 2, fresh(0))
+    for n in (0, -2):
+        with pytest.raises(ValueError, match=rf"^FixedN.n must be >= 1, got {n}$"):
+            FixedN(n)
     with pytest.raises(ValueError, match="Placement"):
         run_trial(g, frozenset({0}), FixedN(5), 2, fresh(0))
     qudit = place_pebbles(g, EncodingScheme.QUDIT)

@@ -125,20 +125,17 @@ def test_classical_strategies_run_without_quantum_placement():
     assert all(r.failure_kind.value == "step_budget_exhausted" for r in res.records)
 
 
-@pytest.mark.parametrize(
-    "graph, message",
-    [
+@pytest.mark.parametrize("strategy", ["random", "table:1p=0,1n=0,2p=1,2n=1", "fixed:auto", "adaptive"])
+def test_invalid_in_memory_graph_is_rejected_for_every_strategy(strategy):
+    for graph, message in [
         # node 1 has ports 0 and 2 but no port 1
         (PortGraph(3, ((0, 0, 1, 0), (1, 2, 2, 0)), 0, 2), r"port set not contiguous at node 1: \[0, 2\]"),
         # two separate edges, start and treasure on different ones
         (PortGraph(4, ((0, 0, 1, 0), (2, 0, 3, 0)), 0, 3), r"not connected: node 2 unreachable"),
-    ],
-)
-@pytest.mark.parametrize("strategy", ["random", "table:1p=0,1n=0,2p=1,2n=1", "fixed:auto", "adaptive"])
-def test_invalid_in_memory_graph_is_rejected_for_every_strategy(strategy, graph, message):
-    cfg = ExperimentConfig(graph_source=graph, strategy=parse_strategy(strategy), trials=3)
-    with pytest.raises(ValueError, match=f"^invalid graph: {message}$"):
-        run_experiment(cfg)
+    ]:
+        cfg = ExperimentConfig(graph_source=graph, strategy=parse_strategy(strategy), trials=3)
+        with pytest.raises(ValueError, match=f"^invalid graph: {message}$"):
+            run_experiment(cfg)
 
 
 @pytest.mark.parametrize("strategy", ["fixed:auto", "adaptive", "random"])
@@ -146,11 +143,12 @@ def test_invalid_in_memory_graph_is_rejected_for_every_strategy(strategy, graph,
 def test_a_run_checks_the_graph_once_and_searches_the_route_once(source, strategy, tmp_path, monkeypatch):
     """One validation (whose connectivity check is one BFS) and one route
     BFS per run, however the graph arrives."""
-    graph_source = {
-        "path": lambda: "path:D=6,delta=4",
-        "file": lambda: _write_graph(tmp_path / "g.txt", gen_padded_path(6, 4, 2)),
-        "memory": lambda: gen_padded_path(6, 4, 2),
-    }[source]()
+    graph_source = gen_padded_path(6, 4, 2)
+    if source == "path":
+        graph_source = "path:D=6,delta=4"
+    elif source == "file":
+        (tmp_path / "g.txt").write_text(serialize_graph(graph_source))
+        graph_source = str(tmp_path / "g.txt")
     counts = Counter()
 
     def counted(name, fn):
@@ -168,11 +166,6 @@ def test_a_run_checks_the_graph_once_and_searches_the_route_once(source, strateg
     assert res.summary.bound == bound_report(6, 4, n=res.summary.bound.required_n, eps=cfg.eps)
     if strategy != "random":
         assert all(r.steps_taken <= 6 for r in res.records)
-
-
-def _write_graph(path, g):
-    path.write_text(serialize_graph(g))
-    return str(path)
 
 
 def test_adaptive_and_qudit_through_the_harness():
@@ -237,16 +230,6 @@ def test_workers_below_one_are_rejected(workers):
         sweep(cfg, "n", [2], workers=workers)
 
 
-def test_fixed_n_rejects_a_sample_count_below_one():
-    assert FixedN().n is None
-    assert FixedN(1).n == 1
-    for n in (0, -2):
-        with pytest.raises(ValueError, match=rf"^FixedN.n must be >= 1, got {n}$"):
-            FixedN(n)
-    with pytest.raises(ValueError, match=r"^FixedN.n must be >= 1, got 0$"):
-        parse_strategy("fixed:0")
-
-
 def test_sweep_table_csv_shape():
     cfg = ExperimentConfig(graph_source="path:D=2,delta=4", trials=20, seed=0)
     rows = sweep(cfg, "n", [2, 8])
@@ -275,6 +258,8 @@ def test_parse_strategy_forms():
         parse_strategy("psychic")
     with pytest.raises(ValueError, match="table keys"):
         parse_strategy("table:x=1")
+    with pytest.raises(ValueError, match=r"^FixedN.n must be >= 1, got 0$"):
+        parse_strategy("fixed:0")
 
 
 def test_parse_graph_source_forms(tmp_path):
