@@ -14,6 +14,7 @@ import json
 import pytest
 
 from qpebble import (
+    Adaptive,
     EncodingScheme,
     ExperimentConfig,
     FailureKind,
@@ -140,13 +141,20 @@ def test_records_digest(case, tmp_path):
 
 # Fixed-n walks long enough to be measured in several stretches of nodes,
 # whole and cut short by a step budget below the distance. At n=200 about
-# one trial in five fails, at a node anywhere along the route.
+# one trial in five fails, at a node anywhere along the route. Adaptive
+# walks on the D=100 route read about 9000 draws a trial; a cap of 8 fails
+# every trial at its first node, a cap of 300 fails about a third of them
+# at nodes 2 to 99, and a budget of 40 stops every trial mid-route.
 ROUTE_TRIALS = 30
 ROUTE_CASES = {
     ("path:D=200,delta=8", "fixed:auto", None): "cec8e3ef8daf10c67fbadd2651b144f94cd39ed98f1b6f5cbc6b10f62c1140d7",
     ("path:D=200,delta=8", "fixed:200", None): "105de83d7e54c41b9dc2437a67f199e05e0c0a25efb43b968285fa3112111dbf",
     ("path:D=200,delta=8", "fixed:200", 120): "c483f1dc6d39575646bbe46135232e819c6eea822e069f9c7516f3c52c9a40fb",
     ("path:D=6,delta=4", "fixed:3", 4): "9156e7900ee9a0391ee592cc4cc0fe1cfd9b8f6860bda419a132a23397cbcb59",
+    ("path:D=100,delta=8", "adaptive", None): "0acb713838d48d3acc07cffba39e990715c7cc9f80ebafa64270167b018ad571",
+    ("path:D=100,delta=8", "adaptive:8", None): "550ea13bace3b858a53fa3922f3e3063aa6297802202a449c92a8424b57b6803",
+    ("path:D=100,delta=8", "adaptive:300", None): "3b77e191ae8241e367a30247abc7e506b585a5a8a4c80eab906c3c4de2829cb8",
+    ("path:D=100,delta=8", "adaptive", 40): "27f953b8d0110df76727238b2e08f15745cab7bd7c04aec0999331bff4843885",
 }
 
 
@@ -168,16 +176,26 @@ def test_route_records_digest(case):
 # sign sends the agent through port 2 to a decoy, which has no pebble.
 FLIPPED_NODE = 5
 FLIPPED_DIGEST = "83ef54b02eb1683e99a0d23d9222c1d5a3c9ac6cf62b2ecb1c6929eeb142dea3"
+FLIPPED_ADAPTIVE_DIGEST = "03a4845a9d31556582ea6d8e84ad329f3cc76ddcdd214d5893aa55c4fd6cab39"
 
 
-def test_flipped_sign_records_digest():
+def _flipped_records(strategy):
     g = gen_padded_path(12, 4, SEED)
     doc = json.loads(placement_to_json(place_pebbles(g, EncodingScheme.GENERAL)))
     row = next(r for r in doc["pebbles"] if r["node"] == FLIPPED_NODE)
     assert row["sign"] == "+"
     row["sign"] = "-"
     placement = placement_from_json(json.dumps(doc))
-    records = [run_trial(g, placement, FixedN(20), 12, RngStream(SEED, i)) for i in range(TRIALS)]
+    records = [run_trial(g, placement, strategy, 12, RngStream(SEED, i)) for i in range(TRIALS)]
     assert any(r.failure_kind is FailureKind.MISSING_PEBBLE and r.steps_taken == FLIPPED_NODE + 1 for r in records)
-    text = records_to_csv(records)
+    return records_to_csv(records)
+
+
+def test_flipped_sign_records_digest():
+    text = _flipped_records(FixedN(20))
     assert hashlib.sha256(text.encode()).hexdigest() == FLIPPED_DIGEST
+
+
+def test_flipped_sign_adaptive_records_digest():
+    text = _flipped_records(Adaptive())
+    assert hashlib.sha256(text.encode()).hexdigest() == FLIPPED_ADAPTIVE_DIGEST
