@@ -21,7 +21,8 @@ Decoding rules:
   block's last node needs a real decode.
 * adaptive: round-robin over the bases still alive, killing a basis the
   first time it contradicts its own previous outcome; decode once a single
-  basis survives, give up at the measurement cap.
+  basis survives, give up at the measurement cap. A trial reads its
+  stream straight through, node after node, via ``rng.buffered_uniforms``.
 * qudit one-shot: read the level in one computational-basis measurement.
 
 Both qubit rules compare each uniform draw with the Born probability as
@@ -35,7 +36,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import AbstractSet, Mapping, Union
+from itertools import islice
+from typing import AbstractSet, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -49,7 +51,7 @@ from .encoding import (
 )
 from .graph import PortGraph, neighbor_via_port
 from .quantum import MINUS, PLUS, Outcome, QubitState, born_probability, snap_certain
-from .rng import RngStream
+from .rng import RngStream, buffered_uniforms
 
 __all__ = [
     "FailureKind",
@@ -200,31 +202,36 @@ def measure_node_adaptive(
     time a sample disagrees with its previous one. When one basis is left
     (and has at least one sample) its sign decodes the port. Hitting the
     cap first returns None. The cursor stays in place on elimination, so
-    the successor basis is sampled next.
+    the successor basis is sampled next. It takes exactly ``used`` scalar
+    draws from ``rng``.
     """
     state = pebble.emitted_state if isinstance(pebble, QuantumPebble) else pebble
+    return _eliminate(state, delta, cap, iter(rng.uniform, None), scheme)
+
+
+def _eliminate(
+    state: QubitState, delta: int, cap: int, draws: Iterator[float], scheme: EncodingScheme
+) -> tuple[int | None, int]:
+    """measure_node_adaptive's loop, one uniform from ``draws`` per sample."""
     p_plus, _ = _decode_table(state, delta, scheme)
     if cap < len(p_plus):
         raise ValueError(f"cap {cap} below family size {len(p_plus)}")
     live = list(range(len(p_plus)))
-    last: dict[int, int] = {}
-    used = 0
+    # each basis's previous sign, 0 until it is first sampled
+    last = [0] * len(p_plus)
     pos = 0
-    while used < cap:
+    for used, u in enumerate(islice(draws, cap), 1):
         pos %= len(live)
         b = live[pos]
-        u = rng.uniform()
         sign = PLUS if u < p_plus[b] else MINUS
-        used += 1
-        if b in last and last[b] != sign:
-            live.pop(pos)
+        if last[b] == -sign:
+            del live[pos]
         else:
             last[b] = sign
             pos += 1
-        if len(live) == 1 and live[0] in last:
-            survivor = live[0]
-            return decode_outcome(Outcome(survivor, last[survivor]), delta), used
-    return None, used
+        if len(live) == 1 and last[live[0]]:
+            return decode_outcome(Outcome(live[0], last[live[0]]), delta), used
+    return None, cap
 
 
 def _fail(kind: FailureKind, steps: int, meas: int) -> TrialResult:
@@ -245,8 +252,10 @@ def run_trial(
     move, which keeps stay-forever tables finite). Classical strategies may
     receive a bare set of pebbled nodes instead of a full Placement.
 
-    A failed fixed-n trial may leave ``rng`` past the last round's draws,
-    because its final block was drawn ahead of the failing node.
+    ``rng`` may end up past the trial's last draw: a failed fixed-n trial
+    drew its last block ahead of the failing node, and an adaptive trial
+    reads its stream through ``buffered_uniforms``. No record changes,
+    because only this trial reads the stream.
     """
     if step_budget < 1:
         raise ValueError(f"step_budget must be >= 1, got {step_budget}")
@@ -267,6 +276,7 @@ def run_trial(
     if isinstance(strategy, FixedN):
         return _walk_fixed(g, placement, strategy.n, step_budget, rng)
     pebbled = placement.pebbles if isinstance(placement, Placement) else placement
+    draws = buffered_uniforms(rng) if isinstance(strategy, Adaptive) else None
 
     cur = g.start
     steps = 0
@@ -279,7 +289,7 @@ def run_trial(
                 return _fail(FailureKind.MISSING_PEBBLE, steps, meas)
             pebble = placement.pebbles[cur]
             if isinstance(strategy, Adaptive):
-                port, used = measure_node_adaptive(pebble, placement.delta, strategy.cap, rng, placement.scheme)
+                port, used = _eliminate(pebble.emitted_state, placement.delta, strategy.cap, draws, placement.scheme)
                 meas += used
                 if port is None:
                     return _fail(FailureKind.DECLARED_FAILURE, steps, meas)

@@ -16,6 +16,8 @@ mod 2^64) so blocks vectorize without changing the stream.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 __all__ = ["RngStream"]
@@ -27,22 +29,10 @@ _MASK64 = (1 << 64) - 1
 _MASK32 = 0xFFFFFFFF
 
 _BLOCK = 8192
-# _POW[k] = MULTIPLIER**k mod 2^64, _GEO[k] = sum_{i<k} MULTIPLIER**i mod 2^64
-_POW: np.ndarray | None = None
-_GEO: np.ndarray | None = None
-
-
-def _jump_tables() -> tuple[np.ndarray, np.ndarray]:
-    global _POW, _GEO
-    if _POW is None:
-        pw = [1]
-        geo = [0]
-        for _ in range(_BLOCK):
-            pw.append((pw[-1] * MULTIPLIER) & _MASK64)
-            geo.append((geo[-1] * MULTIPLIER + 1) & _MASK64)
-        _POW = np.array(pw, dtype=np.uint64)
-        _GEO = np.array(geo, dtype=np.uint64)
-    return _POW, _GEO
+# _POW[k] = MULTIPLIER**k mod 2^64, _GEO[k] = sum_{i<k} MULTIPLIER**i mod 2^64;
+# uint64 products and sums wrap mod 2^64, which is the LCG's modulus
+_POW = np.multiply.accumulate(np.r_[np.uint64(1), np.full(_BLOCK, MULTIPLIER, dtype=np.uint64)])
+_GEO = np.r_[np.uint64(0), np.cumsum(_POW[:-1])]
 
 
 def _output(state: int) -> int:
@@ -87,17 +77,14 @@ class RngStream:
         """``n`` uniform doubles, bit-identical to ``n`` scalar draws."""
         if n < 0:
             raise ValueError("draw count must be non-negative")
-        pw, geo = _jump_tables()
         out = np.empty(n, dtype=np.float64)
         filled = 0
         while filled < n:
             m = min(_BLOCK, n - filled)
-            state = np.uint64(self._state)
-            inc = np.uint64(self._inc)
-            states = pw[:m] * state + geo[:m] * inc  # uint64 wraparound
+            states = _POW[:m] * np.uint64(self._state) + _GEO[:m] * np.uint64(self._inc)  # uint64 wraparound
             out[filled : filled + m] = _output_vec(states) * 2.0**-32
             # scalar jump in Python ints (numpy scalars warn on wraparound)
-            self._state = (int(pw[m]) * self._state + int(geo[m]) * self._inc) & _MASK64
+            self._state = (int(_POW[m]) * self._state + int(_GEO[m]) * self._inc) & _MASK64
             filled += m
         return out
 
@@ -109,3 +96,14 @@ class RngStream:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
+
+
+def buffered_uniforms(rng: RngStream) -> Iterator[float]:
+    """The uniforms of ``rng`` in order, drawn in blocks of 64 doubling to
+    4096. The reader may leave ``rng`` up to a block past the last uniform
+    taken, so use it only on a stream nothing reads afterwards, such as
+    trial i's own ``RngStream(seed, i)``."""
+    m = 64
+    while True:
+        yield from rng.uniforms(m).tolist()
+        m = min(2 * m, 4096)

@@ -1,0 +1,154 @@
+"""The adaptive walk, reading one buffered stream per trial, against the
+per-node walk built from measure_node_adaptive and scalar draws."""
+
+import json
+
+import pytest
+
+from qpebble import (
+    Adaptive,
+    EncodingScheme,
+    FailureKind,
+    Placement,
+    QuantumPebble,
+    RngStream,
+    TrialResult,
+    encode_port,
+    gen_padded_path,
+    measure_node_adaptive,
+    place_pebbles,
+    placement_from_json,
+    placement_to_json,
+    run_trial,
+)
+from qpebble.encoding import route
+
+SEEDS = range(200)
+GENERAL = EncodingScheme.GENERAL
+DEFAULT_CAP = Adaptive().cap
+
+
+def reference_walk(g, placement, cap, step_budget, rng):
+    """One round per node: measure_node_adaptive on the trial's stream."""
+    cur, steps, meas = g.start, 0, 0
+    for _ in range(step_budget):
+        if cur not in placement.pebbles:
+            return TrialResult(False, steps, meas, FailureKind.MISSING_PEBBLE)
+        port, used = measure_node_adaptive(placement.pebbles[cur], placement.delta, cap, rng, placement.scheme)
+        meas += used
+        if port is None:
+            return TrialResult(False, steps, meas, FailureKind.DECLARED_FAILURE)
+        if port > g.degree(cur):
+            return TrialResult(False, steps, meas, FailureKind.WRONG_PORT_RANGE)
+        cur = g.adjacency[cur][port - 1][0]
+        steps += 1
+        if cur == g.treasure:
+            return TrialResult(True, steps, meas, FailureKind.NONE)
+    return TrialResult(False, steps, meas, FailureKind.STEP_BUDGET_EXHAUSTED)
+
+
+def cap_at_family_size():
+    # two bases, two samples: no basis can be eliminated in time
+    g = gen_padded_path(6, 4, 0)
+    return g, place_pebbles(g, GENERAL), 2, 6
+
+
+def default_cap():
+    # about 3000 draws a trial, several refills of the buffer
+    g = gen_padded_path(40, 8, 9)
+    return g, place_pebbles(g, GENERAL), DEFAULT_CAP, 40
+
+
+def cap_mid_route():
+    # a cap of 300 at delta 8 declares failure at nodes along the route
+    g = gen_padded_path(40, 8, 9)
+    return g, place_pebbles(g, GENERAL), 300, 40
+
+
+def flipped_sign():
+    # node 5 advertises port 1; port 2 leads to a decoy with no pebble
+    g = gen_padded_path(12, 4, 11)
+    doc = json.loads(placement_to_json(place_pebbles(g, GENERAL)))
+    for row in doc["pebbles"]:
+        if row["node"] == 5:
+            row["sign"] = "-"
+    return g, placement_from_json(json.dumps(doc)), DEFAULT_CAP, 12
+
+
+def missing_mid_route():
+    g = gen_padded_path(9, 4, 3)
+    placement = place_pebbles(g, GENERAL)
+    hole = route(g)[5][0]
+    pebbles = {v: p for v, p in placement.pebbles.items() if v != hole}
+    return g, Placement(GENERAL, 4, pebbles), DEFAULT_CAP, 9
+
+
+def port_out_of_range():
+    # a plain path: interior nodes have degree 2, node 3 advertises port 4
+    g = gen_padded_path(6, 2, 0)
+    pebbles = {}
+    for node, port in route(g):
+        j = 4 if node == 3 else port + 1
+        pebbles[node] = QuantumPebble(node, encode_port(j, 4), j)
+    return g, Placement(GENERAL, 4, pebbles), DEFAULT_CAP, 6
+
+
+def short_budget():
+    g = gen_padded_path(30, 4, 8)
+    return g, place_pebbles(g, GENERAL), DEFAULT_CAP, 17
+
+
+def bitsign4():
+    g = gen_padded_path(10, 4, 6)
+    return g, place_pebbles(g, EncodingScheme.BITSIGN4), DEFAULT_CAP, 10
+
+
+def delta_two():
+    # one basis in the family: every node decodes from its first sample
+    g = gen_padded_path(7, 2, 4)
+    return g, place_pebbles(g, GENERAL), 1, 7
+
+
+# each case, and a failure kind its records must show
+CASES = {
+    "cap_at_family_size": (cap_at_family_size, FailureKind.DECLARED_FAILURE),
+    "default_cap": (default_cap, FailureKind.NONE),
+    "cap_mid_route": (cap_mid_route, FailureKind.DECLARED_FAILURE),
+    "flipped_sign": (flipped_sign, FailureKind.MISSING_PEBBLE),
+    "missing_mid_route": (missing_mid_route, FailureKind.MISSING_PEBBLE),
+    "port_out_of_range": (port_out_of_range, FailureKind.WRONG_PORT_RANGE),
+    "short_budget": (short_budget, FailureKind.STEP_BUDGET_EXHAUSTED),
+    "bitsign4": (bitsign4, FailureKind.NONE),
+    "delta2": (delta_two, FailureKind.NONE),
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_adaptive_walk_matches_per_node_walk(name):
+    build, shown = CASES[name]
+    g, placement, cap, budget = build()
+    kinds, steps = set(), set()
+    for seed in SEEDS:
+        got = run_trial(g, placement, Adaptive(cap), budget, RngStream(seed, 1))
+        assert got == reference_walk(g, placement, cap, budget, RngStream(seed, 1)), seed
+        kinds.add(got.failure_kind)
+        steps.add(got.steps_taken)
+    assert shown in kinds
+    if name == "cap_mid_route":
+        assert len(steps) > 10  # failures spread along the route
+
+
+@pytest.mark.parametrize("cap", [4, 6, DEFAULT_CAP])
+def test_measure_node_adaptive_takes_exactly_its_measurements(cap):
+    # a cap of 4 or 6 ends some nodes at the cap, the default cap none
+    g = gen_padded_path(12, 8, 5)
+    pebbles = list(place_pebbles(g, GENERAL).pebbles.values())
+    for seed in range(40):
+        rng = RngStream(seed, 3)
+        used = 0
+        for pebble in pebbles:
+            used += measure_node_adaptive(pebble, 8, cap, rng, GENERAL)[1]
+        fresh = RngStream(seed, 3)
+        for _ in range(used):
+            fresh.next_u32()
+        assert rng.next_u32() == fresh.next_u32()
