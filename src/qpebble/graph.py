@@ -172,13 +172,15 @@ def gen_padded_path(dist: int, delta: int, seed: int) -> PortGraph:
         raise ValueError(f"dist must be >= 1, got {dist}")
     if delta < 2 or delta % 2:
         raise ValueError(f"delta must be an even integer >= 2, got {delta}")
-    rng = RngStream(seed, stream_id=_GEN_STREAM)
+    # one Fisher-Yates shuffle per interior node, k from delta-1 down to 1;
+    # int(u * (k + 1)) is RngStream.below(k + 1) on the same draw
+    draws = iter(RngStream(seed, stream_id=_GEN_STREAM).uniforms((dist - 1) * (delta - 1)).tolist())
     # slot k of node i: 0 = toward i-1, 1 = toward i+1, 2.. = decoys
     slot_ports: dict[int, list[int]] = {}
     for i in range(1, dist):
         perm = list(range(delta))
         for k in range(delta - 1, 0, -1):
-            j = rng.below(k + 1)
+            j = int(next(draws) * (k + 1))
             perm[k], perm[j] = perm[j], perm[k]
         slot_ports[i] = perm
 

@@ -8,6 +8,7 @@ from qpebble import (
     GadgetSpec,
     GraphFormatError,
     PortGraph,
+    RngStream,
     gen_gpqr,
     gen_padded_path,
     gpqr_family,
@@ -17,6 +18,7 @@ from qpebble import (
     shortest_path,
     validate,
 )
+from qpebble.graph import _GEN_STREAM
 
 FIVE_CYCLE = """\
 5 5
@@ -157,6 +159,27 @@ def test_padded_path_is_seed_deterministic():
     c = serialize_graph(gen_padded_path(6, 4, 14))
     assert a == b
     assert a != c
+
+
+def reference_padded_path_edges(dist, delta, seed):
+    """gen_padded_path's edges, its port shuffles drawn one below() at a time."""
+    rng = RngStream(seed, stream_id=_GEN_STREAM)
+    slots = {}
+    for i in range(1, dist):
+        perm = list(range(delta))
+        for k in range(delta - 1, 0, -1):
+            j = rng.below(k + 1)
+            perm[k], perm[j] = perm[j], perm[k]
+        slots[i] = perm
+    edges = [(i, slots[i][1] if i else 0, i + 1, slots[i + 1][0] if i + 1 < dist else 0) for i in range(dist)]
+    decoys = (dist + 1 + n for n in range((dist - 1) * (delta - 2)))
+    edges += [(i, slots[i][2 + k], next(decoys), 0) for i in range(1, dist) for k in range(delta - 2)]
+    return tuple(edges)
+
+
+@pytest.mark.parametrize("dist, delta, seed", [(1, 2, 0), (1, 8, 3), (2, 4, 5), (7, 2, 1), (30, 6, 9), (1200, 8, 7)])
+def test_padded_path_shuffles_match_scalar_draws(dist, delta, seed):
+    assert gen_padded_path(dist, delta, seed).edges == reference_padded_path_edges(dist, delta, seed)
 
 
 def test_padded_path_exit_ports_cover_all_labels():
