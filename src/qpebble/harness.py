@@ -208,6 +208,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
         raise ValueError("trials must be >= 1")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if not 0.0 < cfg.eps < 1.0:
+        raise ValueError(f"eps must be in (0, 1), got {cfg.eps}")
     g = parse_graph_source(cfg.graph_source, cfg.seed)
     # route checks g and gives the path the pebbles sit on; D is its length
     placement: Union[Placement, frozenset[int]]

@@ -27,6 +27,7 @@ from qpebble import (
     wilson_ci,
 )
 from qpebble import graph as graph_module
+from qpebble import harness as harness_module
 from qpebble.analysis import bound_report
 from qpebble.graph import serialize_graph
 from qpebble.harness import config_from_dict, env_seed_default, sweep_table_csv
@@ -228,6 +229,18 @@ def test_workers_below_one_are_rejected(workers):
         run_experiment(cfg, workers=workers)
     with pytest.raises(ValueError, match=rf"^workers must be >= 1, got {workers}$"):
         sweep(cfg, "n", [2], workers=workers)
+
+
+@pytest.mark.parametrize("strategy", [Adaptive(), RandomWalk(), FixedN(3), FixedN(None)])
+@pytest.mark.parametrize("eps", [2.0, 0.0, -0.5])
+def test_eps_out_of_range_is_rejected_before_any_trial(strategy, eps, monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness_module, "run_trial", no_trial)
+    cfg = ExperimentConfig(graph_source="path:D=4,delta=4", strategy=strategy, trials=30000, eps=eps)
+    with pytest.raises(ValueError, match=rf"^eps must be in \(0, 1\), got {eps}$"):
+        run_experiment(cfg)
 
 
 def test_sweep_table_csv_shape():
