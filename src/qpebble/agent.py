@@ -276,7 +276,7 @@ def run_trial(
     if isinstance(strategy, FixedN):
         return _walk_fixed(g, placement, strategy.n, step_budget, rng)
     pebbled = placement.pebbles if isinstance(placement, Placement) else placement
-    draws = buffered_uniforms(rng) if isinstance(strategy, Adaptive) else None
+    draws = None  # an adaptive trial's one buffered reader, made at its first round
 
     cur = g.start
     steps = 0
@@ -289,6 +289,7 @@ def run_trial(
                 return _fail(FailureKind.MISSING_PEBBLE, steps, meas)
             pebble = placement.pebbles[cur]
             if isinstance(strategy, Adaptive):
+                draws = draws or buffered_uniforms(rng)
                 port, used = _eliminate(pebble.emitted_state, placement.delta, strategy.cap, draws, placement.scheme)
                 meas += used
                 if port is None:
