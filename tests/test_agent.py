@@ -46,6 +46,11 @@ def fresh(seed=0, stream=0):
     return RngStream(seed, stream)
 
 
+def record(r):
+    assert not r.success
+    return r.failure_kind, r.steps_taken, r.measurements_total
+
+
 def test_measure_node_fixed_shapes_and_certainty():
     pebble = encode_port(1, 4)  # plus vector of basis 0
     n = 40
@@ -178,6 +183,11 @@ def test_run_trial_missing_pebble():
     assert not r.success
     assert r.failure_kind is FailureKind.MISSING_PEBBLE
     assert r.steps_taken == 1  # died at the second node
+    # qudit route 0-1-2-3-4 without node 2's pebble: two one-shot reads, two moves
+    g = gen_padded_path(4, 4, 3)
+    full = place_pebbles(g, EncodingScheme.QUDIT)
+    holey = Placement(full.scheme, full.delta, {v: p for v, p in full.pebbles.items() if v != 2})
+    assert record(run_trial(g, holey, QuditOneShot(), 8, fresh(0))) == (FailureKind.MISSING_PEBBLE, 2, 2)
 
 
 def test_run_trial_wrong_port_range():
@@ -186,6 +196,18 @@ def test_run_trial_wrong_port_range():
     r = run_trial(g, placement, FixedN(12), 1, fresh(6))
     assert r.failure_kind is FailureKind.WRONG_PORT_RANGE
     assert r.measurements_total == 24
+    # qudit: node 1 emits level 7 (port 8) at degree 4, after one move
+    g = gen_padded_path(4, 4, 3)
+    full = place_pebbles(g, EncodingScheme.QUDIT)
+    pebbles = {**full.pebbles, 1: QuantumPebble(1, 7, 8)}
+    placement = Placement(full.scheme, full.delta, pebbles)
+    assert record(run_trial(g, placement, QuditOneShot(), 8, fresh(0))) == (FailureKind.WRONG_PORT_RANGE, 1, 2)
+    # classical: an exit port above the start's degree 3, or below port 0
+    g = gen_gpqr(GadgetSpec((0, 1, 2)))
+    for action in (5, -1):
+        table = DecisionTable({(3, True): action, (3, False): action, (1, True): 0, (1, False): 0})
+        r = run_trial(g, frozenset(), ClassicalTable(table), 5, fresh(0))
+        assert record(r) == (FailureKind.WRONG_PORT_RANGE, 0, 0)
 
 
 def test_run_trial_adaptive_gives_up_at_cap():
