@@ -14,9 +14,10 @@ Decoding rules:
   Round r of a trial uses draws [r*n*F, (r+1)*n*F), F the family size. A
   pebble's decode is *forced* when exactly one basis is certain: that basis
   always runs uniform, so the node decodes to its port or fails as
-  ambiguous. The walk follows forced ports ahead of the agent, up to a
-  missing pebble, the treasure, an unforced node, a port out of range, the
-  step budget or ``_BLOCK_DRAWS``; draws that block in one call; and stops
+  ambiguous. So a fixed-n round of ``run_trial`` is a block: it follows
+  forced ports ahead of the agent, up to a missing pebble, the treasure, an
+  unforced node, a port out of range, the step budget or ``_BLOCK_DRAWS``;
+  draws the block in one call, one round and one step per node; and stops
   at the first node whose count of uniform bases is not one. Only the
   block's last node needs a real decode.
 * adaptive: round-robin over the bases still alive, killing a basis the
@@ -252,6 +253,11 @@ def run_trial(
     move, which keeps stay-forever tables finite). Classical strategies may
     receive a bare set of pebbled nodes instead of a full Placement.
 
+    One loop serves every strategy: a round yields a 1-based exit port,
+    and a shared tail checks it against the degree, moves and tests for
+    the treasure. A fixed-n round walks ``cur`` through a block of forced
+    nodes (module docstring) and leaves from the block's last node.
+
     ``rng`` may end up past the trial's last draw: a failed fixed-n trial
     drew its last block ahead of the failing node, and an adaptive trial
     reads its stream through ``buffered_uniforms``. No record changes,
@@ -263,101 +269,79 @@ def run_trial(
     if quantum:
         if not isinstance(placement, Placement):
             raise ValueError("quantum strategies need a full Placement")
+        delta, scheme = placement.delta, placement.scheme
         if isinstance(strategy, QuditOneShot):
-            if placement.scheme is not EncodingScheme.QUDIT:
+            if scheme is not EncodingScheme.QUDIT:
                 raise ValueError("QuditOneShot requires the qudit scheme")
-        elif placement.scheme not in (EncodingScheme.GENERAL, EncodingScheme.BITSIGN4):
-            raise ValueError(f"{type(strategy).__name__} cannot decode scheme {placement.scheme.value}")
+        elif scheme not in (EncodingScheme.GENERAL, EncodingScheme.BITSIGN4):
+            raise ValueError(f"{type(strategy).__name__} cannot decode scheme {scheme.value}")
         if isinstance(strategy, FixedN) and strategy.n is None:
             raise ValueError("FixedN.n must be resolved to a positive sample count")
         bad = [v for v in placement.pebbles if not 0 <= v < g.node_count]
         if bad:
             raise ValueError(f"placement references nodes outside the graph: {bad}")
-    if isinstance(strategy, FixedN):
-        return _walk_fixed(g, placement, strategy.n, step_budget, rng)
     pebbled = placement.pebbles if isinstance(placement, Placement) else placement
     draws = None  # an adaptive trial's one buffered reader, made at its first round
 
     cur = g.start
-    steps = 0
-    meas = 0
-    for _ in range(step_budget):
-        degree = g.degree(cur)
-        has_pebble = cur in pebbled
-        if quantum:
-            if not has_pebble:
-                return _fail(FailureKind.MISSING_PEBBLE, steps, meas)
-            pebble = placement.pebbles[cur]
-            if isinstance(strategy, Adaptive):
-                draws = draws or buffered_uniforms(rng)
-                port, used = _eliminate(pebble.emitted_state, placement.delta, strategy.cap, draws, placement.scheme)
-                meas += used
-                if port is None:
-                    return _fail(FailureKind.DECLARED_FAILURE, steps, meas)
-            else:
-                meas += 1
-                port = decode_qudit(pebble.emitted_state)
-            internal = port - 1
-            if internal >= degree:
-                return _fail(FailureKind.WRONG_PORT_RANGE, steps, meas)
+    steps = rounds = meas = 0
+    while rounds < step_budget:
+        rounds += 1
+        if quantum and cur not in pebbled:
+            return _fail(FailureKind.MISSING_PEBBLE, steps, meas)
+        if isinstance(strategy, FixedN):
+            # this round and one per forced node ahead, drawn in one block
+            per_node = strategy.n * len(basis_family(scheme, delta))
+            limit = min(step_budget - rounds + 1, max(1, _BLOCK_DRAWS // per_node))
+            rows = []
+            while True:
+                p_plus, forced = _decode_table(pebbled[cur].emitted_state, delta, scheme)
+                rows.append(p_plus)
+                if forced is None or forced > g.degree(cur) or len(rows) == limit:
+                    break
+                ahead = g.adjacency[cur][forced - 1][0]
+                if ahead == g.treasure or ahead not in pebbled:
+                    break
+                cur = ahead
+            k = len(rows)
+            below = rng.uniforms(k * per_node).reshape(k, -1, strategy.n) < np.array(rows)[:, :, None]
+            plus_runs = below.all(axis=2)
+            uniform = plus_runs | ~below.any(axis=2)
+            ambiguous = np.flatnonzero(uniform.sum(axis=1) != 1)
+            if ambiguous.size:
+                m = int(ambiguous[0])
+                return _fail(FailureKind.AMBIGUOUS_DECODE, steps + m, meas + (m + 1) * per_node)
+            # every node before the last decoded to its forced port
+            steps += k - 1
+            rounds += k - 1
+            meas += k * per_node
+            basis = int(uniform[-1].argmax())
+            port = decode_outcome(Outcome(basis, PLUS if plus_runs[-1, basis] else MINUS), delta)
+        elif isinstance(strategy, Adaptive):
+            draws = draws or buffered_uniforms(rng)
+            port, used = _eliminate(pebbled[cur].emitted_state, delta, strategy.cap, draws, scheme)
+            meas += used
+            if port is None:
+                return _fail(FailureKind.DECLARED_FAILURE, steps, meas)
+        elif isinstance(strategy, QuditOneShot):
+            meas += 1
+            port = decode_qudit(pebbled[cur].emitted_state)
         elif isinstance(strategy, ClassicalTable):
-            action = strategy.table.action(degree, has_pebble)
+            action = strategy.table.action(g.degree(cur), cur in pebbled)
             if action is None:
                 continue  # stay: round spent, no move
-            if not 0 <= action < degree:
-                return _fail(FailureKind.WRONG_PORT_RANGE, steps, meas)
-            internal = action
+            port = action + 1
         elif isinstance(strategy, RandomWalk):
-            internal = rng.below(degree)
+            port = rng.below(g.degree(cur)) + 1
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
-        cur = g.adjacency[cur][internal][0]
+        if not 1 <= port <= g.degree(cur):
+            return _fail(FailureKind.WRONG_PORT_RANGE, steps, meas)
+        cur = g.adjacency[cur][port - 1][0]
         steps += 1
         if cur == g.treasure:
             return TrialResult(True, steps, meas, FailureKind.NONE)
     return _fail(FailureKind.STEP_BUDGET_EXHAUSTED, steps, meas)
-
-
-def _walk_fixed(g: PortGraph, placement: Placement, n: int, step_budget: int, rng: RngStream) -> TrialResult:
-    """run_trial for FixedN, one draw call per block of nodes (module docstring)."""
-    delta, scheme = placement.delta, placement.scheme
-    family = len(basis_family(scheme, delta))
-    # each round begun measures n * F qubits; each finished one moves a step
-    per_node = n * family
-    cur, steps = g.start, 0
-    while steps < step_budget:
-        rows = []
-        node = cur
-        limit = min(step_budget - steps, max(1, _BLOCK_DRAWS // per_node))
-        while node in placement.pebbles:
-            p_plus, forced = _decode_table(placement.pebbles[node].emitted_state, delta, scheme)
-            rows.append(p_plus)
-            last = node
-            if forced is None or forced > g.degree(node) or len(rows) == limit:
-                break
-            node = g.adjacency[node][forced - 1][0]
-            if node == g.treasure:
-                break
-        if not rows:
-            return _fail(FailureKind.MISSING_PEBBLE, steps, steps * per_node)
-        k = len(rows)
-        below = rng.uniforms(k * per_node).reshape(k, family, n) < np.array(rows)[:, :, None]
-        plus_runs = below.all(axis=2)
-        uniform = plus_runs | ~below.any(axis=2)
-        ambiguous = np.flatnonzero(uniform.sum(axis=1) != 1)
-        if ambiguous.size:
-            m = steps + int(ambiguous[0])
-            return _fail(FailureKind.AMBIGUOUS_DECODE, m, (m + 1) * per_node)
-        # every node before the last decoded to its forced port
-        steps += k
-        basis = int(uniform[-1].argmax())
-        port = decode_outcome(Outcome(basis, PLUS if plus_runs[-1, basis] else MINUS), delta)
-        if port > g.degree(last):
-            return _fail(FailureKind.WRONG_PORT_RANGE, steps - 1, steps * per_node)
-        cur = g.adjacency[last][port - 1][0]
-        if cur == g.treasure:
-            return TrialResult(True, steps, steps * per_node, FailureKind.NONE)
-    return _fail(FailureKind.STEP_BUDGET_EXHAUSTED, steps, steps * per_node)
 
 
 def classical_trajectory(
