@@ -22,6 +22,7 @@ import sys
 from dataclasses import fields
 
 from .analysis import bound_report, check_impossibility, compare_single_vs_per_node
+from .encoding import family_delta
 from .graph import GraphFormatError, serialize_graph
 from .harness import (
     ExperimentConfig,
@@ -112,7 +113,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    rep = bound_report(args.D, args.delta, n=args.n, eps=args.eps)
+    # a run on a graph of odd max degree builds the next even family
+    rep = bound_report(args.D, family_delta(args.delta), n=args.n, eps=args.eps)
     _print_json(rep.as_json_dict())
     return 0
 

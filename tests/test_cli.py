@@ -29,6 +29,20 @@ def test_bound_with_explicit_n(capsys):
     assert json.loads(out)["per_node_failure"] > 0.01
 
 
+def test_bound_rounds_an_odd_delta_like_a_run(tmp_path, capsys):
+    # D=2 route 0-1-2; node 1 has degree 5, so runs use the delta=6 family
+    graph = tmp_path / "g.txt"
+    graph.write_text("6 5\n0 2\n0 0 1 0\n1 1 2 0\n1 2 3 0\n1 3 4 0\n1 4 5 0\n")
+    argv = ["simulate", "--gen", str(graph), "--trials", "2", "--out", str(tmp_path / "run.csv")]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    run_bound = json.loads(out)["bound"]
+    code, out, _ = run_cli(capsys, ["bound", "--D", "2", "--delta", "5"])
+    assert code == 0
+    assert json.loads(out) == run_bound
+    assert run_bound["required_n"] == 103
+
+
 def test_gen_graph_roundtrips(tmp_path, capsys):
     target = tmp_path / "g.txt"
     code, out, _ = run_cli(
