@@ -253,10 +253,9 @@ def run_trial(
     move, which keeps stay-forever tables finite). Classical strategies may
     receive a bare set of pebbled nodes instead of a full Placement.
 
-    One loop serves every strategy: a round yields a 1-based exit port,
-    and a shared tail checks it against the degree, moves and tests for
-    the treasure. A fixed-n round walks ``cur`` through a block of forced
-    nodes (module docstring) and leaves from the block's last node.
+    One loop serves every strategy: each round yields a 1-based exit port,
+    which one shared tail range-checks and follows. A fixed-n round walks
+    ``cur`` through a block of forced nodes first (module docstring).
 
     ``rng`` may end up past the trial's last draw: a failed fixed-n trial
     drew its last block ahead of the failing node, and an adaptive trial
@@ -289,7 +288,17 @@ def run_trial(
         rounds += 1
         if quantum and cur not in pebbled:
             return _fail(FailureKind.MISSING_PEBBLE, steps, meas)
-        if isinstance(strategy, FixedN):
+        # qudit first: the cheapest round, where dispatch cost shows most
+        if isinstance(strategy, QuditOneShot):
+            meas += 1
+            port = decode_qudit(pebbled[cur].emitted_state)
+        elif isinstance(strategy, Adaptive):
+            draws = draws or buffered_uniforms(rng)
+            port, used = _eliminate(pebbled[cur].emitted_state, delta, strategy.cap, draws, scheme)
+            meas += used
+            if port is None:
+                return _fail(FailureKind.DECLARED_FAILURE, steps, meas)
+        elif isinstance(strategy, FixedN):
             # this round and one per forced node ahead, drawn in one block
             per_node = strategy.n * len(basis_family(scheme, delta))
             limit = min(step_budget - rounds + 1, max(1, _BLOCK_DRAWS // per_node))
@@ -317,15 +326,6 @@ def run_trial(
             meas += k * per_node
             basis = int(uniform[-1].argmax())
             port = decode_outcome(Outcome(basis, PLUS if plus_runs[-1, basis] else MINUS), delta)
-        elif isinstance(strategy, Adaptive):
-            draws = draws or buffered_uniforms(rng)
-            port, used = _eliminate(pebbled[cur].emitted_state, delta, strategy.cap, draws, scheme)
-            meas += used
-            if port is None:
-                return _fail(FailureKind.DECLARED_FAILURE, steps, meas)
-        elif isinstance(strategy, QuditOneShot):
-            meas += 1
-            port = decode_qudit(pebbled[cur].emitted_state)
         elif isinstance(strategy, ClassicalTable):
             action = strategy.table.action(g.degree(cur), cur in pebbled)
             if action is None:

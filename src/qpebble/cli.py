@@ -113,7 +113,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    # a run on a graph of odd max degree builds the next even family
     rep = bound_report(args.D, family_delta(args.delta), n=args.n, eps=args.eps)
     _print_json(rep.as_json_dict())
     return 0
