@@ -74,16 +74,16 @@ FULL_PATH_CAP = 1 << 20
 def family_delta(delta: int) -> int:
     """The even degree bound a qubit family is built for: odd degrees round
     up to the next even value, and the floor is 2."""
+    if delta < 1:
+        raise ValueError(f"delta must be >= 1, got {delta}")
     return max(2, delta + (delta & 1))
 
 
 @lru_cache(maxsize=None)
 def basis_family(scheme: EncodingScheme, delta: int) -> tuple[MeasurementBasis, ...]:
     """The measurement bases an agent cycles through at one node."""
-    if delta < 1:
-        raise ValueError(f"delta must be >= 1, got {delta}")
+    fd = family_delta(delta)
     if scheme is EncodingScheme.GENERAL:
-        fd = family_delta(delta)
         return tuple(build_basis(j, fd) for j in range(fd // 2))
     if scheme is EncodingScheme.BITSIGN4:
         if delta > 4:

@@ -248,6 +248,10 @@ def test_config_errors_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, argv)
     assert code == 2
     assert "qpebble: error: eps must be in (0, 1), got 2.0" in err
+    for delta in ("0", "-3"):
+        code, _, err = run_cli(capsys, ["bound", "--D", "3", "--delta", delta])
+        assert code == 2
+        assert "qpebble: error: delta must be >= " in err and f"got {delta}" in err
 
 
 def test_argparse_usage_errors_exit_2():
