@@ -145,12 +145,17 @@ def test_records_digest(case, tmp_path):
 # walks on the D=100 route read about 9000 draws a trial; a cap of 8 fails
 # every trial at its first node, a cap of 300 fails about a third of them
 # at nodes 2 to 99, and a budget of 40 stops every trial mid-route.
+# At delta 16 the nearest wrong basis has p = cos^2(pi/32) ~ 0.990, so at
+# n=300 most trials fail as ambiguous somewhere along the D=30 route; at
+# delta 8 and n=2500 one node takes 10000 draws, more than 8192.
 ROUTE_TRIALS = 30
 ROUTE_CASES = {
     ("path:D=200,delta=8", "fixed:auto", None): "cec8e3ef8daf10c67fbadd2651b144f94cd39ed98f1b6f5cbc6b10f62c1140d7",
     ("path:D=200,delta=8", "fixed:200", None): "105de83d7e54c41b9dc2437a67f199e05e0c0a25efb43b968285fa3112111dbf",
     ("path:D=200,delta=8", "fixed:200", 120): "c483f1dc6d39575646bbe46135232e819c6eea822e069f9c7516f3c52c9a40fb",
     ("path:D=6,delta=4", "fixed:3", 4): "9156e7900ee9a0391ee592cc4cc0fe1cfd9b8f6860bda419a132a23397cbcb59",
+    ("path:D=30,delta=16", "fixed:300", None): "6bb75830cc8be8e22e2388fc213445cc8e813a01b9d650d1eb286e0bf9b99c63",
+    ("path:D=5,delta=8", "fixed:2500", None): "673692b514ab9df1a065cd0e4d19833c8c9703e369faac90516e4ac2080ddc39",
     ("path:D=100,delta=8", "adaptive", None): "0acb713838d48d3acc07cffba39e990715c7cc9f80ebafa64270167b018ad571",
     ("path:D=100,delta=8", "adaptive:8", None): "550ea13bace3b858a53fa3922f3e3063aa6297802202a449c92a8424b57b6803",
     ("path:D=100,delta=8", "adaptive:300", None): "3b77e191ae8241e367a30247abc7e506b585a5a8a4c80eab906c3c4de2829cb8",
