@@ -8,10 +8,10 @@ generator produces the same u32 sequence, so experiment results are stable
 across machines, processes, and reimplementations.
 
 Stream layout: a uniform double is ``next_u32() * 2**-32`` (one u32 per
-draw, exactly representable in float64). Block generation via
-:meth:`RngStream.uniforms` is bit-identical to repeated scalar draws; it
-jumps the LCG ahead in closed form (state_k = A^k*s + (A^k-1)/(A-1)*inc
-mod 2^64) so blocks vectorize without changing the stream.
+draw, exactly representable in float64). The LCG jumps ahead in closed
+form (state_o = A^o*s + (A^o-1)/(A-1)*inc mod 2^64), so :meth:`RngStream.runs`
+reads draws at any offsets and :meth:`RngStream.uniforms` is the run at
+offset 0, both bit-identical to repeated scalar draws.
 """
 
 from __future__ import annotations
@@ -28,11 +28,29 @@ MULTIPLIER = 6364136223846793005
 _MASK64 = (1 << 64) - 1
 _MASK32 = 0xFFFFFFFF
 
-_BLOCK = 8192
-# _POW[k] = MULTIPLIER**k mod 2^64, _GEO[k] = sum_{i<k} MULTIPLIER**i mod 2^64;
-# uint64 products and sums wrap mod 2^64, which is the LCG's modulus
+_BLOCK = 8192  # 2**13
+# _POW[k] = MULTIPLIER**k, _GEO[k] = sum_{i<k} MULTIPLIER**i, _POW2 and _GEO2
+# the same at k * _BLOCK; uint64 products and sums wrap mod 2^64, as the LCG
 _POW = np.multiply.accumulate(np.r_[np.uint64(1), np.full(_BLOCK, MULTIPLIER, dtype=np.uint64)])
 _GEO = np.r_[np.uint64(0), np.cumsum(_POW[:-1])]
+_POW2 = np.multiply.accumulate(np.r_[np.uint64(1), np.full(_BLOCK, _POW[-1], dtype=np.uint64)])
+_GEO2 = np.r_[np.uint64(0), np.cumsum(_POW2[:-1] * _GEO[-1])]
+
+
+def _jump(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A^o, G_o) for each offset o >= 0 of an integer array, the state o steps
+    past s being A^o*s + G_o*inc: from the tables below 2^26, by squaring above."""
+    lo, hi = offsets & (_BLOCK - 1), offsets >> 13
+    a, c = _POW.take(lo), _GEO.take(lo)
+    if hi.any():
+        mid = hi & (_BLOCK - 1)
+        a, c = _POW2.take(mid) * a, _POW2.take(mid) * c + _GEO2.take(mid)
+        hi, step_a, step_c = hi >> 13, _POW2[-1:], _GEO2[-1:]
+        while hi.any():
+            odd = (hi & 1) == 1
+            a, c = np.where(odd, a * step_a, a), np.where(odd, c * step_a + step_c, c)
+            hi, step_a, step_c = hi >> 1, step_a * step_a, step_c * step_a + step_c
+    return a, c
 
 
 def _output(state: int) -> int:
@@ -43,10 +61,10 @@ def _output(state: int) -> int:
 
 
 def _output_vec(states: np.ndarray) -> np.ndarray:
-    xorshifted = (((states >> np.uint64(18)) ^ states) >> np.uint64(27)) & np.uint64(_MASK32)
-    rot = states >> np.uint64(59)
-    left = (np.uint64(32) - rot) & np.uint64(31)
-    return ((xorshifted >> rot) | (xorshifted << left)) & np.uint64(_MASK32)
+    """_output over a uint64 array, to uint32: the 32-bit xorshift is copied
+    into both halves of a word, so a right shift by rot rotates it."""
+    doubled = ((((states >> 18) ^ states) >> 27) & np.uint64(_MASK32)) * np.uint64(0x100000001)
+    return (doubled >> (states >> 59)).astype(np.uint32)
 
 
 class RngStream:
@@ -73,20 +91,26 @@ class RngStream:
         """One double in [0, 1), exactly next_u32() * 2**-32."""
         return self.next_u32() * 2.0**-32
 
+    def _run_states(self, starts: np.ndarray, length: int) -> np.ndarray:
+        if length > _BLOCK:
+            raise ValueError(f"run length must be <= {_BLOCK}, got {length}")
+        a, c = _jump(starts)
+        first = a * np.uint64(self._state) + c * np.uint64(self._inc)  # uint64 wraparound
+        return first[:, None] * _POW[:length] + _GEO[:length] * np.uint64(self._inc)
+
+    def runs(self, starts: np.ndarray, length: int) -> np.ndarray:
+        """u32 draws at offsets ``starts[i] + j`` (``starts`` >= 0, j < ``length``
+        <= 8192) past the current one, as a 2-d array. The stream stays put."""
+        return _output_vec(self._run_states(starts, length))
+
     def uniforms(self, n: int) -> np.ndarray:
         """``n`` uniform doubles, bit-identical to ``n`` scalar draws."""
         if n < 0:
             raise ValueError("draw count must be non-negative")
-        out = np.empty(n, dtype=np.float64)
-        filled = 0
-        while filled < n:
-            m = min(_BLOCK, n - filled)
-            states = _POW[:m] * np.uint64(self._state) + _GEO[:m] * np.uint64(self._inc)  # uint64 wraparound
-            out[filled : filled + m] = _output_vec(states) * 2.0**-32
-            # scalar jump in Python ints (numpy scalars warn on wraparound)
-            self._state = (int(_POW[m]) * self._state + int(_GEO[m]) * self._inc) & _MASK64
-            filled += m
-        return out
+        # offsets 0..n in rows of _BLOCK; the stream moves to the state at n
+        states = self._run_states(np.arange(0, n + 1, _BLOCK), min(n + 1, _BLOCK)).ravel()
+        self._state = int(states[n])
+        return _output_vec(states[:n]) * 2.0**-32
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound), via floor(u * bound)."""

@@ -75,6 +75,96 @@ def scalar_skip(stream, target, _pos=[0]):
     return stream.uniform()
 
 
+PCG_MULT = 6364136223846793005
+MASK64 = (1 << 64) - 1
+SEEDS = st.integers(0, MASK64)
+STREAMS = st.integers(0, 2**32)
+
+
+def ref_draw(seed, stream_id, offset):
+    """The u32 draw ``offset`` steps into stream (seed, stream_id), straight
+    from the PCG32 definition on Python ints: seed the LCG, jump it by
+    square-and-multiply, apply XSH-RR."""
+    inc = (2 * stream_id + 1) & MASK64
+    state = ((inc + seed) * PCG_MULT + inc) & MASK64
+    mult, add = PCG_MULT, inc
+    while offset:
+        if offset & 1:
+            state = (state * mult + add) & MASK64
+        mult, add = (mult * mult) & MASK64, (add * mult + add) & MASK64
+        offset >>= 1
+    xorshifted = (((state >> 18) ^ state) >> 27) & 0xFFFFFFFF
+    rot = state >> 59
+    return ((xorshifted >> rot) | (xorshifted << ((-rot) & 31))) & 0xFFFFFFFF
+
+
+def test_reference_draw_is_pcg32():
+    for (seed, stream), want in PCG_REF.items():
+        assert [ref_draw(seed, stream, i) for i in range(len(want))] == want
+
+
+NEAR_FIRST_LEVEL = st.one_of(st.integers(2**13 - 40, 2**13 + 40), st.integers(0, 2**14))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=SEEDS,
+    stream_id=STREAMS,
+    skipped=st.integers(0, 50),
+    starts=st.lists(NEAR_FIRST_LEVEL, min_size=1, max_size=6),
+    length=st.integers(1, 64),
+)
+def test_runs_match_uniforms_around_the_first_table_level(seed, stream_id, skipped, starts, length):
+    """runs() reads the draws uniforms() makes, from any position, and
+    leaves the stream where it was."""
+    s, ref = RngStream(seed, stream_id), RngStream(seed, stream_id)
+    for _ in range(skipped):
+        s.next_u32()
+        ref.next_u32()
+    got = s.runs(np.array(starts), length)
+    flat = (ref.uniforms(max(starts) + length) * 2.0**32).astype(np.int64)
+    assert got.shape == (len(starts), length)
+    for row, start in zip(got.tolist(), starts):
+        assert row == flat[start : start + length].tolist()
+    assert s.next_u32() == ref_draw(seed, stream_id, skipped)
+
+
+# offsets at and past the second table level (2^26), mixed in one array so
+# the squaring steps apply to some entries and not others
+FAR = st.one_of(st.integers(2**26 - 40, 2**26 + 40), st.integers(0, 2**40), st.integers(2**26, 2**63 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, stream_id=STREAMS, starts=st.lists(FAR, min_size=1, max_size=5), length=st.integers(1, 12))
+def test_runs_match_the_pcg_definition_at_far_offsets(seed, stream_id, starts, length):
+    """Past 2^26 a uniforms() reference would need hundreds of MB, so the
+    reference is the square-and-multiply jump on Python ints."""
+    got = RngStream(seed, stream_id).runs(np.array(starts), length)
+    for row, start in zip(got.tolist(), starts):
+        assert row == [ref_draw(seed, stream_id, start + j) for j in range(length)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, stream_id=STREAMS, m=st.one_of(st.integers(0, 3 * 2**13), st.integers(2**13 - 2, 2**13 + 2)))
+def test_uniforms_skips_exactly_the_draws_it_makes(seed, stream_id, m):
+    """Jumping past m draws leaves the stream where drawing them one by one
+    does."""
+    s = RngStream(seed, stream_id)
+    s.uniforms(m)
+    assert [s.next_u32() for _ in range(3)] == [ref_draw(seed, stream_id, m + j) for j in range(3)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, stream_id=STREAMS, skipped=st.integers(0, 100), n=st.integers(0, 2 * 2**13 + 10))
+def test_uniforms_match_scalar_uniform_calls(seed, stream_id, skipped, n):
+    a, b = RngStream(seed, stream_id), RngStream(seed, stream_id)
+    for _ in range(skipped):
+        a.uniform()
+        b.uniform()
+    assert a.uniforms(n).tolist() == [b.uniform() for _ in range(n)]
+    assert a.next_u32() == b.next_u32()
+
+
 def test_uniform_range_and_below():
     s = RngStream(1, 0)
     us = s.uniforms(10000)
