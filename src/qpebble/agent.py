@@ -11,15 +11,15 @@ Decoding rules:
 * fixed-n: sample every family basis n times; commit to a port only if
   exactly one basis came back as a uniform run (all n outcomes one sign).
   Anything else, including zero uniform bases, is an ambiguous failure.
-  Round r of a trial uses draws [r*n*F, (r+1)*n*F), F the family size. A
+  Node r of a trial owns draws [r*n*F, (r+1)*n*F), F the family size. A
   pebble's decode is *forced* when exactly one basis is certain: that basis
   always runs uniform, so the node decodes to its port or fails as
-  ambiguous. So a fixed-n round of ``run_trial`` is a block: it follows
-  forced ports ahead of the agent, up to a missing pebble, the treasure, an
-  unforced node, a port out of range, the step budget or ``_BLOCK_DRAWS``;
-  draws the block in one call, one round and one step per node; and stops
-  at the first node whose count of uniform bases is not one. Only the
-  block's last node needs a real decode.
+  ambiguous. So a fixed-n round of ``run_trial`` is a block of the forced
+  nodes ahead (up to a missing pebble, the treasure, an unforced node, a bad
+  port, the budget or ``_ROUND_DRAWS // F`` nodes), one round and step per
+  node, ending at the first node whose count of uniform bases is not one.
+  Draws are sparse: an uncertain basis's run is uniform only while each draw
+  falls on its first draw's side, so only runs still uniform draw on.
 * adaptive: round-robin over the bases still alive, killing a basis the
   first time it contradicts its own previous outcome; decode once a single
   basis survives, give up at the measurement cap. A trial reads its
@@ -139,9 +139,10 @@ class RandomWalk:
 AgentStrategy = Union[FixedN, Adaptive, QuditOneShot, ClassicalTable, RandomWalk]
 
 
-# Most draws one block of a fixed-n walk asks for, so memory stays flat in
-# the route length.
-_BLOCK_DRAWS = 1 << 16
+# Draws per round of the sparse fixed-n test: each run still uniform gets max(8,
+# _ROUND_DRAWS // runs) more; a block has at most _ROUND_DRAWS // F nodes, so
+# no round generates more than 8 * _ROUND_DRAWS.
+_ROUND_DRAWS = 1 << 13
 
 
 @lru_cache(maxsize=1024)
@@ -152,6 +153,18 @@ def _decode_table(state: QubitState, delta: int, scheme: EncodingScheme) -> tupl
     p_plus = tuple(snap_certain(born_probability(state, b.plus_vec)) for b in basis_family(scheme, delta))
     certain = [Outcome(i, PLUS if p else MINUS) for i, p in enumerate(p_plus) if p in (0.0, 1.0)]
     return p_plus, decode_outcome(certain[0], delta) if len(certain) == 1 else None
+
+
+@lru_cache(maxsize=64)
+def _block_pairs(rows: tuple[tuple[float, ...], ...], n: int) -> tuple[np.ndarray, ...]:
+    """The uncertain (node, basis) runs of a fixed-n block with P(plus) rows
+    ``rows``: each run's node, u32 threshold (u = u32 * 2**-32 is below p
+    iff u32 < ceil(p * 2**32)) and first draw's offset in the block; and
+    each node's count of certain bases."""
+    p = np.array(rows)
+    node, basis = np.nonzero((p > 0.0) & (p < 1.0))
+    thr = np.ceil(p[node, basis] * 2.0**32).astype(np.int64)
+    return node, thr, (node * p.shape[1] + basis) * n, ((p == 0.0) | (p == 1.0)).sum(axis=1)
 
 
 def measure_node_fixed(
@@ -180,14 +193,8 @@ def decide_fixed(tallies: list[np.ndarray], delta: int) -> int | None:
     Returns the 1-based port, or None for the ambiguous cases (two or more
     uniform bases, or none at all).
     """
-    candidates = []
-    for i, signs in enumerate(tallies):
-        if len(signs) and (signs == signs[0]).all():
-            candidates.append((i, int(signs[0])))
-    if len(candidates) != 1:
-        return None
-    i, sign = candidates[0]
-    return decode_outcome(Outcome(i, sign), delta)
+    candidates = [Outcome(i, int(s[0])) for i, s in enumerate(tallies) if len(s) and (s == s[0]).all()]
+    return decode_outcome(candidates[0], delta) if len(candidates) == 1 else None
 
 
 def measure_node_adaptive(
@@ -257,10 +264,10 @@ def run_trial(
     which one shared tail range-checks and follows. A fixed-n round walks
     ``cur`` through a block of forced nodes first (module docstring).
 
-    ``rng`` may end up past the trial's last draw: a failed fixed-n trial
-    drew its last block ahead of the failing node, and an adaptive trial
-    reads its stream through ``buffered_uniforms``. No record changes,
-    because only this trial reads the stream.
+    A fixed-n trial reads its draws by offset and leaves ``rng`` where it
+    was; an adaptive trial may leave it past its last draw, through
+    ``buffered_uniforms``. Only this trial reads the stream, so no record
+    depends on where it ends.
     """
     if step_budget < 1:
         raise ValueError(f"step_budget must be >= 1, got {step_budget}")
@@ -299,33 +306,42 @@ def run_trial(
             if port is None:
                 return _fail(FailureKind.DECLARED_FAILURE, steps, meas)
         elif isinstance(strategy, FixedN):
-            # this round and one per forced node ahead, drawn in one block
-            per_node = strategy.n * len(basis_family(scheme, delta))
-            limit = min(step_budget - rounds + 1, max(1, _BLOCK_DRAWS // per_node))
+            # this round and one per forced node ahead, tested together
+            n, family = strategy.n, len(basis_family(scheme, delta))
+            limit = min(step_budget - rounds + 1, max(1, _ROUND_DRAWS // family))
             rows = []
             while True:
                 p_plus, forced = _decode_table(pebbled[cur].emitted_state, delta, scheme)
                 rows.append(p_plus)
-                if forced is None or forced > g.degree(cur) or len(rows) == limit:
+                exits = g.adjacency[cur]
+                if forced is None or forced > len(exits) or len(rows) == limit:
                     break
-                ahead = g.adjacency[cur][forced - 1][0]
+                ahead = exits[forced - 1][0]
                 if ahead == g.treasure or ahead not in pebbled:
                     break
                 cur = ahead
             k = len(rows)
-            below = rng.uniforms(k * per_node).reshape(k, -1, strategy.n) < np.array(rows)[:, :, None]
-            plus_runs = below.all(axis=2)
-            uniform = plus_runs | ~below.any(axis=2)
-            ambiguous = np.flatnonzero(uniform.sum(axis=1) != 1)
+            node, thr, base, certain = _block_pairs(tuple(rows), n)
+            # draw j of a run is stream offset meas + base + j; keep the runs
+            # whose draws so far all fall on their first draw's side
+            first, done = None, 0
+            while node.size and done < n:
+                w = min(n - done, max(8, _ROUND_DRAWS // node.size))
+                below = rng.runs(base + (meas + done), w) < thr[:, None]
+                first = below[:, 0] if first is None else first
+                keep = (below == first[:, None]).all(axis=1)
+                node, thr, base, first = node[keep], thr[keep], base[keep], first[keep]
+                done += w
+            ambiguous = np.flatnonzero(certain + np.bincount(node, minlength=k) != 1)
             if ambiguous.size:
                 m = int(ambiguous[0])
-                return _fail(FailureKind.AMBIGUOUS_DECODE, steps + m, meas + (m + 1) * per_node)
+                return _fail(FailureKind.AMBIGUOUS_DECODE, steps + m, meas + (m + 1) * n * family)
             # every node before the last decoded to its forced port
             steps += k - 1
             rounds += k - 1
-            meas += k * per_node
-            basis = int(uniform[-1].argmax())
-            port = decode_outcome(Outcome(basis, PLUS if plus_runs[-1, basis] else MINUS), delta)
+            meas += k * n * family
+            # unforced: the one run left is the last node's; base // n = node * F + basis
+            port = forced or decode_outcome(Outcome(int(base[-1]) // n % family, PLUS if first[-1] else MINUS), delta)
         elif isinstance(strategy, ClassicalTable):
             action = strategy.table.action(g.degree(cur), cur in pebbled)
             if action is None:

@@ -1,5 +1,6 @@
-"""The fixed-n walk, measured a block of nodes per draw call, against the
-per-node walk built from measure_node_fixed and decide_fixed."""
+"""The fixed-n walk, which tests a block of nodes with sparse draws,
+against the per-node walk built from measure_node_fixed and decide_fixed,
+which draws every sample."""
 
 import json
 import math
@@ -25,7 +26,8 @@ from qpebble import (
     placement_to_json,
     run_trial,
 )
-from qpebble.agent import _BLOCK_DRAWS, _decode_table
+from qpebble import agent
+from qpebble.agent import _ROUND_DRAWS, _block_pairs, _decode_table
 from qpebble.encoding import route
 
 SEEDS = range(200)
@@ -133,8 +135,32 @@ def delta_two():
 
 
 def several_blocks():
+    # one block at the module's round size, fifteen at SMALL_ROUNDS
     g = gen_padded_path(120, 8, 9)
     return g, place_pebbles(g, GENERAL), 200, 120
+
+
+def delta_sixteen():
+    # the nearest wrong basis has p = cos^2(pi/32) ~ 0.990, so its run
+    # outlasts several widening rounds before it breaks, when it does
+    g = gen_padded_path(12, 16, 5)
+    return g, place_pebbles(g, GENERAL), 300, 12
+
+
+def near_certain():
+    # each pebble's state turned 0.01 rad off its port's state, so the right
+    # basis has p = 1 - 1e-4 and no basis is certain; at n=5000 (10000
+    # draws a node, more than 8192) its run stays uniform about 61% of the
+    # time, and the node decodes from that run's first sign
+    g = gen_padded_path(6, 4, 2)
+    placement = place_pebbles(g, GENERAL)
+    pebbles = {}
+    for node, pebble in placement.pebbles.items():
+        a0, a1 = pebble.emitted_state.amp0, pebble.emitted_state.amp1
+        c, s = math.cos(0.01), math.sin(0.01)
+        state = QubitState(c * a0 - s * a1.conjugate(), c * a1 + s * a0.conjugate())
+        pebbles[node] = QuantumPebble(node, state, pebble.exit_port)
+    return g, Placement(GENERAL, 4, pebbles), 5000, 6
 
 
 # each case, and a failure kind its records must show
@@ -149,7 +175,13 @@ CASES = {
     "n1": (single_sample, FailureKind.AMBIGUOUS_DECODE),
     "delta2": (delta_two, FailureKind.NONE),
     "several_blocks": (several_blocks, FailureKind.AMBIGUOUS_DECODE),
+    "delta16": (delta_sixteen, FailureKind.AMBIGUOUS_DECODE),
+    "near_certain": (near_certain, FailureKind.AMBIGUOUS_DECODE),
 }
+
+# a round size that cuts every case into blocks of a few nodes, tested in
+# rounds of 8 draws or so
+SMALL_ROUNDS = 32
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -164,36 +196,59 @@ def test_block_walk_matches_per_node_walk(name):
     assert shown in kinds
 
 
+@pytest.mark.parametrize("name", list(CASES))
+def test_small_rounds_match_per_node_walk(name, monkeypatch):
+    monkeypatch.setattr(agent, "_ROUND_DRAWS", SMALL_ROUNDS)
+    test_block_walk_matches_per_node_walk(name)
+
+
 def test_off_family_states_are_not_forced():
     _, placement, _, _ = off_family()
     forced = [_decode_table(p.emitted_state, 4, GENERAL)[1] for p in placement.pebbles.values()]
     assert forced.count(None) == 7
 
 
+def test_u32_thresholds_match_the_float_comparison():
+    # u = u32 * 2**-32 is below p exactly when u32 is below the threshold,
+    # also where p * 2**32 is an integer or half-way between two
+    for v in (1, 12345, 2**31, 2**32 - 2):
+        for frac in (0.0, 0.5):
+            p = (v + frac) * 2.0**-32
+            _, (thr,), _, _ = _block_pairs(((1.0, p),), 1)
+            for u32 in (v - 1, v, v + 1):
+                assert (u32 < thr) == (u32 * 2.0**-32 < p)
+
+
 class CountingStream(RngStream):
     def __init__(self, seed, stream_id=0):
         super().__init__(seed, stream_id)
-        self.requests = []
+        self.offsets = []
 
-    def uniforms(self, n):
-        self.requests.append(n)
-        return super().uniforms(n)
+    def runs(self, starts, length):
+        self.offsets.append((starts[:, None] + np.arange(length)).ravel())
+        return super().runs(starts, length)
 
 
-def test_block_draws_stay_bounded_on_a_long_route():
-    g = gen_padded_path(200, 8, 3)
+@pytest.mark.parametrize("dist, n, trials, outcomes", [(200, 200, 40, {True, False}), (3000, 400, 4, {True})])
+def test_sparse_draws_stay_bounded_on_a_long_route(dist, n, trials, outcomes):
+    """Every call generates at most 8 * _ROUND_DRAWS draws, whatever the
+    route length; no draw is generated twice; and a successful trial draws
+    only inside the n * F * dist measurements it records, and fewer of
+    them than a quarter."""
+    g = gen_padded_path(dist, 8, 3)
     placement = place_pebbles(g, GENERAL)
-    n = 200
     per_node = n * 4
-    assert 200 * per_node > 2 * _BLOCK_DRAWS  # the route spans three blocks
-    outcomes = set()
-    for seed in range(40):
+    assert dist * per_node > 8 * _ROUND_DRAWS
+    seen = set()
+    for seed in range(trials):
         rng = CountingStream(seed)
-        r = run_trial(g, placement, FixedN(n), 200, rng)
-        outcomes.add(r.success)
-        assert max(rng.requests) <= _BLOCK_DRAWS
-        assert r.measurements_total <= sum(rng.requests) <= r.measurements_total + _BLOCK_DRAWS
+        r = run_trial(g, placement, FixedN(n), dist, rng)
+        seen.add(r.success)
+        assert max(map(len, rng.offsets)) <= 8 * _ROUND_DRAWS
+        drawn = np.concatenate(rng.offsets)
+        assert np.unique(drawn).size == drawn.size
+        assert drawn.min() >= 0 and drawn.max() < dist * per_node
         if r.success:
-            assert sum(rng.requests) == r.measurements_total == 200 * per_node
-            assert len(rng.requests) >= 3
-    assert outcomes == {True, False}
+            assert r.measurements_total == dist * per_node
+            assert drawn.size < r.measurements_total / 4
+    assert seen == outcomes
