@@ -119,7 +119,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    rep = compare_single_vs_per_node(args.D, args.delta, eps=args.eps)
+    rep = compare_single_vs_per_node(args.D, family_delta(args.delta), eps=args.eps)
     _print_json(rep.as_json_dict())
     return 0
 

@@ -201,6 +201,16 @@ def test_compare_fullpath_subcommand(capsys):
     assert doc["full_path_at_least_per_node"] is True
 
 
+def test_compare_fullpath_rounds_an_odd_delta_like_a_run(capsys):
+    # a max degree of 5 gets the delta=6 family, as in bound and in a run
+    code, out, _ = run_cli(capsys, ["compare-fullpath", "--D", "2", "--delta", "5"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["max_degree"] == 6
+    assert doc["required_n"] == 103
+    assert run_cli(capsys, ["compare-fullpath", "--D", "2", "--delta", "6"])[1] == out
+
+
 def test_impossible_subcommand(capsys):
     code, out, _ = run_cli(capsys, ["impossible"])
     assert code == 0
