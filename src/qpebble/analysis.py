@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .agent import DecisionTable, classical_trajectory
+from .agent import DecisionTable, _decode_table, classical_trajectory
+from .encoding import Placement
 from .graph import GadgetSpec, PortGraph, gpqr_family
 from .quantum import delta_bound
 
@@ -31,6 +32,7 @@ __all__ = [
     "ImpossibilityReport",
     "bound_report",
     "success_lower_bound",
+    "exact_success_fixed",
     "required_n",
     "bitsign4_wrong_run_prob",
     "full_path_log_bound",
@@ -123,6 +125,14 @@ def bound_report(dist: int, delta: int, n: int | None = None, eps: float = 0.01)
         success_lower=success_lower_bound(dist, delta, n),
         required_n=need,
     )
+
+
+def exact_success_fixed(placement: Placement, n: int) -> float:
+    """Exact success rate of a fixed-n walk over pebbles emitting their ports'
+    family states: no basis with 0 < p < 1 (snapped as the agent snaps it)
+    may run uniform, as it does with chance p^n + (1-p)^n."""
+    rows = [_decode_table(s.emitted_state, placement.delta, placement.scheme)[0] for s in placement.pebbles.values()]
+    return math.prod(max(0.0, 1.0 - p**n - (1.0 - p) ** n) for row in rows for p in row if 0.0 < p < 1.0)
 
 
 def bitsign4_wrong_run_prob(n: int) -> float:

@@ -11,6 +11,9 @@ import pytest
 
 from qpebble import (
     DecisionTable,
+    EncodingScheme,
+    ExperimentConfig,
+    FixedN,
     GadgetSpec,
     bitsign4_wrong_run_prob,
     bound_report,
@@ -18,10 +21,15 @@ from qpebble import (
     classical_trajectory,
     compare_single_vs_per_node,
     delta_bound,
+    exact_success_fixed,
     full_path_log_bound,
     gen_gpqr,
+    gen_padded_path,
     gpqr_family,
+    parse_graph_source,
+    place_pebbles,
     required_n,
+    run_experiment,
     success_lower_bound,
 )
 
@@ -80,6 +88,29 @@ def test_bound_report_with_explicit_n():
     rep = bound_report(10, 4, n=20)
     assert rep.required_n == 53  # the requirement is eps-driven, not n-driven
     assert rep.per_node_failure == pytest.approx(4 * delta_bound(4) ** 20, rel=1e-12)
+
+
+def test_exact_success_fixed_closed_form():
+    # delta=4: every pebble has one certain basis and one at p = cos^2(pi/8)
+    # or its complement, which runs uniform with chance p^n + (1-p)^n
+    placement = place_pebbles(gen_padded_path(10, 4, 7), EncodingScheme.GENERAL)
+    p = math.cos(math.pi / 8) ** 2
+    for n in (1, 8, 53):
+        assert exact_success_fixed(placement, n) == pytest.approx((1 - p**n - (1 - p) ** n) ** 10, rel=1e-12)
+    # delta=2: the one basis is certain, so nothing can go wrong
+    assert exact_success_fixed(place_pebbles(gen_padded_path(5, 2, 1), EncodingScheme.GENERAL), 1) == 1.0
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_fixed_n_success_rate_matches_exact_expectation(n):
+    """Binomial z-test of simulated fixed-n successes against the exact
+    rate, where failures are common (about 96% of trials at n=8, 58% at
+    n=16): a check of the trial engine independent of the union bound."""
+    cfg = ExperimentConfig(graph_source="path:D=10,delta=4", strategy=FixedN(n), trials=4000, seed=5)
+    successes = run_experiment(cfg).summary.successes
+    p = exact_success_fixed(place_pebbles(parse_graph_source(cfg.graph_source, cfg.seed), cfg.scheme), n)
+    z = (successes - cfg.trials * p) / math.sqrt(cfg.trials * p * (1 - p))
+    assert abs(z) < 4, (successes, p, z)
 
 
 def test_bitsign4_wrong_run_prob():

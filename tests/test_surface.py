@@ -20,11 +20,11 @@ def test_package_exports_every_module_list():
         "bitsign4_wrong_run_prob", "bloch_angles", "born_probability", "bound_report", "build_basis",
         "check_impossibility", "classical_trajectory", "compare_single_vs_per_node", "cross_overlap_closed_form",
         "decide_fixed", "decode_full_path", "decode_outcome", "decode_qudit", "delta_bound", "encode_full_path",
-        "encode_port", "encode_qudit", "full_path_log_bound", "gen_gpqr", "gen_padded_path", "gpqr_family",
-        "measure_node_adaptive", "measure_node_fixed", "neighbor_via_port", "parse_graph", "parse_graph_source",
-        "parse_strategy", "place_pebbles", "placement_from_json", "placement_to_json", "records_to_csv",
-        "records_to_json", "required_n", "run_experiment", "run_trial", "sample_measurement", "serialize_graph",
-        "shortest_path", "success_lower_bound", "sweep", "sweep_table_csv", "validate", "wilson_ci",
+        "encode_port", "encode_qudit", "exact_success_fixed", "full_path_log_bound", "gen_gpqr", "gen_padded_path",
+        "gpqr_family", "measure_node_adaptive", "measure_node_fixed", "neighbor_via_port", "parse_graph",
+        "parse_graph_source", "parse_strategy", "place_pebbles", "placement_from_json", "placement_to_json",
+        "records_to_csv", "records_to_json", "required_n", "run_experiment", "run_trial", "sample_measurement",
+        "serialize_graph", "shortest_path", "success_lower_bound", "sweep", "sweep_table_csv", "validate", "wilson_ci",
     ]
     assert all(hasattr(qpebble, name) for name in qpebble.__all__)
 
