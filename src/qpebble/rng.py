@@ -30,7 +30,7 @@ _MASK32 = 0xFFFFFFFF
 
 _BLOCK = 8192  # 2**13
 # _POW[k] = MULTIPLIER**k, _GEO[k] = sum_{i<k} MULTIPLIER**i, _POW2 and _GEO2
-# the same at k * _BLOCK; uint64 products and sums wrap mod 2^64, as the LCG
+# the same at k * _BLOCK; uint64 products and sums wrap mod 2^64, the LCG's modulus
 _POW = np.multiply.accumulate(np.r_[np.uint64(1), np.full(_BLOCK, MULTIPLIER, dtype=np.uint64)])
 _GEO = np.r_[np.uint64(0), np.cumsum(_POW[:-1])]
 _POW2 = np.multiply.accumulate(np.r_[np.uint64(1), np.full(_BLOCK, _POW[-1], dtype=np.uint64)])
@@ -99,8 +99,8 @@ class RngStream:
         return first[:, None] * _POW[:length] + _GEO[:length] * np.uint64(self._inc)
 
     def runs(self, starts: np.ndarray, length: int) -> np.ndarray:
-        """u32 draws at offsets ``starts[i] + j`` (``starts`` >= 0, j < ``length``
-        <= 8192) past the current one, as a 2-d array. The stream stays put."""
+        """The u32 draws at offsets ``starts[i] + j`` >= 0, j < ``length`` <= 8192, past the
+        current position, as a (len(starts), length) array; the stream does not move."""
         return _output_vec(self._run_states(starts, length))
 
     def uniforms(self, n: int) -> np.ndarray:

@@ -229,7 +229,9 @@ class CountingStream(RngStream):
         return super().runs(starts, length)
 
 
-@pytest.mark.parametrize("dist, n, trials, outcomes", [(200, 200, 40, {True, False}), (3000, 400, 4, {True})])
+@pytest.mark.parametrize(
+    "dist, n, trials, outcomes", [(200, 200, 40, {True, False}), (3000, 400, 4, {True})], ids=["D200", "D3000"]
+)
 def test_sparse_draws_stay_bounded_on_a_long_route(dist, n, trials, outcomes):
     """Every call generates at most 8 * _ROUND_DRAWS draws, whatever the
     route length; no draw is generated twice; and a successful trial draws
