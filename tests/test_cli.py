@@ -1,12 +1,15 @@
 """CLI surface: subcommands, exit codes, output formats, env seed."""
 
+import hashlib
 import json
+from dataclasses import fields
 
 import pytest
 
 from qpebble import cli, parse_graph, run_experiment
 from qpebble.cli import main
-from qpebble.harness import config_from_dict
+from qpebble.agent import classical_trajectory
+from qpebble.harness import SummaryStats, config_from_dict, parse_graph_source, parse_strategy
 
 
 def run_cli(capsys, argv):
@@ -223,6 +226,19 @@ def test_impossible_subcommand(capsys):
     assert len(json.loads(out)["witnesses"]) == 64
 
 
+def test_impossible_witnesses_are_valid_specs_that_defeat_their_table(capsys):
+    code, out, _ = run_cli(capsys, ["impossible", "--witnesses"])
+    assert code == 0
+    witnesses = json.loads(out)["witnesses"]
+    assert len(witnesses) == 64
+    for witness in witnesses:
+        table = parse_strategy("table:" + witness["table"]).table
+        g = parse_graph_source("gpqr:" + witness["gadget"], 0)
+        for bits in range(1 << g.node_count):
+            pebbled = frozenset(v for v in range(g.node_count) if bits >> v & 1)
+            assert classical_trajectory(g, pebbled, table)[-1] != g.treasure, witness
+
+
 def test_config_errors_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["simulate", "--gen", "path:D=x,delta=4", "--trials", "2"])
     assert code == 2
@@ -271,3 +287,103 @@ def test_argparse_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def sha256(data):
+    return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+
+SIM = ["simulate", "--trials", "12", "--seed", "5"]
+
+# SHA-256 of stdout, and of the --out file where there is one. They pin key
+# order, indentation, the trailing newline and how inf is printed.
+PINNED_OUTPUT = [
+    (
+        "simulate_fixed_auto",
+        SIM + ["--gen", "path:D=3,delta=4", "--strategy", "fixed:auto", "--out", "{out}"],
+        "7171223264cca0c848e37b8472034504049b096129e349c613f2d9aebd56bc55",
+        "a6ea69da800606a3b47d4447ecaaed03f4455b9592df2972d1f14dd77039c905",
+    ),
+    (
+        "simulate_adaptive",
+        SIM + ["--gen", "path:D=3,delta=8", "--strategy", "adaptive", "--out", "{out}"],
+        "1993aa0b07114e82058530096ed11d16c28cdd8d9615e86c1b61572c5b059368",
+        "f307928fde8ec3f27729663713a02a9a92ed190a02989f19d807a449f0e70270",
+    ),
+    (
+        "simulate_random",
+        SIM + ["--gen", "path:D=3,delta=4", "--strategy", "random", "--step-budget", "30", "--out", "{out}"],
+        "effd32815dde4d3b6934e65599711fe2a5d455bffb72cfb6a686c2a480b3705b",
+        "38c7f4156ecdd853ddac4ff13fa30170c5df1ea245b0afe4514e430bab72937c",
+    ),
+    (
+        "simulate_qudit",
+        SIM + ["--gen", "path:D=3,delta=4", "--scheme", "qudit", "--strategy", "qudit", "--out", "{out}"],
+        "397a26f5e7b31dc85287a540abfa288850c9508b47e5664e07fb2e436a3e17ab",
+        "5f1069b78ea20a19a98c6a0f27d1b03c3bb0af5de1ad490125741b4fbf97756f",
+    ),
+    (
+        "simulate_table_gpqr",
+        SIM + ["--gen", "gpqr:p=1,q=2,r=0,swaps=010", "--strategy", "table:3p=1,3n=0,1p=0,1n=s", "--out", "{out}"],
+        "4e188d849a6f201a11bcf5d7dbf27494d800bd5dedfd6addf5a475ab5223f1f2",
+        "9eda22e325de07d597b86e570401021ce7fa9505287e77aedbc1ceb1245abe08",
+    ),
+    (
+        "simulate_json_records",
+        SIM + ["--gen", "path:D=2,delta=4", "--strategy", "fixed:3", "--format", "json", "--out", "{out}"],
+        "abf11546bc5719fe6300a6a86343863909c190819eab71a6bc42087ab1453531",
+        "92dcfe00868561e7d6594dd87f54f2e09f6f02372ddd3a13d49e21c5598759fe",
+    ),
+    (
+        "sweep_csv",
+        ["sweep", "--gen", "path:D=2,delta=4", "--axis", "n", "--values", "2,8", "--trials", "25", "--seed", "4"],
+        "a64ed416eb380e2ca632afbef3b3819ae6f34eb134f68779f39a2b4c37b898a1",
+        None,
+    ),
+    (
+        "sweep_json",
+        ["sweep", "--gen", "path:D=2,delta=4", "--axis", "D", "--values", "1,3", "--trials", "10", "--seed", "4",
+         "--format", "json"],
+        "3763a7eef5157aabc6aa79f21eb89baf8015e957c4b26f97375983b232d00575",
+        None,
+    ),
+    ("impossible", ["impossible"], "f440bedd033366746ebe4b1b3f045f33c2d5243719e64655a5671b83618e8ec0", None),
+    (
+        "impossible_witnesses",
+        ["impossible", "--witnesses"],
+        "e7c18b80f74188c906d5b3074b13a711a3651258e4291ce0e3743f728769d6af",
+        None,
+    ),
+    (
+        "bound",
+        ["bound", "--D", "2", "--delta", "5", "--n", "3"],
+        "5aa58073f90126b3320d12b774c9a52738298df7e00aeb59525307677687eca5",
+        None,
+    ),
+    (
+        "compare_fullpath_inf",
+        ["compare-fullpath", "--D", "1000", "--delta", "8"],
+        "c63ad7e574ab538f534509c11a0abe87cc2c8669497de736bcd00f0ebf646905",
+        None,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, out_digest, file_digest", [case[1:] for case in PINNED_OUTPUT], ids=[case[0] for case in PINNED_OUTPUT]
+)
+def test_cli_output_bytes_are_pinned(argv, out_digest, file_digest, tmp_path, capsys):
+    target = tmp_path / "records"
+    code, out, err = run_cli(capsys, [arg.replace("{out}", str(target)) for arg in argv])
+    assert (code, err) == (0, "")
+    assert sha256(out) == out_digest
+    if file_digest is None:
+        assert not target.exists()
+    else:
+        assert sha256(target.read_bytes()) == file_digest
+
+
+def test_summary_json_keys_are_the_dataclass_fields():
+    cfg = config_from_dict({"graph_source": "path:D=2,delta=4", "trials": 3})
+    doc = run_experiment(cfg).summary.as_json_dict()
+    assert list(doc) == [f.name for f in fields(SummaryStats)]
