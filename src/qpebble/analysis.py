@@ -312,9 +312,9 @@ def check_impossibility() -> ImpossibilityReport:
             break
 
     return ImpossibilityReport(
-        tables_total=64,
+        tables_total=len(tables),
         tables_defeated=defeated,
-        all_defeated=defeated == 64,
+        all_defeated=defeated == len(tables),
         max_walk_steps=max_steps,
         witnesses=tuple(witnesses),
         no_universal_graph=no_universal,

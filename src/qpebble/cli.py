@@ -22,10 +22,11 @@ import sys
 from dataclasses import fields
 
 from .analysis import bound_report, check_impossibility, compare_single_vs_per_node
-from .encoding import family_delta
+from .encoding import EncodingScheme, family_delta
 from .graph import GraphFormatError, serialize_graph
 from .harness import (
     ExperimentConfig,
+    _spec_int,
     config_from_dict,
     env_seed_default,
     parse_graph_source,
@@ -50,22 +51,25 @@ def _finite(doc):
     return doc
 
 
-def _print_json(doc) -> None:
-    print(json.dumps(_finite(doc), indent=2, sort_keys=True))
+def _print_json(doc, path=None) -> None:
+    _write_text(path, json.dumps(_finite(doc), indent=2, sort_keys=True) + "\n")
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path, text: str) -> None:
+    """Write text to a file path; None or '-' means stdout, an open stream is written as is."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        path = sys.stdout
+    if not isinstance(path, str):
+        path.write(text)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     gen_help = "graph source: path:D=10,delta=4 | gpqr:p=2,q=2,r=2[,swaps=100] | file path"
     sub.add_argument("--gen", dest="graph_source", metavar="GEN", help=gen_help)
-    sub.add_argument("--scheme", choices=["general", "bitsign4", "qudit", "full_path"])
+    sub.add_argument("--scheme", choices=[s.value for s in EncodingScheme])
     sub.add_argument("--strategy", help="fixed:auto | fixed:N | adaptive[:CAP] | qudit | random | table:3p=1,3n=0,...")
     sub.add_argument("--trials", type=int)
     sub.add_argument("--seed", type=int, help="default: QPEBBLE_SEED env var, else 0")
@@ -96,19 +100,19 @@ def _cmd_simulate(args) -> int:
     if args.out:
         text = records_to_csv(result.records) if args.format == "csv" else records_to_json(result.records)
         _write_text(args.out, text)
-    _print_json(result.summary.as_json_dict())
+    # with the records on stdout, the summary goes to stderr so each stream parses on its own
+    _print_json(result.summary.as_json_dict(), sys.stderr if args.out == "-" else None)
     return 0
 
 
 def _cmd_sweep(args) -> int:
     cfg = _experiment_config(args)
-    values = [int(v) for v in args.values.split(",") if v.strip()]
+    values = [_spec_int(v, "--values", args.values) for v in args.values.split(",") if v.strip()]
     rows = sweep(cfg, args.axis, values, workers=args.workers)
     if args.format == "csv":
         _write_text(args.out, sweep_table_csv(args.axis, rows))
     else:
-        doc = [{"value": v, "summary": s.as_json_dict()} for v, s in rows]
-        _write_text(args.out, json.dumps(_finite(doc), indent=2, sort_keys=True) + "\n")
+        _print_json([{"value": v, "summary": s.as_json_dict()} for v, s in rows], args.out)
     return 0
 
 
@@ -131,13 +135,7 @@ def _table_key_str(key: tuple) -> str:
 
 def _cmd_impossible(args) -> int:
     rep = check_impossibility()
-    doc = {
-        "tables_total": rep.tables_total,
-        "tables_defeated": rep.tables_defeated,
-        "all_defeated": rep.all_defeated,
-        "max_walk_steps": rep.max_walk_steps,
-        "no_universal_graph": rep.no_universal_graph,
-    }
+    doc = {f.name: getattr(rep, f.name) for f in fields(rep) if f.name != "witnesses"}
     if args.witnesses:
         doc["witnesses"] = [
             {

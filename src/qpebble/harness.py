@@ -78,16 +78,8 @@ class SummaryStats:
     bound: BoundReport
 
     def as_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "successes": self.successes,
-            "success_rate": self.success_rate,
-            "wilson_ci_95": list(self.wilson_ci_95),
-            "mean_steps": self.mean_steps,
-            "mean_measurements": self.mean_measurements,
-            "failure_breakdown": self.failure_breakdown,
-            "bound": self.bound.as_json_dict(),
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return doc | {"wilson_ci_95": list(self.wilson_ci_95), "bound": self.bound.as_json_dict()}
 
 
 @dataclass(frozen=True)

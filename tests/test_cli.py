@@ -1,6 +1,8 @@
 """CLI surface: subcommands, exit codes, output formats, env seed."""
 
+import csv
 import hashlib
+import io
 import json
 from dataclasses import fields
 
@@ -98,6 +100,21 @@ def test_simulate_json_records(tmp_path, capsys):
     assert code == 0
     rows = json.loads(out_json.read_text())
     assert [r["trial"] for r in rows] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_out_dash_keeps_stdout_to_the_records(fmt, tmp_path, capsys):
+    base = ["simulate", "--gen", "path:D=2,delta=4", "--trials", "5", "--seed", "3", "--format", fmt]
+    code, summary, _ = run_cli(capsys, base + ["--out", str(tmp_path / "run")])
+    assert code == 0
+    code, out, err = run_cli(capsys, base + ["--out", "-"])
+    assert code == 0
+    assert out == (tmp_path / "run").read_text()
+    if fmt == "csv":
+        assert len(list(csv.reader(io.StringIO(out)))) == 5 + 1
+    else:
+        assert [r["trial"] for r in json.loads(out)] == [0, 1, 2, 3, 4]
+    assert err == summary
 
 
 def test_simulate_config_file_with_flag_override(tmp_path, capsys):
@@ -267,6 +284,9 @@ def test_config_errors_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["simulate", "--gen", "path:D=3,delta=4", "--strategy", "fixed:0"])
     assert code == 2
     assert "qpebble: error: FixedN.n must be >= 1, got 0" in err
+    code, _, err = run_cli(capsys, ["sweep", "--gen", "path:D=3,delta=4", "--axis", "n", "--values", "5,x"])
+    assert code == 2
+    assert err == "qpebble: error: cannot read 'x' as an integer in --values '5,x'\n"
     code, _, err = run_cli(capsys, ["sweep", "--gen", "path:D=3,delta=4", "--axis", "n", "--values", "0"])
     assert code == 2
     assert "qpebble: error: FixedN.n must be >= 1, got 0" in err
