@@ -56,7 +56,7 @@ def _print_json(doc, path=None) -> None:
 
 
 def _write_text(path, text: str) -> None:
-    """Write text to a file path; None or '-' means stdout, an open stream is written as is."""
+    """Write text to a file path or an open stream; None and '-' mean stdout."""
     if path is None or path == "-":
         path = sys.stdout
     if not isinstance(path, str):

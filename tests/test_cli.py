@@ -240,14 +240,9 @@ def test_impossible_subcommand(capsys):
     assert "witnesses" not in doc
     code, out, _ = run_cli(capsys, ["impossible", "--witnesses"])
     assert code == 0
-    assert len(json.loads(out)["witnesses"]) == 64
-
-
-def test_impossible_witnesses_are_valid_specs_that_defeat_their_table(capsys):
-    code, out, _ = run_cli(capsys, ["impossible", "--witnesses"])
-    assert code == 0
     witnesses = json.loads(out)["witnesses"]
     assert len(witnesses) == 64
+    # each witness is a valid spec pair whose table misses the treasure under every placement
     for witness in witnesses:
         table = parse_strategy("table:" + witness["table"]).table
         g = parse_graph_source("gpqr:" + witness["gadget"], 0)
