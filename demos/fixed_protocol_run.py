@@ -13,6 +13,7 @@ from qpebble import (
     decide_fixed,
     gen_padded_path,
     measure_node_fixed,
+    neighbor_via_port,
     place_pebbles,
     required_n,
     run_trial,
@@ -49,7 +50,7 @@ def main() -> None:
         print(f"step {step}: node {node} (pebble says exit port "
               f"{pebble.exit_port}), {draws} qubits measured, "
               f"uniform bases {uniform} -> decoded port {port}")
-        node = g.adjacency[node][port - 1][0]
+        node = neighbor_via_port(g, node, port - 1)[0]
     print(f"\narrived at node {node}, treasure is at {g.treasure}: "
           f"{'found it' if node == g.treasure else 'missed'}\n")
 

@@ -20,6 +20,11 @@ Decoding rules:
   node, ending at the first node whose count of uniform bases is not one.
   Draws are sparse: an uncertain basis's run is uniform only while each draw
   falls on its first draw's side, so only runs still uniform draw on.
+  The blocks from the start are the same in every trial, so each (graph,
+  placement) pair gets a plan once, holding that chain and, per n, its
+  blocks' runs; fixed-n rounds read the plan, and walk nodes themselves only
+  past the chain's end. No record depends on where blocks begin, because a
+  node's draws sit at a fixed stream offset.
 * adaptive: round-robin over the bases still alive, killing a basis the
   first time it contradicts its own previous outcome; decode once a single
   basis survives, give up at the measurement cap. A trial reads its
@@ -36,7 +41,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice
 from typing import AbstractSet, Iterator, Mapping, Union
 
@@ -155,13 +160,12 @@ def _decode_table(state: QubitState, delta: int, scheme: EncodingScheme) -> tupl
     return p_plus, decode_outcome(certain[0], delta) if len(certain) == 1 else None
 
 
-@lru_cache(maxsize=64)
-def _block_pairs(rows: tuple[tuple[float, ...], ...], n: int) -> tuple[np.ndarray, ...]:
+def _block_pairs(rows, n: int) -> tuple[np.ndarray, ...]:
     """The uncertain (node, basis) runs of a fixed-n block with P(plus) rows
-    ``rows``: each run's node, u32 threshold (u = u32 * 2**-32 is below p
-    iff u32 < ceil(p * 2**32)) and first draw's offset in the block; and
-    each node's count of certain bases."""
-    p = np.array(rows)
+    ``rows`` (k by F): each run's node, u32 threshold (u = u32 * 2**-32 is
+    below p iff u32 < ceil(p * 2**32)) and first draw's offset in the block;
+    and each node's count of certain bases."""
+    p = np.asarray(rows, dtype=float)
     node, basis = np.nonzero((p > 0.0) & (p < 1.0))
     thr = np.ceil(p[node, basis] * 2.0**32).astype(np.int64)
     return node, thr, (node * p.shape[1] + basis) * n, ((p == 0.0) | (p == 1.0)).sum(axis=1)
@@ -242,6 +246,69 @@ def _eliminate(
     return None, cap
 
 
+def _forced_run(g: PortGraph, placement: Placement, cur: int, limit: int) -> tuple[list[int], np.ndarray, list]:
+    """The nodes one fixed-n round tests together from ``cur``: it, then each
+    forced port's neighbor, up to and including the first node that is
+    unforced, has an out-of-range forced port, leads to the treasure or is
+    the ``limit``-th, and stopping before a node without a pebble. Returns
+    them, their P(plus) rows and their forced ports; pebbles that share a
+    state share one ``_decode_table`` row."""
+    pebbles, offsets, nbr = placement.pebbles, *g.csr_lists
+    table: list[tuple[tuple[float, ...], int | None]] = []
+    index: dict[int, int] = {}  # id(state) -> table row; the pebbles keep the states alive
+    nodes, kinds = [], []
+    while cur in pebbles:
+        state = pebbles[cur].emitted_state
+        if id(state) not in index:
+            index[id(state)] = len(table)
+            table.append(_decode_table(state, placement.delta, placement.scheme))
+        nodes.append(cur)
+        kinds.append(index[id(state)])
+        forced, lo = table[kinds[-1]][1], offsets[cur]
+        if forced is None or forced > offsets[cur + 1] - lo or len(nodes) == limit:
+            break
+        cur = nbr[lo + forced - 1]
+        if cur == g.treasure:
+            break
+    return nodes, np.array([row for row, _ in table])[kinds], [table[t][1] for t in kinds]
+
+
+class _Plan:
+    """run_trial's view of one (graph, placement) pair, made once: the check
+    that the pebbles lie in the graph and, at the first fixed-n round, the
+    forced chain from the start, which every fixed-n trial reads block by
+    block (round at chain position i: block i // size) while it decodes."""
+
+    def __init__(self, g: PortGraph, placement: Placement):
+        bad = [v for v in placement.pebbles if not 0 <= v < g.node_count]
+        if bad:
+            raise ValueError(f"placement references nodes outside the graph: {bad}")
+        self.g, self.placement, self._blocks = g, placement, None
+
+    @cached_property
+    def chain(self) -> tuple[list[int], np.ndarray, list]:
+        return _forced_run(self.g, self.placement, self.g.start, self.g.node_count)
+
+    def blocks(self, n: int, size: int) -> list[tuple[np.ndarray, ...]]:
+        """``_block_pairs`` of the chain's blocks of ``size`` nodes, kept for
+        the last (n, size)."""
+        if self._blocks is None or self._blocks[0] != (n, size):
+            rows = self.chain[1]
+            self._blocks = (n, size), [_block_pairs(rows[i : i + size], n) for i in range(0, len(rows), size)]
+        return self._blocks[1]
+
+
+# The plan of the last (graph, placement) pair, which a run's trials share;
+# keeping one bounds what it holds alive to one graph.
+_LAST_PLAN: list[_Plan] = []
+
+
+def _plan(g: PortGraph, placement: Placement) -> _Plan:
+    if not (_LAST_PLAN and _LAST_PLAN[0].g is g and _LAST_PLAN[0].placement is placement):
+        _LAST_PLAN[:] = [_Plan(g, placement)]
+    return _LAST_PLAN[0]
+
+
 def _fail(kind: FailureKind, steps: int, meas: int) -> TrialResult:
     return TrialResult(False, steps, meas, kind)
 
@@ -283,10 +350,9 @@ def run_trial(
             raise ValueError(f"{type(strategy).__name__} cannot decode scheme {scheme.value}")
         if isinstance(strategy, FixedN) and strategy.n is None:
             raise ValueError("FixedN.n must be resolved to a positive sample count")
-        bad = [v for v in placement.pebbles if not 0 <= v < g.node_count]
-        if bad:
-            raise ValueError(f"placement references nodes outside the graph: {bad}")
+        plan = _plan(g, placement)
     pebbled = placement.pebbles if isinstance(placement, Placement) else placement
+    offsets, nbr = g.csr_lists
     draws = None  # an adaptive trial's one buffered reader, made at its first round
 
     cur = g.start
@@ -308,20 +374,21 @@ def run_trial(
         elif isinstance(strategy, FixedN):
             # this round and one per forced node ahead, tested together
             n, family = strategy.n, len(basis_family(scheme, delta))
-            limit = min(step_budget - rounds + 1, max(1, _ROUND_DRAWS // family))
-            rows = []
-            while True:
-                p_plus, forced = _decode_table(pebbled[cur].emitted_state, delta, scheme)
-                rows.append(p_plus)
-                exits = g.adjacency[cur]
-                if forced is None or forced > len(exits) or len(rows) == limit:
-                    break
-                ahead = exits[forced - 1][0]
-                if ahead == g.treasure or ahead not in pebbled:
-                    break
-                cur = ahead
-            k = len(rows)
-            node, thr, base, certain = _block_pairs(tuple(rows), n)
+            size = max(1, _ROUND_DRAWS // family)
+            limit = min(step_budget - rounds + 1, size)
+            chain, rows, forced_ports = plan.chain
+            if steps < len(chain):
+                # on the plan's chain, whose blocks start at multiples of size;
+                # only a budget that ends inside a block cuts it short
+                node, thr, base, certain = plan.blocks(n, size)[steps // size]
+                k = min(len(certain), limit)
+                if k < len(certain):
+                    node, thr, base, certain = _block_pairs(rows[steps : steps + k], n)
+                cur, forced = chain[steps + k - 1], forced_ports[steps + k - 1]
+            else:
+                nodes, rows, forced_ports = _forced_run(g, placement, cur, limit)
+                k, cur, forced = len(nodes), nodes[-1], forced_ports[-1]
+                node, thr, base, certain = _block_pairs(rows, n)
             # draw j of a run is stream offset meas + base + j; keep the runs
             # whose draws so far all fall on their first draw's side
             first, done = None, 0
@@ -343,17 +410,18 @@ def run_trial(
             # unforced: the one run left is the last node's; base // n = node * F + basis
             port = forced or decode_outcome(Outcome(int(base[-1]) // n % family, PLUS if first[-1] else MINUS), delta)
         elif isinstance(strategy, ClassicalTable):
-            action = strategy.table.action(g.degree(cur), cur in pebbled)
+            action = strategy.table.action(offsets[cur + 1] - offsets[cur], cur in pebbled)
             if action is None:
                 continue  # stay: round spent, no move
             port = action + 1
         elif isinstance(strategy, RandomWalk):
-            port = rng.below(g.degree(cur)) + 1
+            port = rng.below(offsets[cur + 1] - offsets[cur]) + 1
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
-        if not 1 <= port <= g.degree(cur):
+        lo = offsets[cur]
+        if not 1 <= port <= offsets[cur + 1] - lo:
             return _fail(FailureKind.WRONG_PORT_RANGE, steps, meas)
-        cur = g.adjacency[cur][port - 1][0]
+        cur = nbr[lo + port - 1]
         steps += 1
         if cur == g.treasure:
             return TrialResult(True, steps, meas, FailureKind.NONE)

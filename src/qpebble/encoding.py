@@ -95,8 +95,11 @@ def basis_family(scheme: EncodingScheme, delta: int) -> tuple[MeasurementBasis, 
     raise ValueError(f"scheme {scheme.value} has no qubit basis family")
 
 
+# bounded: full-path indices run up to delta^D
+@lru_cache(maxsize=4096)
 def encode_port(j: int, delta: int, scheme: EncodingScheme = EncodingScheme.GENERAL) -> QubitState:
-    """State a pebble emits to advertise 1-based exit port ``j``."""
+    """State a pebble emits to advertise 1-based exit port ``j``. Calls with
+    the same arguments share one state object while it stays cached."""
     if not 1 <= j <= delta:
         raise ValueError(f"port {j} outside 1..{delta}")
     o = port_outcome(j)
@@ -206,18 +209,20 @@ def route(g: PortGraph) -> list[tuple[int, int]]:
     if violation is not None:
         raise ValueError(f"invalid graph: {violation}")
     _, ports = shortest_path(g, g.start, g.treasure)
+    offsets, nbr = g.csr_lists
     steps = []
     cur = g.start
     for port in ports:
         steps.append((cur, port))
-        cur = g.adjacency[cur][port][0]
+        cur = nbr[offsets[cur] + port]
     return steps
 
 
 def place_pebbles(g: PortGraph, scheme: EncodingScheme) -> Placement:
     """One pebble per on-path node (treasure excluded), encoding its exit port.
 
-    The path is :func:`route` (which checks the graph); delta is the graph's max degree.
+    The path is :func:`route` (which checks the graph); delta is the graph's
+    max degree. Pebbles advertising the same port share one state.
     """
     steps = route(g)
     if scheme is EncodingScheme.FULL_PATH:

@@ -2,8 +2,11 @@
 
 Nodes are anonymous: an agent standing at a node sees only its degree and
 the local port numbers 0..deg-1. Each undirected edge carries an
-independent port number at each endpoint, so an edge is a 4-tuple
-``(u, port_at_u, v, port_at_v)``.
+independent port number at each endpoint, so an edge is a row
+``(u, port_at_u, v, port_at_v)`` of the graph's read-only (m, 4) int array.
+
+Lookups go through a CSR form built by a counting sort: port p of node v
+leads to ``neighbor[offsets[v] + p]``, entered through ``entry[offsets[v] + p]``.
 
 Two generators cover the experiments: padded paths (a start-to-treasure
 chain whose interior nodes are disguised with pendant decoys and shuffled
@@ -16,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+
+import numpy as np
 
 from .rng import RngStream
 
@@ -42,32 +47,74 @@ class GraphFormatError(ValueError):
     """Raised by parse_graph on syntax or invariant violations."""
 
 
-@dataclass(frozen=True)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class PortGraph:
+    """``edges`` (any (m, 4) integer array-like) is kept as a read-only int64
+    copy, so the cached answers below cannot go stale; graphs compare by
+    identity. The CSR lookups are exact once :func:`validate` passes."""
+
     node_count: int
-    edges: tuple[tuple[int, int, int, int], ...]
+    edges: np.ndarray
     start: int
     treasure: int
 
+    def __post_init__(self) -> None:
+        try:
+            edges = np.array(self.edges, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("edge entries must fit in 64-bit integers") from None
+        if edges.size == 0:
+            edges = edges.reshape(0, 4)
+        if edges.ndim != 2 or edges.shape[1] != 4:
+            raise ValueError("edges must be rows (u, port_at_u, v, port_at_v)")
+        object.__setattr__(self, "edges", _read_only(edges))
+
+    def __reduce__(self):
+        # rebuild through __init__: the copy is read-only again and caches nothing
+        return PortGraph, (self.node_count, self.edges, self.start, self.treasure)
+
     @cached_property
-    def adjacency(self) -> tuple[dict[int, tuple[int, int]], ...]:
-        """Per node: port -> (neighbor, entry port at the neighbor)."""
-        adj: tuple[dict[int, tuple[int, int]], ...] = tuple({} for _ in range(self.node_count))
-        for u, pu, v, pv in self.edges:
-            adj[u][pu] = (v, pv)
-            adj[v][pv] = (u, pu)
-        return adj
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (offsets, neighbor, entry port): each edge end, u's then
+        v's, scattered to its slot offsets[node] + port."""
+        ends, ports = self.edges[:, ::2].T.ravel(), self.edges[:, 1::2].T.ravel()
+        offsets = np.zeros(self.node_count + 1, dtype=np.int64)
+        np.bincount(ends, minlength=self.node_count).cumsum(out=offsets[1:])
+        slot = offsets[ends] + ports
+        m = len(self.edges)
+        nbr, entry = np.empty_like(ends), np.empty_like(ends)
+        nbr[slot[:m]], nbr[slot[m:]] = ends[m:], ends[:m]
+        entry[slot[:m]], entry[slot[m:]] = ports[m:], ports[:m]
+        return _read_only(offsets), _read_only(nbr), _read_only(entry)
+
+    @cached_property
+    def csr_lists(self) -> tuple[list[int], list[int]]:
+        """CSR offsets and neighbours as int lists, for per-step lookups."""
+        offsets, nbr, _ = self.csr
+        return offsets.tolist(), nbr.tolist()
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        offsets = self.csr_lists[0]
+        return offsets[v + 1] - offsets[v]
 
     @cached_property
     def max_degree(self) -> int:
-        return max(self.degree(v) for v in range(self.node_count))
+        offsets = self.csr[0]
+        return int((offsets[1:] - offsets[:-1]).max())
 
     @cached_property
     def violation(self) -> str | None:
         return _first_violation(self)
+
+    @cached_property
+    def _last_path(self) -> dict[tuple[int, int], tuple[int, list[int]]]:
+        """shortest_path's last answer, by (s, t)."""
+        return {}
 
 
 def validate(g: PortGraph) -> str | None:
@@ -90,25 +137,35 @@ def _first_violation(g: PortGraph) -> str | None:
         return f"treasure {g.treasure} is not a valid node id"
     if g.start == g.treasure:
         return "start equals treasure"
-    seen_pairs: set[frozenset[int]] = set()
-    ports: list[list[int]] = [[] for _ in range(n)]
-    for i, (u, pu, v, pv) in enumerate(g.edges):
-        for node in (u, v):
-            if not (0 <= node < n):
+    edges = g.edges
+    u, v = edges[:, 0], edges[:, 2]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    # equal keys are parallel edges; a key wrapped by a bad id is never first
+    key = lo * n + hi
+    order = key.argsort(kind="stable")
+    twin = np.zeros(len(key), dtype=bool)
+    twin[order[1:]] = key[order[1:]] == key[order[:-1]]
+    flagged = ((lo < 0) | (hi >= n) | (lo == hi) | twin).nonzero()[0]
+    if flagged.size:
+        i = int(flagged[0])
+        a, b = int(u[i]), int(v[i])
+        for node in (a, b):
+            if not 0 <= node < n:
                 return f"edge {i} references invalid node {node}"
-        if u == v:
-            return f"self-loop at edge {i} (node {u})"
-        pair = frozenset((u, v))
-        if pair in seen_pairs:
-            return f"parallel edge at edge {i} ({u}-{v})"
-        seen_pairs.add(pair)
-        ports[u].append(pu)
-        ports[v].append(pv)
-    for v in range(n):
-        if sorted(ports[v]) != list(range(len(ports[v]))):
-            return f"port set not contiguous at node {v}: {sorted(ports[v])}"
-    # ids, ports and edges are sound by now, so g.adjacency is exact;
-    # isolated nodes (empty port set) fall out of the connectivity check
+        if a == b:
+            return f"self-loop at edge {i} (node {a})"
+        return f"parallel edge at edge {i} ({a}-{b})"
+    # ports 0..deg-1 are deg distinct values in [0, deg): one end per CSR slot
+    ends, ports = edges[:, ::2].T.ravel(), edges[:, 1::2].T.ravel()
+    deg = np.bincount(ends, minlength=n)
+    fits = (ports >= 0) & (ports < deg[ends])
+    slot = np.where(fits, deg.cumsum()[ends] - deg[ends] + ports, 0)
+    bad = ends[~fits | (np.bincount(slot[fits], minlength=len(slot))[slot] > 1)]
+    if bad.size:
+        node = int(bad.min())
+        return f"port set not contiguous at node {node}: {sorted(ports[ends == node].tolist())}"
+    # ids, ports and edges are sound by now, so g.csr is exact; isolated
+    # nodes (empty port set) fall out of the connectivity check
     dist = _bfs(g, 0)
     if -1 in dist:
         return f"not connected: node {dist.index(-1)} unreachable"
@@ -117,23 +174,26 @@ def _first_violation(g: PortGraph) -> str | None:
 
 def _bfs(g: PortGraph, root: int) -> list[int]:
     """Hop distance from ``root`` to every node, -1 where unreachable."""
+    offsets, nbr = g.csr_lists
     dist = [-1] * g.node_count
     dist[root] = 0
     queue = [root]
     for cur in queue:  # the loop also visits nodes appended while it runs
-        for nbr, _ in g.adjacency[cur].values():
-            if dist[nbr] < 0:
-                dist[nbr] = dist[cur] + 1
-                queue.append(nbr)
+        d = dist[cur] + 1
+        for w in nbr[offsets[cur] : offsets[cur + 1]]:
+            if dist[w] < 0:
+                dist[w] = d
+                queue.append(w)
     return dist
 
 
 def neighbor_via_port(g: PortGraph, v: int, port: int) -> tuple[int, int]:
     """Cross the edge leaving ``v`` through ``port``: (neighbor, entry port)."""
-    try:
-        return g.adjacency[v][port]
-    except (IndexError, KeyError):
-        raise ValueError(f"node {v} has no port {port}") from None
+    if not (0 <= v < g.node_count and 0 <= port < g.degree(v)):
+        raise ValueError(f"node {v} has no port {port}")
+    offsets, nbr, entry = g.csr
+    i = int(offsets[v]) + port
+    return int(nbr[i]), int(entry[i])
 
 
 def shortest_path(g: PortGraph, s: int, t: int) -> tuple[int, list[int]]:
@@ -145,19 +205,26 @@ def shortest_path(g: PortGraph, s: int, t: int) -> tuple[int, list[int]]:
     n = g.node_count
     if not (0 <= s < n and 0 <= t < n):
         raise ValueError(f"invalid endpoint: s={s}, t={t}")
-    dist = _bfs(g, t)
-    if dist[s] < 0:
-        raise ValueError(f"no path from {s} to {t}")
-    ports: list[int] = []
-    cur = s
-    while cur != t:
-        for port in sorted(g.adjacency[cur]):
-            nbr, _ = g.adjacency[cur][port]
-            if dist[nbr] == dist[cur] - 1:
-                ports.append(port)
-                cur = nbr
-                break
-    return dist[s], ports
+    # the graph is frozen: a caller's search and route()'s share one BFS
+    memo = g._last_path
+    if (s, t) not in memo:
+        dist = _bfs(g, t)
+        if dist[s] < 0:
+            raise ValueError(f"no path from {s} to {t}")
+        offsets, nbr = g.csr_lists
+        ports: list[int] = []
+        cur = s
+        while cur != t:
+            # neighbours in port order; one is a step closer to t
+            lo, port, closer = offsets[cur], 0, dist[cur] - 1
+            while dist[nbr[lo + port]] != closer:
+                port += 1
+            ports.append(port)
+            cur = nbr[lo + port]
+        memo.clear()
+        memo[s, t] = dist[s], ports
+    d, ports = memo[s, t]
+    return d, list(ports)
 
 
 def gen_padded_path(dist: int, delta: int, seed: int) -> PortGraph:
@@ -172,33 +239,29 @@ def gen_padded_path(dist: int, delta: int, seed: int) -> PortGraph:
         raise ValueError(f"dist must be >= 1, got {dist}")
     if delta < 2 or delta % 2:
         raise ValueError(f"delta must be an even integer >= 2, got {delta}")
-    # one Fisher-Yates shuffle per interior node, k from delta-1 down to 1;
-    # int(u * (k + 1)) is RngStream.below(k + 1) on the same draw
-    draws = iter(RngStream(seed, stream_id=_GEN_STREAM).uniforms((dist - 1) * (delta - 1)).tolist())
-    # slot k of node i: 0 = toward i-1, 1 = toward i+1, 2.. = decoys
-    slot_ports: dict[int, list[int]] = {}
-    for i in range(1, dist):
-        perm = list(range(delta))
-        for k in range(delta - 1, 0, -1):
-            j = int(next(draws) * (k + 1))
-            perm[k], perm[j] = perm[j], perm[k]
-        slot_ports[i] = perm
-
-    def port_toward_next(i: int) -> int:
-        return 0 if i == 0 else slot_ports[i][1]
-
-    def port_toward_prev(i: int) -> int:
-        return 0 if i == dist else slot_ports[i][0]
-
-    edges: list[tuple[int, int, int, int]] = []
-    for i in range(dist):
-        edges.append((i, port_toward_next(i), i + 1, port_toward_prev(i + 1)))
-    decoy = dist + 1
-    for i in range(1, dist):
-        for k in range(delta - 2):
-            edges.append((i, slot_ports[i][2 + k], decoy, 0))
-            decoy += 1
-    return PortGraph(node_count=decoy, edges=tuple(edges), start=0, treasure=dist)
+    # a Fisher-Yates shuffle per interior node, k from delta-1 down to 1, run
+    # column-wise; int(u * (k + 1)) is RngStream.below(k + 1) on the same draw.
+    # Slot k of node i (row i-1): 0 = toward i-1, 1 = toward i+1, 2.. = decoys
+    draws = RngStream(seed, stream_id=_GEN_STREAM).uniforms((dist - 1) * (delta - 1)).reshape(dist - 1, delta - 1)
+    slots = np.empty((dist - 1, delta), dtype=np.int64)
+    slots[:] = np.arange(delta)
+    # flat index of each row's pick j, so a swap with column k is three moves
+    picks = (draws * np.arange(delta, 1, -1)).astype(np.int64) + np.arange(0, slots.size, delta)[:, None]
+    flat = slots.ravel()
+    for col, k in enumerate(range(delta - 1, 0, -1)):
+        j = picks[:, col]
+        held = flat[j]
+        flat[j] = slots[:, k]
+        slots[:, k] = held
+    decoys = (dist - 1) * (delta - 2)
+    # chain edges i -> i+1, then each node's decoys; endpoints and decoys use port 0
+    ids = np.arange(dist + 1 + decoys)
+    edges = np.zeros((dist + decoys, 4), dtype=np.int64)
+    edges[:dist, 0], edges[:, 2] = ids[:dist], ids[1:]
+    edges[1:dist, 1], edges[: dist - 1, 3] = slots[:, 1], slots[:, 0]
+    edges[dist:, 0] = ids[1:dist].repeat(delta - 2)
+    edges[dist:, 1] = slots[:, 2:].ravel()
+    return PortGraph(node_count=dist + 1 + decoys, edges=edges, start=0, treasure=dist)
 
 
 # Gadget node ids: triangle S, U, V then pendants T (treasure), U', V'.
@@ -301,7 +364,7 @@ def parse_graph(text: str) -> PortGraph:
 def serialize_graph(g: PortGraph) -> str:
     """Canonical text form: edges oriented u < v and sorted by (u, port)."""
     oriented = []
-    for u, pu, v, pv in g.edges:
+    for u, pu, v, pv in g.edges.tolist():
         if u > v:
             u, pu, v, pv = v, pv, u, pu
         oriented.append((u, pu, v, pv))

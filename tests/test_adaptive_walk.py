@@ -16,6 +16,7 @@ from qpebble import (
     encode_port,
     gen_padded_path,
     measure_node_adaptive,
+    neighbor_via_port,
     place_pebbles,
     placement_from_json,
     placement_to_json,
@@ -40,7 +41,7 @@ def reference_walk(g, placement, cap, step_budget, rng):
             return TrialResult(False, steps, meas, FailureKind.DECLARED_FAILURE)
         if port > g.degree(cur):
             return TrialResult(False, steps, meas, FailureKind.WRONG_PORT_RANGE)
-        cur = g.adjacency[cur][port - 1][0]
+        cur = neighbor_via_port(g, cur, port - 1)[0]
         steps += 1
         if cur == g.treasure:
             return TrialResult(True, steps, meas, FailureKind.NONE)

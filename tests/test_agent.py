@@ -33,6 +33,8 @@ from qpebble import (
     run_trial,
     sample_measurement,
 )
+from qpebble import agent
+from qpebble.agent import _Plan
 
 GENERAL = EncodingScheme.GENERAL
 
@@ -262,8 +264,26 @@ def test_run_trial_validation():
     with pytest.raises(ValueError, match="qudit"):
         run_trial(g, placement, QuditOneShot(), 2, fresh(0))
     stray = Placement(GENERAL, 4, {99: QuantumPebble(99, encode_port(1, 4), 1)})
-    with pytest.raises(ValueError, match="outside the graph"):
-        run_trial(g, stray, FixedN(5), 2, fresh(0))
+    for strategy in (FixedN(5), FixedN(5), Adaptive()):
+        with pytest.raises(ValueError, match="outside the graph"):
+            run_trial(g, stray, strategy, 2, fresh(0))
+
+
+def test_run_trial_plans_each_graph_and_placement_once(monkeypatch):
+    """The placement's nodes are checked, and its chain of forced nodes
+    found, once per (graph, placement) pair, not once per trial."""
+    made = []
+    monkeypatch.setattr(agent, "_Plan", lambda *pair: made.append(pair) or _Plan(*pair))
+    monkeypatch.setattr(agent, "_LAST_PLAN", [])
+    g = gen_padded_path(6, 4, 1)
+    placement = place_pebbles(g, GENERAL)
+    first = [run_trial(g, placement, FixedN(7), 6, fresh(seed)) for seed in range(5)]
+    run_trial(g, placement, Adaptive(), 6, fresh(0))
+    assert made == [(g, placement)]
+    # an equal copy of the placement gets its own plan, and the same records
+    copy = Placement(placement.scheme, placement.delta, dict(placement.pebbles))
+    assert [run_trial(g, copy, FixedN(7), 6, fresh(seed)) for seed in range(5)] == first
+    assert made == [(g, placement), (g, copy)]
 
 
 def test_decision_table_requires_known_observation():

@@ -21,12 +21,13 @@ from qpebble import (
     encode_port,
     gen_padded_path,
     measure_node_fixed,
+    neighbor_via_port,
     place_pebbles,
     placement_from_json,
     placement_to_json,
     run_trial,
 )
-from qpebble import agent
+from qpebble import agent, basis_family
 from qpebble.agent import _ROUND_DRAWS, _block_pairs, _decode_table
 from qpebble.encoding import route
 
@@ -47,7 +48,7 @@ def reference_walk(g, placement, n, step_budget, rng):
             return TrialResult(False, steps, meas, FailureKind.AMBIGUOUS_DECODE)
         if port > g.degree(cur):
             return TrialResult(False, steps, meas, FailureKind.WRONG_PORT_RANGE)
-        cur = g.adjacency[cur][port - 1][0]
+        cur = neighbor_via_port(g, cur, port - 1)[0]
         steps += 1
         if cur == g.treasure:
             return TrialResult(True, steps, meas, FailureKind.NONE)
@@ -200,6 +201,80 @@ def test_block_walk_matches_per_node_walk(name):
 def test_small_rounds_match_per_node_walk(name, monkeypatch):
     monkeypatch.setattr(agent, "_ROUND_DRAWS", SMALL_ROUNDS)
     test_block_walk_matches_per_node_walk(name)
+
+
+def turned(pebble, angle):
+    """The pebble with its state turned ``angle`` rad off its port's state, so
+    no family basis is certain."""
+    a0, a1 = pebble.emitted_state.amp0, pebble.emitted_state.amp1
+    c, s = math.cos(angle), math.sin(angle)
+    state = QubitState(c * a0 - s * a1.conjugate(), c * a1 + s * a0.conjugate())
+    return QuantumPebble(pebble.node, state, pebble.exit_port)
+
+
+def budget_mid_block():
+    # 21 rounds: inside the one block at the module's round size, inside the
+    # second block of 16 nodes at SMALL_ROUNDS
+    g = gen_padded_path(40, 4, 8)
+    return g, place_pebbles(g, GENERAL), 12, 21
+
+
+def unforced_mid_route():
+    g = gen_padded_path(12, 4, 4)
+    placement = place_pebbles(g, GENERAL)
+    node = route(g)[5][0]
+    pebbles = {**placement.pebbles, node: turned(placement.pebbles[node], 0.4)}
+    return g, Placement(GENERAL, 4, pebbles), 8, 12
+
+
+def failures_spread():
+    # the wrong basis runs uniform with chance about cos(pi/8)**40 = 0.04 per
+    # node, so trials fail all along the route
+    g = gen_padded_path(40, 4, 2)
+    return g, place_pebbles(g, GENERAL), 20, 40
+
+
+def long_route_unforced():
+    # two blocks at the module's round size (2048 nodes each at F = 4); the
+    # chain ends at route node 2060, in the second
+    g = gen_padded_path(2100, 8, 6)
+    placement = place_pebbles(g, GENERAL)
+    node = route(g)[2060][0]
+    pebbles = {**placement.pebbles, node: turned(placement.pebbles[node], 0.05)}
+    return g, Placement(GENERAL, 8, pebbles), 230, 2100
+
+
+# each case, the length of the plan's chain, the seeds to run, and the round
+# size at which its failures must fall both in the first block and in a later one
+PLAN_CASES = {
+    "budget_mid_block": (budget_mid_block, 40, 40, None),
+    "hole": (missing_mid_route, 5, 100, None),
+    "unforced_mid_route": (unforced_mid_route, 6, 100, None),
+    "port_out_of_range": (port_out_of_range, 4, 100, None),
+    "failures_spread": (failures_spread, 40, 100, SMALL_ROUNDS),
+    "long_route_unforced": (long_route_unforced, 2061, 12, _ROUND_DRAWS),
+}
+
+
+@pytest.mark.parametrize("round_draws", [_ROUND_DRAWS, SMALL_ROUNDS], ids=["module_rounds", "small_rounds"])
+@pytest.mark.parametrize("name", list(PLAN_CASES))
+def test_plan_matches_per_node_walk(name, round_draws, monkeypatch):
+    """run_trial reads the blocks of the plan's chain, then hands off to the
+    round loop where the chain ends; the records are the per-node walk's."""
+    monkeypatch.setattr(agent, "_ROUND_DRAWS", round_draws)
+    build, chain_length, seeds, spread = PLAN_CASES[name]
+    g, placement, n, budget = build()
+    chain, rows, _ = agent._plan(g, placement).chain
+    assert len(chain) == len(rows) == chain_length
+    size = max(1, round_draws // len(basis_family(GENERAL, placement.delta)))
+    failed_blocks = set()
+    for seed in range(seeds):
+        got = run_trial(g, placement, FixedN(n), budget, RngStream(seed, 3))
+        assert got == reference_walk(g, placement, n, budget, RngStream(seed, 3)), seed
+        if got.failure_kind in (FailureKind.AMBIGUOUS_DECODE, FailureKind.WRONG_PORT_RANGE):
+            failed_blocks.add(got.steps_taken // size)
+    if spread == round_draws:
+        assert 0 in failed_blocks and max(failed_blocks) > 0
 
 
 def test_off_family_states_are_not_forced():

@@ -2,6 +2,7 @@
 and the whole-path mixed-radix packing."""
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -214,6 +215,36 @@ def test_place_pebbles_covers_the_path(scheme):
             assert pebble.emitted_state == port
         else:
             assert pebble.emitted_state == encode_port(port + 1, 4, scheme)
+
+
+def test_pebbles_with_one_port_share_one_state():
+    g = gen_padded_path(40, 4, 3)
+    for scheme in (GENERAL, BITSIGN4):
+        by_port = {}
+        for pebble in place_pebbles(g, scheme).pebbles.values():
+            assert by_port.setdefault(pebble.exit_port, pebble.emitted_state) is pebble.emitted_state
+        assert sorted(by_port) == [1, 2, 3, 4]
+    # the cache is bounded, so full-path sized indices cannot grow it for good
+    for j in range(1, 3 * 4096, 3):
+        encode_port(j, 1 << 14)
+    assert encode_port(1, 4) is encode_port(1, 4)
+    assert encode_port(1, 4, BITSIGN4) is not encode_port(1, 4)
+
+
+# Guard on set-up memory: the tracemalloc peak of placing pebbles on a fresh
+# D=20000, delta=8 padded path (about 140k nodes) was 40.5 MB on arrays, and
+# 117 MB when the graph was kept as per-node dicts and tuples.
+SETUP_PEAK_BOUND = 60 * 2**20
+
+
+def test_long_route_set_up_memory_stays_bounded():
+    tracemalloc.start()
+    try:
+        place_pebbles(gen_padded_path(20000, 8, 7), GENERAL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < SETUP_PEAK_BOUND, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_place_pebbles_rejects_full_path_and_bad_graphs():

@@ -1,7 +1,9 @@
 """Port-labeled graphs: invariants, generators, text format, BFS."""
 
+import pickle
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpebble import (
@@ -39,7 +41,7 @@ def brute_force_dist(g: PortGraph, s: int, t: int) -> int:
     while frontier:
         if t in frontier:
             return d
-        frontier = {g.adjacency[v][p][0] for v in frontier for p in g.adjacency[v]} - seen
+        frontier = {neighbor_via_port(g, v, p)[0] for v in frontier for p in range(g.degree(v))} - seen
         seen |= frontier
         d += 1
     raise AssertionError("unreachable")
@@ -106,7 +108,7 @@ def test_port_maps_are_involutions(dist, delta, seed):
     g = gen_padded_path(dist, delta, seed)
     assert validate(g) is None
     for v in range(g.node_count):
-        for p in g.adjacency[v]:
+        for p in range(g.degree(v)):
             w, entry = neighbor_via_port(g, v, p)
             back, back_entry = neighbor_via_port(g, w, entry)
             assert (back, back_entry) == (v, p)
@@ -137,7 +139,7 @@ def test_shortest_path_prefers_smallest_ports():
 def test_padded_path_smallest_case_is_single_edge():
     g = gen_padded_path(1, 2, 9)
     assert g.node_count == 2
-    assert g.edges == ((0, 0, 1, 0),)
+    assert g.edges.tolist() == [[0, 0, 1, 0]]
     assert (g.start, g.treasure) == (0, 1)
 
 
@@ -179,7 +181,8 @@ def reference_padded_path_edges(dist, delta, seed):
 
 @pytest.mark.parametrize("dist, delta, seed", [(1, 2, 0), (1, 8, 3), (2, 4, 5), (7, 2, 1), (30, 6, 9), (1200, 8, 7)])
 def test_padded_path_shuffles_match_scalar_draws(dist, delta, seed):
-    assert gen_padded_path(dist, delta, seed).edges == reference_padded_path_edges(dist, delta, seed)
+    reference = [list(e) for e in reference_padded_path_edges(dist, delta, seed)]
+    assert gen_padded_path(dist, delta, seed).edges.tolist() == reference
 
 
 def test_padded_path_exit_ports_cover_all_labels():
@@ -276,7 +279,130 @@ def test_serialize_is_orientation_canonical():
 
 
 def test_degree_and_adjacency_agree():
+    """Port p of node v leads along the edge that names (v, p)."""
     g = gen_gpqr(GadgetSpec((0, 1, 2), (False, True, False)))
+    ends = {}
+    for u, pu, v, pv in g.edges.tolist():
+        ends[u, pu], ends[v, pv] = (v, pv), (u, pu)
     for v in range(g.node_count):
-        assert g.degree(v) == len(g.adjacency[v])
-        assert sorted(g.adjacency[v]) == list(range(g.degree(v)))
+        assert g.degree(v) == sum(w == v for w, _ in ends)
+        assert [neighbor_via_port(g, v, p) for p in range(g.degree(v))] == [ends[v, p] for p in range(g.degree(v))]
+
+
+def test_graph_arrays_are_read_only_and_graphs_compare_by_identity():
+    g = gen_padded_path(5, 4, 1)
+    assert validate(g) is None
+    for a in (g.edges, *g.csr, pickle.loads(pickle.dumps(g)).edges):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+    # the graph keeps its own copy of the rows it was given
+    rows = g.edges.copy()
+    h = PortGraph(g.node_count, rows, g.start, g.treasure)
+    rows[0, 1] = 7
+    assert validate(h) is None and h.edges[0, 1] == g.edges[0, 1]
+    assert h != g and len({g, h, g}) == 2
+
+
+def test_graph_rows_must_have_four_columns():
+    with pytest.raises(ValueError, match="rows"):
+        PortGraph(3, ((0, 0, 1), (1, 1, 2)), 0, 2)
+    with pytest.raises(ValueError, match="64-bit"):
+        PortGraph(2, ((0, 0, 1, 2**70),), 0, 1)
+
+
+def reference_first_violation(g):
+    """validate() as a loop over edges and nodes: the reference for the
+    array checks in graph._first_violation."""
+    n = g.node_count
+    if n < 2:
+        return f"node_count must be >= 2, got {n}"
+    if not (0 <= g.start < n):
+        return f"start {g.start} is not a valid node id"
+    if not (0 <= g.treasure < n):
+        return f"treasure {g.treasure} is not a valid node id"
+    if g.start == g.treasure:
+        return "start equals treasure"
+    seen_pairs = set()
+    ports = [[] for _ in range(n)]
+    adjacency = [[] for _ in range(n)]
+    for i, (u, pu, v, pv) in enumerate(g.edges.tolist()):
+        for node in (u, v):
+            if not (0 <= node < n):
+                return f"edge {i} references invalid node {node}"
+        if u == v:
+            return f"self-loop at edge {i} (node {u})"
+        pair = frozenset((u, v))
+        if pair in seen_pairs:
+            return f"parallel edge at edge {i} ({u}-{v})"
+        seen_pairs.add(pair)
+        ports[u].append(pu)
+        ports[v].append(pv)
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    for v in range(n):
+        if sorted(ports[v]) != list(range(len(ports[v]))):
+            return f"port set not contiguous at node {v}: {sorted(ports[v])}"
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        frontier = [w for v in frontier for w in adjacency[v] if w not in reached]
+        reached.update(frontier)
+    unreached = [v for v in range(n) if v not in reached]
+    return f"not connected: node {unreached[0]} unreachable" if unreached else None
+
+
+BASES = [gen_padded_path(1, 2, 0), gen_padded_path(3, 4, 5), gen_padded_path(4, 6, 2), gen_gpqr(GadgetSpec((2, 0, 1)))]
+
+
+@st.composite
+def damaged_graphs(draw):
+    """A valid graph, with a few edits that can break each invariant: ports
+    moved (gaps, repeats, negatives), edges repeated in either orientation,
+    self-loops, edges dropped, ids out of range, isolated nodes and a second,
+    disconnected copy."""
+    base = draw(st.sampled_from(BASES))
+    n = base.node_count
+    edges = base.edges.tolist()
+    bad_node = st.sampled_from([-1, n, n + 5])
+    port = st.integers(-2, 4)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(edges) - 1)) if edges else None
+        edit = draw(st.sampled_from(["port", "port", "twin", "loop", "drop", "node", "isolated", "copy"]))
+        if edit == "port" and edges:
+            edges[i][draw(st.sampled_from([1, 3]))] = draw(port)
+        elif edit == "twin" and edges:
+            u, pu, v, pv = edges[i]
+            twin = [u, draw(port), v, draw(port)]
+            edges.insert(draw(st.integers(0, len(edges))), twin if draw(st.booleans()) else twin[2:] + twin[:2])
+        elif edit == "loop":
+            v = draw(st.integers(0, n - 1))
+            edges.append([v, draw(port), v, draw(port)])
+        elif edit == "drop" and edges:
+            del edges[i]
+        elif edit == "node" and edges:
+            edges[i][draw(st.sampled_from([0, 2]))] = draw(bad_node)
+        elif edit == "isolated":
+            n += 1
+        elif edit == "copy":
+            edges += [[u + n, pu, v + n, pv] for u, pu, v, pv in base.edges.tolist()]
+            n += base.node_count
+    ends = [(base.start, base.treasure)] * 6 + [(0, 0), (-1, 1), (0, n)]
+    start, treasure = draw(st.sampled_from(ends))
+    return PortGraph(n, edges, start, treasure)
+
+
+@given(damaged_graphs())
+@example(PortGraph(1, (), 0, 0))
+@example(PortGraph(3, ((0, 0, 1, 0), (1, 1, 3, 0)), 0, 2))  # id out of range
+@example(PortGraph(3, ((0, 0, 1, 0), (1, 1, -1, 0)), 0, 2))  # negative id
+@example(PortGraph(3, ((0, 0, 1, 0), (1, 1, 1, 2)), 0, 2))  # self-loop
+@example(PortGraph(3, ((0, 0, 1, 0), (1, 1, 0, 1)), 0, 1))  # parallel, reversed
+@example(PortGraph(3, ((0, 0, 1, 0), (0, 1, 1, 1)), 0, 1))  # parallel, same way
+@example(PortGraph(3, ((0, 0, 1, 0), (1, 2, 2, 0)), 0, 2))  # port gap
+@example(PortGraph(3, ((0, 0, 1, 0), (1, 0, 2, 0)), 0, 2))  # repeated port
+@example(PortGraph(3, ((0, 0, 1, 0), (1, -1, 2, 0)), 0, 2))  # negative port
+@example(PortGraph(4, ((0, 0, 1, 0), (1, 1, 2, 0)), 0, 2))  # isolated node
+@example(PortGraph(4, ((0, 0, 1, 0), (2, 0, 3, 0)), 0, 1))  # two parts
+@settings(max_examples=300, deadline=None)
+def test_validation_matches_the_loop_reference(g):
+    assert validate(g) == reference_first_violation(g)
