@@ -217,6 +217,7 @@ def measure_node_adaptive(
     the successor basis is sampled next. It takes exactly ``used`` scalar
     draws from ``rng``.
     """
+    _check_args(Adaptive(cap), scheme, None, delta)
     state = pebble.emitted_state if isinstance(pebble, QuantumPebble) else pebble
     return _eliminate(state, delta, cap, iter(rng.uniform, None), scheme)
 
@@ -224,10 +225,8 @@ def measure_node_adaptive(
 def _eliminate(
     state: QubitState, delta: int, cap: int, draws: Iterator[float], scheme: EncodingScheme
 ) -> tuple[int | None, int]:
-    """measure_node_adaptive's loop, one uniform from ``draws`` per sample."""
+    """measure_node_adaptive's loop on a checked cap, one uniform from ``draws`` per sample."""
     p_plus, _ = _decode_table(state, delta, scheme)
-    if cap < len(p_plus):
-        raise ValueError(f"cap {cap} below family size {len(p_plus)}")
     live = list(range(len(p_plus)))
     # each basis's previous sign, 0 until it is first sampled
     last = [0] * len(p_plus)
@@ -313,6 +312,31 @@ def _fail(kind: FailureKind, steps: int, meas: int) -> TrialResult:
     return TrialResult(False, steps, meas, kind)
 
 
+# The schemes each walking strategy decodes, read off the Enum once: reading a
+# member off its class is a Python-level call, too slow to make every trial.
+_QUBIT_SCHEMES = (EncodingScheme.GENERAL, EncodingScheme.BITSIGN4)
+_DECODES = {QuditOneShot: (EncodingScheme.QUDIT,), FixedN: _QUBIT_SCHEMES, Adaptive: _QUBIT_SCHEMES}
+
+
+def _check_args(strategy: AgentStrategy, scheme: EncodingScheme | None, step_budget: int | None, delta=None) -> None:
+    """run_trial's argument rules, which run_experiment applies before its set-up; None skips a
+    rule. A walking strategy on full_path gets place_pebbles's message."""
+    if step_budget is not None and step_budget < 1:
+        raise ValueError(f"step_budget must be >= 1, got {step_budget}")
+    if scheme not in _DECODES.get(type(strategy), (scheme,)):  # classical strategies read no pebble
+        if scheme is EncodingScheme.FULL_PATH:
+            raise ValueError("full_path is analysis-only; a walking agent cannot decode it")
+        if isinstance(strategy, QuditOneShot):
+            raise ValueError("QuditOneShot requires the qudit scheme")
+        raise ValueError(f"{type(strategy).__name__} cannot decode scheme {scheme.value}")
+    if isinstance(strategy, Adaptive) and delta is not None and strategy.cap < len(basis_family(scheme, delta)):
+        raise ValueError(f"cap {strategy.cap} below family size {len(basis_family(scheme, delta))}")
+
+
+# (graph, placement, strategy, budget, record) of the last qudit or table trial
+_LAST_RECORD: list = []
+
+
 def run_trial(
     g: PortGraph,
     placement: Union[Placement, AbstractSet[int]],
@@ -334,23 +358,29 @@ def run_trial(
     A fixed-n trial reads its draws by offset and leaves ``rng`` where it
     was; an adaptive trial may leave it past its last draw, through
     ``buffered_uniforms``. Only this trial reads the stream, so no record
-    depends on where it ends.
+    depends on where it ends. Qudit and table trials never read it: the record
+    of the last (graph, placement, strategy, budget), the first three compared
+    by identity, is returned again once the argument checks pass.
     """
-    if step_budget < 1:
-        raise ValueError(f"step_budget must be >= 1, got {step_budget}")
+    quantum = isinstance(strategy, (FixedN, Adaptive, QuditOneShot))
+    if quantum and not isinstance(placement, Placement):
+        raise ValueError("quantum strategies need a full Placement")
+    _check_args(strategy, placement.scheme if quantum else None, step_budget, placement.delta if quantum else None)
+    if isinstance(strategy, FixedN) and strategy.n is None:
+        raise ValueError("FixedN.n must be resolved to a positive sample count")
+    if not isinstance(strategy, (QuditOneShot, ClassicalTable)):
+        return _walk(g, placement, strategy, step_budget, rng)
+    last = _LAST_RECORD
+    if not last or last[0] is not g or last[1] is not placement or last[2] is not strategy or last[3] != step_budget:
+        last[:] = g, placement, strategy, step_budget, _walk(g, placement, strategy, step_budget, rng)
+    return last[4]
+
+
+def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rng: RngStream) -> TrialResult:
+    """run_trial's round loop, on checked arguments."""
     quantum = isinstance(strategy, (FixedN, Adaptive, QuditOneShot))
     if quantum:
-        if not isinstance(placement, Placement):
-            raise ValueError("quantum strategies need a full Placement")
-        delta, scheme = placement.delta, placement.scheme
-        if isinstance(strategy, QuditOneShot):
-            if scheme is not EncodingScheme.QUDIT:
-                raise ValueError("QuditOneShot requires the qudit scheme")
-        elif scheme not in (EncodingScheme.GENERAL, EncodingScheme.BITSIGN4):
-            raise ValueError(f"{type(strategy).__name__} cannot decode scheme {scheme.value}")
-        if isinstance(strategy, FixedN) and strategy.n is None:
-            raise ValueError("FixedN.n must be resolved to a positive sample count")
-        plan = _plan(g, placement)
+        delta, scheme, plan = placement.delta, placement.scheme, _plan(g, placement)
     pebbled = placement.pebbles if isinstance(placement, Placement) else placement
     offsets, nbr = g.csr_lists
     draws = None  # an adaptive trial's one buffered reader, made at its first round

@@ -112,6 +112,11 @@ class PortGraph:
         return _first_violation(self)
 
     @cached_property
+    def _treasure_dist(self) -> list[int]:
+        """_bfs from the treasure, for validation's connectivity check and the route search."""
+        return _bfs(self, self.treasure)
+
+    @cached_property
     def _last_path(self) -> dict[tuple[int, int], tuple[int, list[int]]]:
         """shortest_path's last answer, by (s, t)."""
         return {}
@@ -164,10 +169,10 @@ def _first_violation(g: PortGraph) -> str | None:
     if bad.size:
         node = int(bad.min())
         return f"port set not contiguous at node {node}: {sorted(ports[ends == node].tolist())}"
-    # ids, ports and edges are sound by now, so g.csr is exact; isolated
-    # nodes (empty port set) fall out of the connectivity check
-    dist = _bfs(g, 0)
-    if -1 in dist:
+    # ids, ports and edges are sound by now, so g.csr is exact; isolated nodes
+    # (empty port set) fall out of the connectivity check, named as from node 0
+    if -1 in g._treasure_dist:
+        dist = _bfs(g, 0)
         return f"not connected: node {dist.index(-1)} unreachable"
     return None
 
@@ -205,10 +210,10 @@ def shortest_path(g: PortGraph, s: int, t: int) -> tuple[int, list[int]]:
     n = g.node_count
     if not (0 <= s < n and 0 <= t < n):
         raise ValueError(f"invalid endpoint: s={s}, t={t}")
-    # the graph is frozen: a caller's search and route()'s share one BFS
+    # the graph is frozen: a caller's search and route()'s share one walk and BFS
     memo = g._last_path
     if (s, t) not in memo:
-        dist = _bfs(g, t)
+        dist = g._treasure_dist if t == g.treasure else _bfs(g, t)
         if dist[s] < 0:
             raise ValueError(f"no path from {s} to {t}")
         offsets, nbr = g.csr_lists

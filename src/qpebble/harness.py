@@ -13,10 +13,12 @@ import json
 import math
 import numbers
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import chain
-from typing import Sequence, Union, get_args
+from operator import attrgetter
+from typing import Callable, Iterator, Sequence, Union, get_args
 
 from .agent import (
     Adaptive,
@@ -28,12 +30,13 @@ from .agent import (
     QuditOneShot,
     RandomWalk,
     TrialResult,
+    _check_args,
     run_trial,
 )
 from .analysis import BoundReport, bound_report, required_n
 from .encoding import EncodingScheme, Placement, family_delta, place_pebbles, route
 # shortest_path is not called here, but bench/spans.py wraps this name
-from .graph import PortGraph, GadgetSpec, gen_gpqr, gen_padded_path, parse_graph, shortest_path
+from .graph import PortGraph, GadgetSpec, gen_gpqr, gen_padded_path, parse_graph, shortest_path, validate
 from .rng import RngStream
 
 __all__ = [
@@ -184,6 +187,22 @@ def parse_strategy(text: str) -> AgentStrategy:
     raise ValueError(f"unknown strategy {text!r}")
 
 
+# a record's row: success, steps, measurements and failure kind, read in C (the
+# kind's _value_ skips Enum.value, a Python-level property)
+_ROW = attrgetter("success", "steps_taken", "measurements_total", "failure_kind._value_")
+
+
+def _record_rows(records: Sequence[TrialResult], fmt: Callable[..., object]) -> Iterator:
+    """fmt(*row) for each trial's record, in order, made once per distinct row; when trials
+    share record objects, as a qudit or table run's do, once per object."""
+    by_id = dict(zip(map(id, records), records))
+    if len(by_id) < len(records):  # an id is cheaper to look up than a row, if objects repeat
+        made = {key: fmt(*_ROW(r)) for key, r in by_id.items()}
+        return map(made.__getitem__, map(id, records))
+    made = {row: fmt(*row) for row in set(map(_ROW, records))}
+    return map(made.__getitem__, map(_ROW, records))
+
+
 def _trial_range(args) -> list[TrialResult]:
     g, placement, strategy, budget, seed, lo, hi = args
     # run_trial is looked up per trial, as this module's global, so it can be replaced
@@ -202,6 +221,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if not 0.0 < cfg.eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {cfg.eps}")
+    _check_args(cfg.strategy, cfg.scheme, cfg.step_budget)
     g = parse_graph_source(cfg.graph_source, cfg.seed)
     # route checks g and gives the path the pebbles sit on; D is its length
     placement: Union[Placement, frozenset[int]]
@@ -210,6 +230,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
         placement = frozenset(node for node, _ in steps)
         dist = len(steps)
     else:
+        if validate(g) is None:  # the family size needs a sound graph's degree
+            _check_args(cfg.strategy, cfg.scheme, None, g.max_degree)
         placement = place_pebbles(g, cfg.scheme)
         dist = len(placement.pebbles)
     budget = cfg.step_budget if cfg.step_budget is not None else dist
@@ -231,18 +253,22 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_trial_range, payloads))
     done = tuple(chain.from_iterable(blocks))
-    successes = sum(r.success for r in done)
+    successes = steps_sum = meas_sum = 0
     breakdown: dict[str, int] = {kind.value: 0 for kind in FailureKind}
-    for r in done:
-        breakdown[r.failure_kind.value] += 1
+    # one pass over the trials, in C, then one per distinct row
+    for (success, steps_taken, meas, kind), count in Counter(map(_ROW, done)).items():
+        successes += success * count
+        steps_sum += steps_taken * count
+        meas_sum += meas * count
+        breakdown[kind] += count
     n_for_bound = strategy.n if isinstance(strategy, FixedN) else None
     summary = SummaryStats(
         trials=cfg.trials,
         successes=successes,
         success_rate=successes / cfg.trials,
         wilson_ci_95=wilson_ci(successes, cfg.trials),
-        mean_steps=sum(r.steps_taken for r in done) / cfg.trials,
-        mean_measurements=sum(r.measurements_total for r in done) / cfg.trials,
+        mean_steps=steps_sum / cfg.trials,
+        mean_measurements=meas_sum / cfg.trials,
         failure_breakdown=breakdown,
         bound=bound_report(dist, eff_delta, n=n_for_bound, eps=cfg.eps),
     )
@@ -285,24 +311,13 @@ def sweep(
 
 def records_to_csv(records: Sequence[TrialResult]) -> str:
     """Per-trial table. Fixed columns, LF newlines, byte-stable."""
-    lines = ["trial,success,steps,measurements,failure_kind"]
-    for i, r in enumerate(records):
-        lines.append(f"{i},{int(r.success)},{r.steps_taken},{r.measurements_total},{r.failure_kind.value}")
-    return "\n".join(lines) + "\n"
+    rows = _record_rows(records, lambda s, n, m, k: f"{int(s)},{n},{m},{k}")
+    return "".join(["trial,success,steps,measurements,failure_kind\n", *(f"{i},{row}\n" for i, row in enumerate(rows))])
 
 
 def records_to_json(records: Sequence[TrialResult]) -> str:
-    rows = [
-        {
-            "trial": i,
-            "success": r.success,
-            "steps": r.steps_taken,
-            "measurements": r.measurements_total,
-            "failure_kind": r.failure_kind.value,
-        }
-        for i, r in enumerate(records)
-    ]
-    return json.dumps(rows, indent=2) + "\n"
+    rows = _record_rows(records, lambda s, n, m, k: {"success": s, "steps": n, "measurements": m, "failure_kind": k})
+    return json.dumps([{"trial": i, **row} for i, row in enumerate(rows)], indent=2) + "\n"
 
 
 def sweep_table_csv(axis: str, rows: Sequence[tuple[int, SummaryStats]]) -> str:

@@ -263,6 +263,8 @@ def test_run_trial_validation():
         run_trial(g, qudit, FixedN(5), 2, fresh(0))
     with pytest.raises(ValueError, match="qudit"):
         run_trial(g, placement, QuditOneShot(), 2, fresh(0))
+    with pytest.raises(ValueError, match=r"^cap 1 below family size 2$"):
+        run_trial(g, Placement(GENERAL, 4, {}), Adaptive(1), 2, fresh(0))
     stray = Placement(GENERAL, 4, {99: QuantumPebble(99, encode_port(1, 4), 1)})
     for strategy in (FixedN(5), FixedN(5), Adaptive()):
         with pytest.raises(ValueError, match="outside the graph"):
@@ -284,6 +286,87 @@ def test_run_trial_plans_each_graph_and_placement_once(monkeypatch):
     copy = Placement(placement.scheme, placement.delta, dict(placement.pebbles))
     assert [run_trial(g, copy, FixedN(7), 6, fresh(seed)) for seed in range(5)] == first
     assert made == [(g, placement), (g, copy)]
+
+
+def test_kept_records_equal_a_fresh_walk():
+    """Qudit and table trials draw nothing, so run_trial keeps the last
+    record and returns it again; it must equal the walk made from scratch,
+    including budgets below D and every way such a walk fails."""
+    qg = gen_padded_path(6, 4, 3)
+    full = place_pebbles(qg, EncodingScheme.QUDIT)
+    holey = Placement(full.scheme, full.delta, {v: p for v, p in full.pebbles.items() if v != 3})
+    # node 2 emits level 7 (port 8) at degree 4
+    bad_level = Placement(full.scheme, full.delta, {**full.pebbles, 2: QuantumPebble(2, 7, 8)})
+    gadget = gen_gpqr(OSC_GADGET)
+    out_of_range = DecisionTable({(3, True): 5, (3, False): 5, (1, True): 0, (1, False): 0})
+    cases = [
+        *((qg, full, QuditOneShot(), budget) for budget in (1, 3, 5, 6, 9)),
+        (qg, holey, QuditOneShot(), 6),
+        (qg, bad_level, QuditOneShot(), 6),
+        (gadget, frozenset({0, 1, 2}), ClassicalTable(WLOG_TABLE), 7),
+        (gadget, frozenset(), ClassicalTable(STAY_TABLE), 3),
+        (gadget, frozenset(), ClassicalTable(out_of_range), 5),
+        # a table never plans, so a pebbled set naming no node of the graph is no error
+        (gadget, frozenset({99}), ClassicalTable(WLOG_TABLE), 4),
+    ]
+    kinds = set()
+    for g, placement, strategy, budget in cases * 2:
+        walked = agent._walk(g, placement, strategy, budget, fresh(0))
+        kept = [run_trial(g, placement, strategy, budget, fresh(seed)) for seed in range(5)]
+        assert kept == [walked] * 5
+        assert all(r is kept[0] for r in kept)
+        kinds.add(walked.failure_kind)
+    assert kinds == {
+        FailureKind.NONE,
+        FailureKind.STEP_BUDGET_EXHAUSTED,
+        FailureKind.MISSING_PEBBLE,
+        FailureKind.WRONG_PORT_RANGE,
+    }
+
+
+def test_a_kept_record_is_recomputed_when_an_argument_changes(monkeypatch):
+    walked = []
+    walk = agent._walk
+    monkeypatch.setattr(agent, "_walk", lambda *args: walked.append(args[1:4]) or walk(*args))
+    monkeypatch.setattr(agent, "_LAST_RECORD", [])
+    g = gen_padded_path(6, 4, 3)
+    placement = place_pebbles(g, EncodingScheme.QUDIT)
+    strategy = QuditOneShot()
+    first = run_trial(g, placement, strategy, 6, fresh(0))
+    assert first.success and run_trial(g, placement, strategy, 6, fresh(1)) is first
+    assert len(walked) == 1
+    # the argument checks still run on every call
+    with pytest.raises(ValueError, match="step_budget"):
+        run_trial(g, placement, strategy, 0, fresh(0))
+    with pytest.raises(ValueError, match="qudit"):
+        run_trial(g, place_pebbles(g, GENERAL), strategy, 6, fresh(0))
+    short = run_trial(g, placement, strategy, 3, fresh(0))
+    assert (short.failure_kind, short.steps_taken) == (FailureKind.STEP_BUDGET_EXHAUSTED, 3)
+    # an equal copy of the placement or of the strategy is a new argument: compared by identity
+    copy = Placement(placement.scheme, placement.delta, dict(placement.pebbles))
+    assert run_trial(g, copy, strategy, 3, fresh(0)) == short
+    assert run_trial(g, copy, QuditOneShot(), 3, fresh(0)) == short
+    assert run_trial(g, copy, QuditOneShot(), 6, fresh(0)) == first
+    assert len(walked) == 5
+    table = ClassicalTable(WLOG_TABLE)
+    gadget = gen_gpqr(OSC_GADGET)
+    assert run_trial(gadget, frozenset({0, 1, 2}), table, 7, fresh(0)) == run_trial(
+        gadget, frozenset({0, 1, 2}), table, 7, fresh(1)
+    )
+    assert len(walked) == 7  # two frozenset objects, one per call
+
+
+def test_a_qudit_run_decodes_each_node_once(monkeypatch):
+    """1000 trials at D=10 share one walk: 10 decodes, not 10,000."""
+    decoded = []
+    decode = agent.decode_qudit
+    monkeypatch.setattr(agent, "decode_qudit", lambda level: decoded.append(level) or decode(level))
+    g = gen_padded_path(10, 4, 5)
+    placement = place_pebbles(g, EncodingScheme.QUDIT)
+    strategy = QuditOneShot()
+    records = [run_trial(g, placement, strategy, 10, fresh(0, i)) for i in range(1000)]
+    assert records[0].success and records[-1] is records[0]
+    assert len(decoded) == 10
 
 
 def test_decision_table_requires_known_observation():

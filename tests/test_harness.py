@@ -2,8 +2,9 @@
 
 import json
 import math
+import re
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -142,8 +143,8 @@ def test_invalid_in_memory_graph_is_rejected_for_every_strategy(strategy):
 @pytest.mark.parametrize("strategy", ["fixed:auto", "adaptive", "random"])
 @pytest.mark.parametrize("source", ["path", "file", "memory"])
 def test_a_run_checks_the_graph_once_and_searches_the_route_once(source, strategy, tmp_path, monkeypatch):
-    """One validation (whose connectivity check is one BFS) and one route
-    BFS per run, however the graph arrives."""
+    """One validation and one BFS per run, however the graph arrives: the
+    connectivity check and the route search share the BFS from the treasure."""
     graph_source = gen_padded_path(6, 4, 2)
     if source == "path":
         graph_source = "path:D=6,delta=4"
@@ -163,10 +164,81 @@ def test_a_run_checks_the_graph_once_and_searches_the_route_once(source, strateg
     monkeypatch.setattr(graph_module, "_first_violation", counted("validation", graph_module._first_violation))
     cfg = ExperimentConfig(graph_source=graph_source, strategy=parse_strategy(strategy), trials=3, seed=1)
     res = run_experiment(cfg)
-    assert counts == {"bfs": 2, "validation": 1}
+    assert counts == {"bfs": 1, "validation": 1}
     assert res.summary.bound == bound_report(6, 4, n=res.summary.bound.required_n, eps=cfg.eps)
     if strategy != "random":
         assert all(r.steps_taken <= 6 for r in res.records)
+
+
+@pytest.mark.parametrize("strategy", ["fixed:auto", "adaptive", "qudit", "random", "table:1p=0,1n=0,4p=0,4n=s"])
+def test_run_experiment_calls_run_trial_once_per_trial(strategy, monkeypatch):
+    """bench/child.py wraps harness.run_trial: its memory mode counts the
+    records made per call and its trace takes the median of the per-call
+    spans. So every trial stays one call, kept qudit and table records too."""
+    calls = []
+    run_trial = harness_module.run_trial
+    monkeypatch.setattr(harness_module, "run_trial", lambda *args: calls.append(args[-1]) or run_trial(*args))
+    scheme = EncodingScheme.QUDIT if strategy == "qudit" else EncodingScheme.GENERAL
+    cfg = ExperimentConfig(
+        graph_source="path:D=4,delta=4", scheme=scheme, strategy=parse_strategy(strategy), trials=37, seed=3
+    )
+    assert len(run_experiment(cfg).records) == 37
+    assert [rng.stream_id for rng in calls] == list(range(37))
+
+
+def test_arguments_are_checked_before_set_up(monkeypatch):
+    """The rules run_trial applies reject a run before its graph is built,
+    with run_trial's messages; an adaptive cap below the family size, which
+    needs the graph's degree, before the pebbles are placed."""
+    made = Counter()
+
+    def counted(name):
+        fn = getattr(harness_module, name)
+        return lambda *args: made.update([name]) or fn(*args)
+
+    for name in ("parse_graph_source", "place_pebbles"):
+        monkeypatch.setattr(harness_module, name, counted(name))
+    qudit = EncodingScheme.QUDIT
+    for kwargs, message in [
+        ({"step_budget": 0}, "step_budget must be >= 1, got 0"),
+        ({"strategy": RandomWalk(), "step_budget": -1}, "step_budget must be >= 1, got -1"),
+        ({"strategy": QuditOneShot()}, "QuditOneShot requires the qudit scheme"),
+        ({"strategy": QuditOneShot(), "scheme": EncodingScheme.BITSIGN4}, "QuditOneShot requires the qudit scheme"),
+        ({"strategy": FixedN(), "scheme": qudit}, "FixedN cannot decode scheme qudit"),
+        ({"strategy": Adaptive(), "scheme": qudit}, "Adaptive cannot decode scheme qudit"),
+        ({"scheme": EncodingScheme.FULL_PATH}, "full_path is analysis-only; a walking agent cannot decode it"),
+    ]:
+        cfg = ExperimentConfig(graph_source="path:D=20,delta=8", trials=3, **kwargs)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_experiment(cfg)
+    assert made == {}
+    with pytest.raises(ValueError, match=r"^cap 3 below family size 4$"):
+        run_experiment(ExperimentConfig(graph_source="path:D=20,delta=8", strategy=Adaptive(3), trials=3))
+    assert made == {"parse_graph_source": 1}
+    # classical strategies ignore the scheme; a sound cap places the pebbles
+    run_experiment(ExperimentConfig(graph_source="path:D=2,delta=4", scheme=qudit, strategy=RandomWalk(), trials=2))
+    run_experiment(ExperimentConfig(graph_source="path:D=2,delta=4", strategy=Adaptive(2), trials=2))
+    assert made == {"parse_graph_source": 3, "place_pebbles": 1}
+
+
+def test_shared_records_aggregate_and_print_like_distinct_ones():
+    """A qudit run's trials share one record object; the summary, CSV and
+    JSON count and print it once per trial, as for equal distinct records."""
+    cfg = ExperimentConfig(
+        graph_source="path:D=6,delta=4", scheme=EncodingScheme.QUDIT, strategy=QuditOneShot(), trials=50, seed=2
+    )
+    res = run_experiment(cfg)
+    assert len({id(r) for r in res.records}) == 1
+    assert (res.summary.successes, res.summary.mean_steps, res.summary.mean_measurements) == (50, 6.0, 6.0)
+    assert res.summary.failure_breakdown["none"] == 50
+    other = run_experiment(ExperimentConfig(graph_source="path:D=3,delta=4", trials=5, seed=1)).records
+    mixed = (res.records[0], *other, res.records[0], replace(res.records[0]), other[0])
+    copies = tuple(replace(r) for r in mixed)
+    assert records_to_csv(mixed) == records_to_csv(copies)
+    assert records_to_json(mixed) == records_to_json(copies)
+    lines = records_to_csv(mixed).splitlines()
+    assert (lines[1], lines[7], lines[8]) == ("0,1,6,6,none", "6,1,6,6,none", "7,1,6,6,none")
+    assert json.loads(records_to_json(mixed))[8] == {**json.loads(records_to_json(other))[0], "trial": 8}
 
 
 def test_adaptive_and_qudit_through_the_harness():
