@@ -24,7 +24,11 @@ Decoding rules:
   placement) pair gets a plan once, holding that chain and, per n, its
   blocks' runs; fixed-n rounds read the plan, and walk nodes themselves only
   past the chain's end. No record depends on where blocks begin, because a
-  node's draws sit at a fixed stream offset.
+  node's draws sit at a fixed stream offset. On the chain a block's offset is
+  fixed too, since each node before it counts n*F measurements, so the plan
+  also keeps the stream jumps of its runs' first draws, and a trial's first
+  round in the block passes them to ``RngStream.runs``; later rounds, and
+  blocks off the chain or cut short by the budget, jump afresh.
 * adaptive: round-robin over the bases still alive, killing a basis the
   first time it contradicts its own previous outcome; decode once a single
   basis survives, give up at the measurement cap. A trial reads its
@@ -57,7 +61,7 @@ from .encoding import (
 )
 from .graph import PortGraph, neighbor_via_port
 from .quantum import MINUS, PLUS, Outcome, QubitState, born_probability, snap_certain
-from .rng import RngStream, buffered_uniforms
+from .rng import RngStream, _run_jumps, buffered_uniforms
 
 __all__ = [
     "FailureKind",
@@ -150,6 +154,11 @@ AgentStrategy = Union[FixedN, Adaptive, QuditOneShot, ClassicalTable, RandomWalk
 _ROUND_DRAWS = 1 << 13
 
 
+def _round_width(left: int, runs: int) -> int:
+    """Draws per run in a sparse fixed-n round: ``left`` to take, ``runs`` runs uniform so far."""
+    return min(left, max(8, _ROUND_DRAWS // runs))
+
+
 @lru_cache(maxsize=1024)
 def _decode_table(state: QubitState, delta: int, scheme: EncodingScheme) -> tuple[tuple[float, ...], int | None]:
     """P(plus) of ``state`` in each family basis, in index order, snapped
@@ -160,15 +169,20 @@ def _decode_table(state: QubitState, delta: int, scheme: EncodingScheme) -> tupl
     return p_plus, decode_outcome(certain[0], delta) if len(certain) == 1 else None
 
 
-def _block_pairs(rows, n: int) -> tuple[np.ndarray, ...]:
+def _block_pairs(rows, n: int, meas: int) -> tuple[np.ndarray, ...]:
     """The uncertain (node, basis) runs of a fixed-n block with P(plus) rows
-    ``rows`` (k by F): each run's node, u32 threshold (u = u32 * 2**-32 is
-    below p iff u32 < ceil(p * 2**32)) and first draw's offset in the block;
-    and each node's count of certain bases."""
+    ``rows`` (k by F), drawing from stream offset ``meas`` on: each run's node,
+    u32 threshold (u = u32 * 2**-32 is below p iff u32 <= ceil(p * 2**32) - 1)
+    and first draw's offset in the block and in the stream; the first round's
+    ``_run_jumps``; each node's count of certain bases; and the nodes where it
+    is not one, the ambiguous nodes once no run is uniform."""
     p = np.asarray(rows, dtype=float)
     node, basis = np.nonzero((p > 0.0) & (p < 1.0))
-    thr = np.ceil(p[node, basis] * 2.0**32).astype(np.int64)
-    return node, thr, (node * p.shape[1] + basis) * n, ((p == 0.0) | (p == 1.0)).sum(axis=1)
+    thr = (np.ceil(p[node, basis] * 2.0**32) - 1).astype(np.uint32)
+    base = (node * p.shape[1] + basis) * n
+    certain = ((p == 0.0) | (p == 1.0)).sum(axis=1)
+    jumps = _run_jumps(base + meas, _round_width(n, max(node.size, 1)))
+    return node, thr, base, base + meas, jumps, certain, np.flatnonzero(certain != 1)
 
 
 def measure_node_fixed(
@@ -282,19 +296,22 @@ class _Plan:
         bad = [v for v in placement.pebbles if not 0 <= v < g.node_count]
         if bad:
             raise ValueError(f"placement references nodes outside the graph: {bad}")
-        self.g, self.placement, self._blocks = g, placement, None
+        self.g, self.placement, self._key, self._blocks = g, placement, None, {}
 
     @cached_property
     def chain(self) -> tuple[list[int], np.ndarray, list]:
         return _forced_run(self.g, self.placement, self.g.start, self.g.node_count)
 
-    def blocks(self, n: int, size: int) -> list[tuple[np.ndarray, ...]]:
-        """``_block_pairs`` of the chain's blocks of ``size`` nodes, kept for
-        the last (n, size)."""
-        if self._blocks is None or self._blocks[0] != (n, size):
+    def block(self, n: int, size: int, i: int) -> tuple[np.ndarray, ...]:
+        """``_block_pairs`` of the chain's i-th block of ``size`` nodes: each node
+        before it counts n * F measurements. Made on first use and kept for the
+        last (n, size, _ROUND_DRAWS), which fix the first round's jumps."""
+        if self._key != (n, size, _ROUND_DRAWS):
+            self._key, self._blocks = (n, size, _ROUND_DRAWS), {}
+        if i not in self._blocks:
             rows = self.chain[1]
-            self._blocks = (n, size), [_block_pairs(rows[i : i + size], n) for i in range(0, len(rows), size)]
-        return self._blocks[1]
+            self._blocks[i] = _block_pairs(rows[i * size : (i + 1) * size], n, i * size * n * rows.shape[1])
+        return self._blocks[i]
 
 
 # The plan of the last (graph, placement) pair, which a run's trials share;
@@ -342,7 +359,7 @@ def run_trial(
     placement: Union[Placement, AbstractSet[int]],
     strategy: AgentStrategy,
     step_budget: int,
-    rng: RngStream,
+    rng: RngStream | None,
 ) -> TrialResult:
     """Walk one agent from start until treasure, failure, or budget.
 
@@ -358,9 +375,10 @@ def run_trial(
     A fixed-n trial reads its draws by offset and leaves ``rng`` where it
     was; an adaptive trial may leave it past its last draw, through
     ``buffered_uniforms``. Only this trial reads the stream, so no record
-    depends on where it ends. Qudit and table trials never read it: the record
-    of the last (graph, placement, strategy, budget), the first three compared
-    by identity, is returned again once the argument checks pass.
+    depends on where it ends. Qudit and table trials never read it, so it may
+    be None for them: the record of the last (graph, placement, strategy,
+    budget), the first three compared by identity, is returned again once the
+    argument checks pass.
     """
     quantum = isinstance(strategy, (FixedN, Adaptive, QuditOneShot))
     if quantum and not isinstance(placement, Placement):
@@ -369,6 +387,8 @@ def run_trial(
     if isinstance(strategy, FixedN) and strategy.n is None:
         raise ValueError("FixedN.n must be resolved to a positive sample count")
     if not isinstance(strategy, (QuditOneShot, ClassicalTable)):
+        if rng is None:
+            raise ValueError(f"{type(strategy).__name__} trials draw from a stream; got None")
         return _walk(g, placement, strategy, step_budget, rng)
     last = _LAST_RECORD
     if not last or last[0] is not g or last[1] is not placement or last[2] is not strategy or last[3] != step_budget:
@@ -376,7 +396,7 @@ def run_trial(
     return last[4]
 
 
-def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rng: RngStream) -> TrialResult:
+def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rng: RngStream | None) -> TrialResult:
     """run_trial's round loop, on checked arguments."""
     quantum = isinstance(strategy, (FixedN, Adaptive, QuditOneShot))
     if quantum:
@@ -410,26 +430,30 @@ def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rn
             if steps < len(chain):
                 # on the plan's chain, whose blocks start at multiples of size;
                 # only a budget that ends inside a block cuts it short
-                node, thr, base, certain = plan.blocks(n, size)[steps // size]
-                k = min(len(certain), limit)
-                if k < len(certain):
-                    node, thr, base, certain = _block_pairs(rows[steps : steps + k], n)
+                k = min(len(chain) - steps, limit)
+                whole = k == min(len(chain) - steps, size)
+                block = plan.block(n, size, steps // size) if whole else _block_pairs(rows[steps : steps + k], n, meas)
                 cur, forced = chain[steps + k - 1], forced_ports[steps + k - 1]
             else:
                 nodes, rows, forced_ports = _forced_run(g, placement, cur, limit)
                 k, cur, forced = len(nodes), nodes[-1], forced_ports[-1]
-                node, thr, base, certain = _block_pairs(rows, n)
+                block = _block_pairs(rows, n, meas)
+            node, thr, base, starts, jumps, certain, dead = block
             # draw j of a run is stream offset meas + base + j; keep the runs
             # whose draws so far all fall on their first draw's side
             first, done = None, 0
             while node.size and done < n:
-                w = min(n - done, max(8, _ROUND_DRAWS // node.size))
-                below = rng.runs(base + (meas + done), w) < thr[:, None]
-                first = below[:, 0] if first is None else first
-                keep = (below == first[:, None]).all(axis=1)
+                w = _round_width(n - done, node.size)
+                below = rng.runs(starts, w, jumps) <= thr[:, None]
+                first = below[:, :1] if first is None else first
+                keep = (below == first).all(axis=1)
+                if not keep.any():  # no run is uniform, as is common after one round: skip the gathers
+                    node = node[:0]
+                    break
                 node, thr, base, first = node[keep], thr[keep], base[keep], first[keep]
                 done += w
-            ambiguous = np.flatnonzero(certain + np.bincount(node, minlength=k) != 1)
+                starts, jumps = base + (meas + done), None
+            ambiguous = np.flatnonzero(certain + np.bincount(node, minlength=k) != 1) if node.size else dead
             if ambiguous.size:
                 m = int(ambiguous[0])
                 return _fail(FailureKind.AMBIGUOUS_DECODE, steps + m, meas + (m + 1) * n * family)

@@ -205,8 +205,10 @@ def _record_rows(records: Sequence[TrialResult], fmt: Callable[..., object]) -> 
 
 def _trial_range(args) -> list[TrialResult]:
     g, placement, strategy, budget, seed, lo, hi = args
-    # run_trial is looked up per trial, as this module's global, so it can be replaced
-    return [run_trial(g, placement, strategy, budget, RngStream(seed, stream_id=i)) for i in range(lo, hi)]
+    # run_trial is looked up per trial, as this module's global, so it can be replaced;
+    # qudit and table trials draw nothing, so they get no stream
+    draws = not isinstance(strategy, (QuditOneShot, ClassicalTable))
+    return [run_trial(g, placement, strategy, budget, RngStream(seed, i) if draws else None) for i in range(lo, hi)]
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
@@ -315,9 +317,17 @@ def records_to_csv(records: Sequence[TrialResult]) -> str:
     return "".join(["trial,success,steps,measurements,failure_kind\n", *(f"{i},{row}\n" for i, row in enumerate(rows))])
 
 
+def _json_row(s: bool, n: int, m: int, k: str) -> str:
+    """A record's members as ``json.dumps(rows, indent=2)`` writes them after a row's "trial"."""
+    row = {"success": s, "steps": n, "measurements": m, "failure_kind": k}
+    return json.dumps(row, indent=2)[1:].replace("\n", "\n  ")
+
+
 def records_to_json(records: Sequence[TrialResult]) -> str:
-    rows = _record_rows(records, lambda s, n, m, k: {"success": s, "steps": n, "measurements": m, "failure_kind": k})
-    return json.dumps([{"trial": i, **row} for i, row in enumerate(rows)], indent=2) + "\n"
+    """``json.dumps(rows, indent=2)`` and a newline, each row a trial's index and record; indent
+    picks the pure-Python encoder, so each distinct row is encoded once and each trial adds its index."""
+    body = ",".join(f'\n  {{\n    "trial": {i},{row}' for i, row in enumerate(_record_rows(records, _json_row)))
+    return f"[{body}\n]\n" if records else "[]\n"
 
 
 def sweep_table_csv(axis: str, rows: Sequence[tuple[int, SummaryStats]]) -> str:

@@ -10,8 +10,12 @@ across machines, processes, and reimplementations.
 Stream layout: a uniform double is ``next_u32() * 2**-32`` (one u32 per
 draw, exactly representable in float64). The LCG jumps ahead in closed
 form (state_o = A^o*s + (A^o-1)/(A-1)*inc mod 2^64), so :meth:`RngStream.runs`
-reads draws at any offsets and :meth:`RngStream.uniforms` is the run at
-offset 0, both bit-identical to repeated scalar draws.
+reads draws at any offsets, bit-identical to repeated scalar draws. It is the
+one array draw, XSH-RR of A^o*s + G_o*inc with (A^o, G_o) the jump of offset
+o, which depends on o alone: from the stream's state with jumps a caller
+kept, since it reads the same offsets in many streams; or else from each
+run's first state with the tables' jumps along the run.
+:meth:`RngStream.uniforms` is the run at offset 0.
 """
 
 from __future__ import annotations
@@ -53,6 +57,12 @@ def _jump(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, c
 
 
+def _run_jumps(starts: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A^o, G_o) for the offsets o = starts[i] + j, j < length, as two (len(starts), length) arrays."""
+    a, c = _jump(starts)
+    return a[:, None] * _POW[:length], c[:, None] * _POW[:length] + _GEO[:length]
+
+
 def _output(state: int) -> int:
     """XSH-RR permutation of one 64-bit state word to a u32."""
     xorshifted = (((state >> 18) ^ state) >> 27) & _MASK32
@@ -60,11 +70,15 @@ def _output(state: int) -> int:
     return ((xorshifted >> rot) | (xorshifted << ((-rot) & 31))) & _MASK32
 
 
+# _output_vec's operands as uint64 scalars: numpy converts a Python int operand per call
+_U18, _U27, _U59, _UMASK32, _UTWICE = map(np.uint64, (18, 27, 59, _MASK32, 0x100000001))
+
+
 def _output_vec(states: np.ndarray) -> np.ndarray:
     """_output over a uint64 array, to uint32: the 32-bit xorshift is copied
     into both halves of a word, so a right shift by rot rotates it."""
-    doubled = ((((states >> 18) ^ states) >> 27) & np.uint64(_MASK32)) * np.uint64(0x100000001)
-    return (doubled >> (states >> 59)).astype(np.uint32)
+    doubled = ((((states >> _U18) ^ states) >> _U27) & _UMASK32) * _UTWICE
+    return (doubled >> (states >> _U59)).astype(np.uint32)
 
 
 class RngStream:
@@ -91,26 +105,29 @@ class RngStream:
         """One double in [0, 1), exactly next_u32() * 2**-32."""
         return self.next_u32() * 2.0**-32
 
-    def _run_states(self, starts: np.ndarray, length: int) -> np.ndarray:
+    def runs(self, starts: np.ndarray, length: int, jumps: tuple | None = None) -> np.ndarray:
+        """The u32 draws at offsets ``starts[i] + j`` >= 0, j < ``length`` <= 8192, past the
+        current position, as a (len(starts), length) array; the stream does not move.
+        ``jumps``, if given, is ``_run_jumps(starts, length)``, which a caller reading
+        the same offsets in many streams keeps."""
         if length > _BLOCK:
             raise ValueError(f"run length must be <= {_BLOCK}, got {length}")
-        a, c = _jump(starts)
-        first = a * np.uint64(self._state) + c * np.uint64(self._inc)  # uint64 wraparound
-        return first[:, None] * _POW[:length] + _GEO[:length] * np.uint64(self._inc)
-
-    def runs(self, starts: np.ndarray, length: int) -> np.ndarray:
-        """The u32 draws at offsets ``starts[i] + j`` >= 0, j < ``length`` <= 8192, past the
-        current position, as a (len(starts), length) array; the stream does not move."""
-        return _output_vec(self._run_states(starts, length))
+        state, inc = np.uint64(self._state), np.uint64(self._inc)
+        if jumps is None:  # jump to each run's first state, then along the run from there
+            a, c = _jump(starts)
+            state, jumps = (a * state + c * inc)[:, None], (_POW[:length], _GEO[:length])
+        return _output_vec(jumps[0] * state + jumps[1] * inc)  # uint64 wraparound
 
     def uniforms(self, n: int) -> np.ndarray:
         """``n`` uniform doubles, bit-identical to ``n`` scalar draws."""
         if n < 0:
             raise ValueError("draw count must be non-negative")
-        # offsets 0..n in rows of _BLOCK; the stream moves to the state at n
-        states = self._run_states(np.arange(0, n + 1, _BLOCK), min(n + 1, _BLOCK)).ravel()
-        self._state = int(states[n])
-        return _output_vec(states[:n]) * 2.0**-32
+        # the run at offset 0, in rows of _BLOCK draws
+        u32 = self.runs(np.arange(0, n, _BLOCK), min(n, _BLOCK)).ravel()[:n]
+        # then the stream moves to offset n, by the tables' jump while n is in them
+        a, c = (_POW[n], _GEO[n]) if n <= _BLOCK else [x[0] for x in _jump(np.array([n]))]
+        self._state = (int(a) * self._state + int(c) * self._inc) & _MASK64
+        return u32 * 2.0**-32
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound), via floor(u * bound)."""

@@ -271,6 +271,23 @@ def test_run_trial_validation():
             run_trial(g, stray, strategy, 2, fresh(0))
 
 
+def test_only_drawing_strategies_need_a_stream():
+    """Qudit and table trials draw nothing and accept None for a stream, with
+    the records of a walk given one; fixed-n, adaptive and random trials
+    reject None, naming their strategy."""
+    g = gen_padded_path(4, 4, 2)
+    gadget = gen_gpqr(OSC_GADGET)
+    for graph, placement, strategy in [
+        (g, place_pebbles(g, EncodingScheme.QUDIT), QuditOneShot()),
+        (gadget, frozenset({0, 1, 2}), ClassicalTable(WLOG_TABLE)),
+    ]:
+        assert run_trial(graph, placement, strategy, 7, None) == agent._walk(graph, placement, strategy, 7, fresh(0))
+    for strategy in (FixedN(5), Adaptive(), RandomWalk()):
+        name = type(strategy).__name__
+        with pytest.raises(ValueError, match=f"^{name} trials draw from a stream; got None$"):
+            run_trial(g, place_pebbles(g, GENERAL), strategy, 4, None)
+
+
 def test_run_trial_plans_each_graph_and_placement_once(monkeypatch):
     """The placement's nodes are checked, and its chain of forced nodes
     found, once per (graph, placement) pair, not once per trial."""

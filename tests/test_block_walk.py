@@ -30,6 +30,7 @@ from qpebble import (
 from qpebble import agent, basis_family
 from qpebble.agent import _ROUND_DRAWS, _block_pairs, _decode_table
 from qpebble.encoding import route
+from qpebble.rng import _run_jumps
 
 SEEDS = range(200)
 GENERAL = EncodingScheme.GENERAL
@@ -277,6 +278,40 @@ def test_plan_matches_per_node_walk(name, round_draws, monkeypatch):
         assert 0 in failed_blocks and max(failed_blocks) > 0
 
 
+# each case of the kept-jump test, its sample counts in the order run, and its
+# round size; several_blocks, budget_mid_block, delta16 and n_reused cut the
+# chain into several blocks
+KEPT_CASES = {
+    "several_blocks": (several_blocks, (200,), SMALL_ROUNDS),
+    "budget_mid_block": (budget_mid_block, (12,), SMALL_ROUNDS),
+    "near_certain": (near_certain, (5000,), _ROUND_DRAWS),
+    "n1_n5": (single_sample, (1, 5), _ROUND_DRAWS),
+    "bitsign4": (bitsign4, (6,), SMALL_ROUNDS),
+    "delta16": (delta_sixteen, (300,), SMALL_ROUNDS),
+    "n_reused": (failures_spread, (20, 31, 20), SMALL_ROUNDS),
+    "round_draws": (failures_spread, (20,), 200),
+}
+
+
+@pytest.mark.parametrize("name", list(KEPT_CASES))
+def test_kept_jumps_match_a_fresh_plan_and_the_per_node_walk(name, monkeypatch):
+    """On the plan's chain a trial's first round in each block reads its draws
+    through jumps the plan keeps. One plan serves every pass, in order; each
+    record must equal a walk from a plan made for that trial alone, and the
+    per-node walk."""
+    build, ns, round_draws = KEPT_CASES[name]
+    monkeypatch.setattr(agent, "_ROUND_DRAWS", round_draws)
+    monkeypatch.setattr(agent, "_LAST_PLAN", [])
+    g, placement, _, budget = build()
+    passes = [(n, [run_trial(g, placement, FixedN(n), budget, RngStream(seed, 4)) for seed in range(60)]) for n in ns]
+    assert agent._LAST_PLAN[0]._blocks
+    for n, kept in passes:
+        for seed, got in enumerate(kept):
+            agent._LAST_PLAN.clear()
+            assert got == run_trial(g, placement, FixedN(n), budget, RngStream(seed, 4)), (n, seed)
+            assert got == reference_walk(g, placement, n, budget, RngStream(seed, 4)), (n, seed)
+
+
 def test_off_family_states_are_not_forced():
     _, placement, _, _ = off_family()
     forced = [_decode_table(p.emitted_state, 4, GENERAL)[1] for p in placement.pebbles.values()]
@@ -289,9 +324,9 @@ def test_u32_thresholds_match_the_float_comparison():
     for v in (1, 12345, 2**31, 2**32 - 2):
         for frac in (0.0, 0.5):
             p = (v + frac) * 2.0**-32
-            _, (thr,), _, _ = _block_pairs(((1.0, p),), 1)
+            _, (thr,), *_ = _block_pairs(((1.0, p),), 1, 0)
             for u32 in (v - 1, v, v + 1):
-                assert (u32 < thr) == (u32 * 2.0**-32 < p)
+                assert (u32 <= thr) == (u32 * 2.0**-32 < p)
 
 
 class CountingStream(RngStream):
@@ -299,9 +334,12 @@ class CountingStream(RngStream):
         super().__init__(seed, stream_id)
         self.offsets = []
 
-    def runs(self, starts, length):
+    def runs(self, starts, length, jumps=None):
+        # jumps kept by the plan must be those of the offsets counted here
+        if jumps is not None:
+            assert all(np.array_equal(kept, fresh) for kept, fresh in zip(jumps, _run_jumps(starts, length)))
         self.offsets.append((starts[:, None] + np.arange(length)).ravel())
-        return super().runs(starts, length)
+        return super().runs(starts, length, jumps)
 
 
 @pytest.mark.parametrize(

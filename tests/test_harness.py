@@ -14,10 +14,12 @@ from qpebble import (
     ClassicalTable,
     EncodingScheme,
     ExperimentConfig,
+    FailureKind,
     FixedN,
     PortGraph,
     QuditOneShot,
     RandomWalk,
+    TrialResult,
     gen_padded_path,
     parse_graph_source,
     parse_strategy,
@@ -174,7 +176,9 @@ def test_a_run_checks_the_graph_once_and_searches_the_route_once(source, strateg
 def test_run_experiment_calls_run_trial_once_per_trial(strategy, monkeypatch):
     """bench/child.py wraps harness.run_trial: its memory mode counts the
     records made per call and its trace takes the median of the per-call
-    spans. So every trial stays one call, kept qudit and table records too."""
+    spans. So every trial stays one call, kept qudit and table records too.
+    Trial i of a drawing strategy gets stream i; qudit and table trials,
+    which draw nothing, get None."""
     calls = []
     run_trial = harness_module.run_trial
     monkeypatch.setattr(harness_module, "run_trial", lambda *args: calls.append(args[-1]) or run_trial(*args))
@@ -183,7 +187,10 @@ def test_run_experiment_calls_run_trial_once_per_trial(strategy, monkeypatch):
         graph_source="path:D=4,delta=4", scheme=scheme, strategy=parse_strategy(strategy), trials=37, seed=3
     )
     assert len(run_experiment(cfg).records) == 37
-    assert [rng.stream_id for rng in calls] == list(range(37))
+    if strategy == "qudit" or strategy.startswith("table:"):
+        assert calls == [None] * 37
+    else:
+        assert [rng.stream_id for rng in calls] == list(range(37))
 
 
 def test_arguments_are_checked_before_set_up(monkeypatch):
@@ -239,6 +246,23 @@ def test_shared_records_aggregate_and_print_like_distinct_ones():
     lines = records_to_csv(mixed).splitlines()
     assert (lines[1], lines[7], lines[8]) == ("0,1,6,6,none", "6,1,6,6,none", "7,1,6,6,none")
     assert json.loads(records_to_json(mixed))[8] == {**json.loads(records_to_json(other))[0], "trial": 8}
+
+
+def test_records_to_json_writes_the_bytes_of_json_dumps():
+    """records_to_json formats each distinct row once; its bytes must be those
+    of json.dumps(rows, indent=2) plus a newline, for every failure kind, both
+    success values, large counts, one record and none."""
+    records = [TrialResult(kind is FailureKind.NONE, 3 * i, 40 * i, kind) for i, kind in enumerate(FailureKind)]
+    records += [TrialResult(False, 0, 0, FailureKind.NONE), TrialResult(True, 10**9, 2**70, FailureKind.NONE)]
+    # repeated objects, then equal copies: both of _record_rows's paths
+    records += records[::-1] + [replace(r) for r in records]
+    for case in (records, records[-len(FailureKind) - 2 :], records[:1], []):
+        rows = [
+            {"trial": i, "success": r.success, "steps": r.steps_taken, "measurements": r.measurements_total,
+             "failure_kind": r.failure_kind.value}
+            for i, r in enumerate(case)
+        ]
+        assert records_to_json(case) == json.dumps(rows, indent=2) + "\n"
 
 
 def test_adaptive_and_qudit_through_the_harness():
