@@ -20,15 +20,14 @@ Decoding rules:
   node, ending at the first node whose count of uniform bases is not one.
   Draws are sparse: an uncertain basis's run is uniform only while each draw
   falls on its first draw's side, so only runs still uniform draw on.
-  The blocks from the start are the same in every trial, so each (graph,
-  placement) pair gets a plan once, holding that chain and, per n, its
-  blocks' runs; fixed-n rounds read the plan, and walk nodes themselves only
-  past the chain's end. No record depends on where blocks begin, because a
-  node's draws sit at a fixed stream offset. On the chain a block's offset is
-  fixed too, since each node before it counts n*F measurements, so the plan
-  also keeps the stream jumps of its runs' first draws, and a trial's first
-  round in the block passes them to ``RngStream.runs``; later rounds, and
-  blocks off the chain or cut short by the budget, jump afresh.
+  A block depends only on where its round starts: (n, ``_ROUND_DRAWS``,
+  node, stream offset, node limit), the offset being n*F per node before it.
+  A run's trials reach the same starts again and again, so the run's memo
+  for its (graph, placement) pair builds the block at each start once, with
+  its runs and the stream jumps of their first draws, which a trial's first
+  round in the block passes to ``RngStream.runs``; later rounds jump afresh.
+  No record depends on where blocks begin, because a node's draws sit at a
+  fixed stream offset.
 * adaptive: round-robin over the bases still alive, killing a basis the
   first time it contradicts its own previous outcome; decode once a single
   basis survives, give up at the measurement cap. A trial reads its
@@ -45,7 +44,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import islice
 from typing import AbstractSet, Iterator, Mapping, Union
 
@@ -259,70 +258,49 @@ def _eliminate(
     return None, cap
 
 
-def _forced_run(g: PortGraph, placement: Placement, cur: int, limit: int) -> tuple[list[int], np.ndarray, list]:
-    """The nodes one fixed-n round tests together from ``cur``: it, then each
-    forced port's neighbor, up to and including the first node that is
-    unforced, has an out-of-range forced port, leads to the treasure or is
-    the ``limit``-th, and stopping before a node without a pebble. Returns
-    them, their P(plus) rows and their forced ports; pebbles that share a
-    state share one ``_decode_table`` row."""
-    pebbles, offsets, nbr = placement.pebbles, *g.csr_lists
+def _forced_run(g: PortGraph, placement: Placement, cur: int, limit: int) -> tuple[int, int | None, np.ndarray]:
+    """The nodes one fixed-n round tests together from ``cur``, which has a
+    pebble: it, then each forced port's neighbor, up to and including the
+    first node that is unforced, has an out-of-range forced port, leads to
+    the treasure or to a node without a pebble, or is the ``limit``-th.
+    Returns the last of them, its forced port and their P(plus) rows;
+    pebbles that share a state share one ``_decode_table`` row."""
+    pebbles, (offsets, nbr), treasure = placement.pebbles, g.csr_lists, g.treasure
     table: list[tuple[tuple[float, ...], int | None]] = []
     index: dict[int, int] = {}  # id(state) -> table row; the pebbles keep the states alive
-    nodes, kinds = [], []
-    while cur in pebbles:
+    kinds = []
+    while True:
         state = pebbles[cur].emitted_state
-        if id(state) not in index:
-            index[id(state)] = len(table)
+        kind = index.get(id(state))
+        if kind is None:
+            kind = index[id(state)] = len(table)
             table.append(_decode_table(state, placement.delta, placement.scheme))
-        nodes.append(cur)
-        kinds.append(index[id(state)])
-        forced, lo = table[kinds[-1]][1], offsets[cur]
-        if forced is None or forced > offsets[cur + 1] - lo or len(nodes) == limit:
+        kinds.append(kind)
+        forced, lo = table[kind][1], offsets[cur]
+        if forced is None or forced > offsets[cur + 1] - lo or len(kinds) == limit:
             break
-        cur = nbr[lo + forced - 1]
-        if cur == g.treasure:
+        nxt = nbr[lo + forced - 1]
+        if nxt == treasure or nxt not in pebbles:
             break
-    return nodes, np.array([row for row, _ in table])[kinds], [table[t][1] for t in kinds]
+        cur = nxt
+    return cur, forced, np.array([row for row, _ in table])[kinds]
 
 
-class _Plan:
-    """run_trial's view of one (graph, placement) pair, made once: the check
-    that the pebbles lie in the graph and, at the first fixed-n round, the
-    forced chain from the start, which every fixed-n trial reads block by
-    block (round at chain position i: block i // size) while it decodes."""
+# run_trial's memo, which a run's trials share: the last (graph, placement) pair, both
+# compared by identity; the fixed-n blocks built for it, by where their round starts
+# (module docstring); and the strategy, budget and record of its last qudit or table
+# trial. Keeping one pair bounds what it holds alive to one graph, and a run clears it.
+_MEMO: list = []
 
-    def __init__(self, g: PortGraph, placement: Placement):
-        bad = [v for v in placement.pebbles if not 0 <= v < g.node_count]
+
+def _memo(g: PortGraph, placement) -> list:
+    """_MEMO for this pair: kept, or made anew once the pebbles are checked to lie in the graph."""
+    if not (_MEMO and _MEMO[0] is g and _MEMO[1] is placement):
+        bad = [v for v in placement.pebbles if not 0 <= v < g.node_count] if isinstance(placement, Placement) else []
         if bad:
             raise ValueError(f"placement references nodes outside the graph: {bad}")
-        self.g, self.placement, self._key, self._blocks = g, placement, None, {}
-
-    @cached_property
-    def chain(self) -> tuple[list[int], np.ndarray, list]:
-        return _forced_run(self.g, self.placement, self.g.start, self.g.node_count)
-
-    def block(self, n: int, size: int, i: int) -> tuple[np.ndarray, ...]:
-        """``_block_pairs`` of the chain's i-th block of ``size`` nodes: each node
-        before it counts n * F measurements. Made on first use and kept for the
-        last (n, size, _ROUND_DRAWS), which fix the first round's jumps."""
-        if self._key != (n, size, _ROUND_DRAWS):
-            self._key, self._blocks = (n, size, _ROUND_DRAWS), {}
-        if i not in self._blocks:
-            rows = self.chain[1]
-            self._blocks[i] = _block_pairs(rows[i * size : (i + 1) * size], n, i * size * n * rows.shape[1])
-        return self._blocks[i]
-
-
-# The plan of the last (graph, placement) pair, which a run's trials share;
-# keeping one bounds what it holds alive to one graph.
-_LAST_PLAN: list[_Plan] = []
-
-
-def _plan(g: PortGraph, placement: Placement) -> _Plan:
-    if not (_LAST_PLAN and _LAST_PLAN[0].g is g and _LAST_PLAN[0].placement is placement):
-        _LAST_PLAN[:] = [_Plan(g, placement)]
-    return _LAST_PLAN[0]
+        _MEMO[:] = g, placement, {}, None, None, None
+    return _MEMO
 
 
 def _fail(kind: FailureKind, steps: int, meas: int) -> TrialResult:
@@ -350,10 +328,6 @@ def _check_args(strategy: AgentStrategy, scheme: EncodingScheme | None, step_bud
         raise ValueError(f"cap {strategy.cap} below family size {len(basis_family(scheme, delta))}")
 
 
-# (graph, placement, strategy, budget, record) of the last qudit or table trial
-_LAST_RECORD: list = []
-
-
 def run_trial(
     g: PortGraph,
     placement: Union[Placement, AbstractSet[int]],
@@ -376,9 +350,9 @@ def run_trial(
     was; an adaptive trial may leave it past its last draw, through
     ``buffered_uniforms``. Only this trial reads the stream, so no record
     depends on where it ends. Qudit and table trials never read it, so it may
-    be None for them: the record of the last (graph, placement, strategy,
-    budget), the first three compared by identity, is returned again once the
-    argument checks pass.
+    be None for them: the memo's record, kept while the strategy is the same
+    object and the budget equal, is returned again once the argument checks
+    pass.
     """
     quantum = isinstance(strategy, (FixedN, Adaptive, QuditOneShot))
     if quantum and not isinstance(placement, Placement):
@@ -390,17 +364,19 @@ def run_trial(
         if rng is None:
             raise ValueError(f"{type(strategy).__name__} trials draw from a stream; got None")
         return _walk(g, placement, strategy, step_budget, rng)
-    last = _LAST_RECORD
-    if not last or last[0] is not g or last[1] is not placement or last[2] is not strategy or last[3] != step_budget:
-        last[:] = g, placement, strategy, step_budget, _walk(g, placement, strategy, step_budget, rng)
-    return last[4]
+    memo = _MEMO  # _memo's test inline: the call would cost a qudit trial about 5%
+    if not (memo and memo[0] is g and memo[1] is placement):
+        memo = _memo(g, placement)
+    if memo[3] is not strategy or memo[4] != step_budget:
+        memo[3:] = strategy, step_budget, _walk(g, placement, strategy, step_budget, rng)
+    return memo[5]
 
 
 def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rng: RngStream | None) -> TrialResult:
     """run_trial's round loop, on checked arguments."""
     quantum = isinstance(strategy, (FixedN, Adaptive, QuditOneShot))
     if quantum:
-        delta, scheme, plan = placement.delta, placement.scheme, _plan(g, placement)
+        delta, scheme, blocks = placement.delta, placement.scheme, _memo(g, placement)[2]
     pebbled = placement.pebbles if isinstance(placement, Placement) else placement
     offsets, nbr = g.csr_lists
     draws = None  # an adaptive trial's one buffered reader, made at its first round
@@ -424,21 +400,12 @@ def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rn
         elif isinstance(strategy, FixedN):
             # this round and one per forced node ahead, tested together
             n, family = strategy.n, len(basis_family(scheme, delta))
-            size = max(1, _ROUND_DRAWS // family)
-            limit = min(step_budget - rounds + 1, size)
-            chain, rows, forced_ports = plan.chain
-            if steps < len(chain):
-                # on the plan's chain, whose blocks start at multiples of size;
-                # only a budget that ends inside a block cuts it short
-                k = min(len(chain) - steps, limit)
-                whole = k == min(len(chain) - steps, size)
-                block = plan.block(n, size, steps // size) if whole else _block_pairs(rows[steps : steps + k], n, meas)
-                cur, forced = chain[steps + k - 1], forced_ports[steps + k - 1]
-            else:
-                nodes, rows, forced_ports = _forced_run(g, placement, cur, limit)
-                k, cur, forced = len(nodes), nodes[-1], forced_ports[-1]
-                block = _block_pairs(rows, n, meas)
-            node, thr, base, starts, jumps, certain, dead = block
+            limit = min(step_budget - rounds + 1, max(1, _ROUND_DRAWS // family))
+            key = (n, _ROUND_DRAWS, cur, meas, limit)
+            if key not in blocks:
+                last, forced, rows = _forced_run(g, placement, cur, limit)
+                blocks[key] = len(rows), last, forced, _block_pairs(rows, n, meas)
+            k, cur, forced, (node, thr, base, starts, jumps, certain, dead) = blocks[key]
             # draw j of a run is stream offset meas + base + j; keep the runs
             # whose draws so far all fall on their first draw's side
             first, done = None, 0

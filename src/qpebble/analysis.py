@@ -131,6 +131,8 @@ def exact_success_fixed(placement: Placement, n: int) -> float:
     """Exact success rate of a fixed-n walk over pebbles emitting their ports'
     family states: no basis with 0 < p < 1 (snapped as the agent snaps it)
     may run uniform, as it does with chance p^n + (1-p)^n."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     rows = [_decode_table(s.emitted_state, placement.delta, placement.scheme)[0] for s in placement.pebbles.values()]
     return math.prod(max(0.0, 1.0 - p**n - (1.0 - p) ** n) for row in rows for p in row if 0.0 < p < 1.0)
 

@@ -30,6 +30,7 @@ from .agent import (
     QuditOneShot,
     RandomWalk,
     TrialResult,
+    _MEMO,
     _check_args,
     run_trial,
 )
@@ -113,8 +114,10 @@ def _parse_kv(body: str, what: str) -> dict[str, str]:
             continue
         if "=" not in item:
             raise ValueError(f"bad {what} parameter {item!r}, expected key=value")
-        k, v = item.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, v = (part.strip() for part in item.split("=", 1))
+        if k in out:
+            raise ValueError(f"duplicate {what} key {k!r}")
+        out[k] = v
     return out
 
 
@@ -208,7 +211,10 @@ def _trial_range(args) -> list[TrialResult]:
     # run_trial is looked up per trial, as this module's global, so it can be replaced;
     # qudit and table trials draw nothing, so they get no stream
     draws = not isinstance(strategy, (QuditOneShot, ClassicalTable))
-    return [run_trial(g, placement, strategy, budget, RngStream(seed, i) if draws else None) for i in range(lo, hi)]
+    try:
+        return [run_trial(g, placement, strategy, budget, RngStream(seed, i) if draws else None) for i in range(lo, hi)]
+    finally:
+        _MEMO.clear()  # run_trial's memo holds the run's graph alive
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
@@ -304,9 +310,9 @@ def sweep(
         else:
             if not (isinstance(cfg.graph_source, str) and cfg.graph_source.startswith("path:")):
                 raise ValueError(f"axis {axis!r} requires a path generator graph_source")
-            kv = _parse_kv(cfg.graph_source[len("path:") :], "path generator")
-            kv["D" if axis == "D" else "delta"] = str(int(v))
-            sub = replace(cfg, graph_source=f"path:D={kv['D']},delta={kv['delta']}")
+            # only the swept key changes, so parse_graph_source checks the rest
+            kv = _parse_kv(cfg.graph_source[len("path:") :], "path generator") | {axis: str(int(v))}
+            sub = replace(cfg, graph_source="path:" + ",".join(f"{k}={x}" for k, x in kv.items()))
         out.append((int(v), run_experiment(sub, workers=workers).summary))
     return out
 

@@ -47,6 +47,8 @@ def _jump(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = offsets & (_BLOCK - 1), offsets >> 13
     a, c = _POW.take(lo), _GEO.take(lo)
     if hi.any():
+        if (hi < 0).any():  # an arithmetic shift keeps hi at -1, so the loop below would never end
+            raise ValueError(f"stream offsets must be >= 0, got {offsets.min()}")
         mid = hi & (_BLOCK - 1)
         a, c = _POW2.take(mid) * a, _POW2.take(mid) * c + _GEO2.take(mid)
         hi, step_a, step_c = hi >> 13, _POW2[-1:], _GEO2[-1:]

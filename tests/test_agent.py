@@ -34,7 +34,6 @@ from qpebble import (
     sample_measurement,
 )
 from qpebble import agent
-from qpebble.agent import _Plan
 
 GENERAL = EncodingScheme.GENERAL
 
@@ -289,17 +288,23 @@ def test_only_drawing_strategies_need_a_stream():
 
 
 def test_run_trial_plans_each_graph_and_placement_once(monkeypatch):
-    """The placement's nodes are checked, and its chain of forced nodes
-    found, once per (graph, placement) pair, not once per trial."""
+    """The placement's nodes are checked, and its memo made, once per
+    (graph, placement) pair, not once per trial."""
     made = []
-    monkeypatch.setattr(agent, "_Plan", lambda *pair: made.append(pair) or _Plan(*pair))
-    monkeypatch.setattr(agent, "_LAST_PLAN", [])
+
+    class Memo(list):
+        def __setitem__(self, key, value):
+            if key == slice(None):  # the memo made anew, for the pair value[:2]
+                made.append(tuple(value[:2]))
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(agent, "_MEMO", Memo())
     g = gen_padded_path(6, 4, 1)
     placement = place_pebbles(g, GENERAL)
     first = [run_trial(g, placement, FixedN(7), 6, fresh(seed)) for seed in range(5)]
     run_trial(g, placement, Adaptive(), 6, fresh(0))
     assert made == [(g, placement)]
-    # an equal copy of the placement gets its own plan, and the same records
+    # an equal copy of the placement gets its own memo, and the same records
     copy = Placement(placement.scheme, placement.delta, dict(placement.pebbles))
     assert [run_trial(g, copy, FixedN(7), 6, fresh(seed)) for seed in range(5)] == first
     assert made == [(g, placement), (g, copy)]
@@ -323,7 +328,7 @@ def test_kept_records_equal_a_fresh_walk():
         (gadget, frozenset({0, 1, 2}), ClassicalTable(WLOG_TABLE), 7),
         (gadget, frozenset(), ClassicalTable(STAY_TABLE), 3),
         (gadget, frozenset(), ClassicalTable(out_of_range), 5),
-        # a table never plans, so a pebbled set naming no node of the graph is no error
+        # only a Placement is checked, so a pebbled set naming no node of the graph is no error
         (gadget, frozenset({99}), ClassicalTable(WLOG_TABLE), 4),
     ]
     kinds = set()
@@ -345,7 +350,7 @@ def test_a_kept_record_is_recomputed_when_an_argument_changes(monkeypatch):
     walked = []
     walk = agent._walk
     monkeypatch.setattr(agent, "_walk", lambda *args: walked.append(args[1:4]) or walk(*args))
-    monkeypatch.setattr(agent, "_LAST_RECORD", [])
+    monkeypatch.setattr(agent, "_MEMO", [])
     g = gen_padded_path(6, 4, 3)
     placement = place_pebbles(g, EncodingScheme.QUDIT)
     strategy = QuditOneShot()

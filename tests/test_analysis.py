@@ -99,6 +99,9 @@ def test_exact_success_fixed_closed_form():
         assert exact_success_fixed(placement, n) == pytest.approx((1 - p**n - (1 - p) ** n) ** 10, rel=1e-12)
     # delta=2: the one basis is certain, so nothing can go wrong
     assert exact_success_fixed(place_pebbles(gen_padded_path(5, 2, 1), EncodingScheme.GENERAL), 1) == 1.0
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=rf"^n must be >= 1, got {n}$"):
+            exact_success_fixed(placement, n)
 
 
 @pytest.mark.parametrize("n", [8, 16])

@@ -245,7 +245,7 @@ def long_route_unforced():
     return g, Placement(GENERAL, 8, pebbles), 230, 2100
 
 
-# each case, the length of the plan's chain, the seeds to run, and the round
+# each case, the length of its forced chain from the start, the seeds to run, and the round
 # size at which its failures must fall both in the first block and in a later one
 PLAN_CASES = {
     "budget_mid_block": (budget_mid_block, 40, 40, None),
@@ -260,13 +260,13 @@ PLAN_CASES = {
 @pytest.mark.parametrize("round_draws", [_ROUND_DRAWS, SMALL_ROUNDS], ids=["module_rounds", "small_rounds"])
 @pytest.mark.parametrize("name", list(PLAN_CASES))
 def test_plan_matches_per_node_walk(name, round_draws, monkeypatch):
-    """run_trial reads the blocks of the plan's chain, then hands off to the
-    round loop where the chain ends; the records are the per-node walk's."""
+    """run_trial walks the blocks of the forced chain from the start, then on
+    past the chain's end; the records are the per-node walk's."""
     monkeypatch.setattr(agent, "_ROUND_DRAWS", round_draws)
+    monkeypatch.setattr(agent, "_MEMO", [])
     build, chain_length, seeds, spread = PLAN_CASES[name]
     g, placement, n, budget = build()
-    chain, rows, _ = agent._plan(g, placement).chain
-    assert len(chain) == len(rows) == chain_length
+    assert len(agent._forced_run(g, placement, g.start, g.node_count)[2]) == chain_length
     size = max(1, round_draws // len(basis_family(GENERAL, placement.delta)))
     failed_blocks = set()
     for seed in range(seeds):
@@ -276,6 +276,9 @@ def test_plan_matches_per_node_walk(name, round_draws, monkeypatch):
             failed_blocks.add(got.steps_taken // size)
     if spread == round_draws:
         assert 0 in failed_blocks and max(failed_blocks) > 0
+    # every trial's first block: the chain's start, cut by the round size and the budget
+    first = agent._MEMO[2][(n, round_draws, g.start, 0, min(budget, size))]
+    assert first[0] == min(chain_length, budget, size)
 
 
 # each case of the kept-jump test, its sample counts in the order run, and its
@@ -295,21 +298,58 @@ KEPT_CASES = {
 
 @pytest.mark.parametrize("name", list(KEPT_CASES))
 def test_kept_jumps_match_a_fresh_plan_and_the_per_node_walk(name, monkeypatch):
-    """On the plan's chain a trial's first round in each block reads its draws
-    through jumps the plan keeps. One plan serves every pass, in order; each
-    record must equal a walk from a plan made for that trial alone, and the
-    per-node walk."""
+    """A trial's first round in each block reads its draws through jumps the
+    memo keeps. One memo serves every pass, in order; each record must equal
+    a walk from a memo made for that trial alone, and the per-node walk."""
     build, ns, round_draws = KEPT_CASES[name]
     monkeypatch.setattr(agent, "_ROUND_DRAWS", round_draws)
-    monkeypatch.setattr(agent, "_LAST_PLAN", [])
+    monkeypatch.setattr(agent, "_MEMO", [])
     g, placement, _, budget = build()
     passes = [(n, [run_trial(g, placement, FixedN(n), budget, RngStream(seed, 4)) for seed in range(60)]) for n in ns]
-    assert agent._LAST_PLAN[0]._blocks
+    assert agent._MEMO[2]
     for n, kept in passes:
         for seed, got in enumerate(kept):
-            agent._LAST_PLAN.clear()
+            agent._MEMO.clear()
             assert got == run_trial(g, placement, FixedN(n), budget, RngStream(seed, 4)), (n, seed)
             assert got == reference_walk(g, placement, n, budget, RngStream(seed, 4)), (n, seed)
+
+
+@pytest.mark.parametrize("build, block_meas", [(budget_mid_block, 0), (unforced_mid_route, 6 * 8 * 2)])
+def test_each_block_is_built_once_per_run(build, block_meas, monkeypatch):
+    """A block cut short by the budget, and one past an unforced node, are
+    built once and then read by every trial that reaches them."""
+    built = []
+    block_pairs = agent._block_pairs
+    monkeypatch.setattr(agent, "_block_pairs", lambda rows, n, meas: built.append(meas) or block_pairs(rows, n, meas))
+    monkeypatch.setattr(agent, "_MEMO", [])
+    g, placement, n, budget = build()
+    for seed in range(50):
+        got = run_trial(g, placement, FixedN(n), budget, RngStream(seed, 5))
+        assert got == reference_walk(g, placement, n, budget, RngStream(seed, 5)), seed
+    assert block_meas in built
+    assert len(built) == len(set(built))
+    # a later run on the same pair with a smaller budget must not read the longer blocks
+    for seed in range(5):
+        got = run_trial(g, placement, FixedN(n), budget - 7, RngStream(seed, 5))
+        assert got == reference_walk(g, placement, n, budget - 7, RngStream(seed, 5)), seed
+
+
+def test_a_node_reached_again_gets_a_block_at_its_new_offset(monkeypatch):
+    """Route node 5 points back to node 4, so a trial walks 4, 5, 4, 5, ...
+    until it fails or the budget ends; rounds of up to four nodes start at
+    node 4 at steps 4, 8, 12, ..., each reading its own stream offsets."""
+    monkeypatch.setattr(agent, "_ROUND_DRAWS", 8)
+    monkeypatch.setattr(agent, "_MEMO", [])
+    g = gen_padded_path(12, 4, 4)
+    (v4, _), (v5, _) = route(g)[4:6]
+    back = next(p + 1 for p in range(g.degree(v5)) if neighbor_via_port(g, v5, p)[0] == v4)
+    placement = route_placement(g, 4, ports={v5: back})
+    kinds = set()
+    for seed in range(100):
+        got = run_trial(g, placement, FixedN(20), 30, RngStream(seed, 6))
+        assert got == reference_walk(g, placement, 20, 30, RngStream(seed, 6)), seed
+        kinds.add(got.failure_kind)
+    assert kinds == {FailureKind.AMBIGUOUS_DECODE, FailureKind.STEP_BUDGET_EXHAUSTED}
 
 
 def test_off_family_states_are_not_forced():
@@ -335,7 +375,7 @@ class CountingStream(RngStream):
         self.offsets = []
 
     def runs(self, starts, length, jumps=None):
-        # jumps kept by the plan must be those of the offsets counted here
+        # jumps kept by the memo must be those of the offsets counted here
         if jumps is not None:
             assert all(np.array_equal(kept, fresh) for kept, fresh in zip(jumps, _run_jumps(starts, length)))
         self.offsets.append((starts[:, None] + np.arange(length)).ravel())

@@ -285,6 +285,9 @@ def test_config_errors_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["sweep", "--gen", "path:D=3,delta=4", "--axis", "n", "--values", "0"])
     assert code == 2
     assert "qpebble: error: FixedN.n must be >= 1, got 0" in err
+    code, _, err = run_cli(capsys, ["sweep", "--gen", "path:delta=4", "--axis", "delta", "--values", "4"])
+    assert code == 2
+    assert err == "qpebble: error: path generator needs D and delta, missing 'D'\n"
     argv = ["simulate", "--gen", "path:D=10,delta=4", "--strategy", "adaptive", "--eps", "2", "--trials", "30000"]
     code, _, err = run_cli(capsys, argv)
     assert code == 2

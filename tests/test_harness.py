@@ -1,8 +1,10 @@
 """Experiment harness: config plumbing, determinism, aggregation, sweeps."""
 
+import gc
 import json
 import math
 import re
+import weakref
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -316,6 +318,11 @@ def test_sweep_validation():
         sweep(ExperimentConfig(graph_source=g), "D", [2])
     with pytest.raises(ValueError, match=r"^FixedN.n must be >= 1, got 0$"):
         sweep(cfg, "n", [0])
+    # only the swept key is rewritten, so the spec's other keys are checked as simulate checks them
+    with pytest.raises(ValueError, match=r"^path generator needs D and delta, missing 'D'$"):
+        sweep(ExperimentConfig(graph_source="path:delta=4", trials=2), "delta", [4])
+    with pytest.raises(ValueError, match=r"^unknown path generator keys: \['x'\]$"):
+        sweep(ExperimentConfig(graph_source="path:D=5,delta=4,x=1", trials=2), "D", [3])
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -369,6 +376,31 @@ def test_parse_strategy_forms():
         parse_strategy("table:x=1")
     with pytest.raises(ValueError, match=r"^FixedN.n must be >= 1, got 0$"):
         parse_strategy("fixed:0")
+
+
+def test_repeated_spec_keys_are_rejected():
+    with pytest.raises(ValueError, match=r"^duplicate path generator key 'D'$"):
+        parse_graph_source("path:D=3,delta=4, D =5", seed=0)
+    with pytest.raises(ValueError, match=r"^duplicate gpqr generator key 'p'$"):
+        parse_graph_source("gpqr:p=1,q=0,r=0,p=2", seed=0)
+    with pytest.raises(ValueError, match=r"^duplicate table key '3p'$"):
+        parse_strategy("table:3p=1,3p=0")
+
+
+@pytest.mark.parametrize(
+    "scheme, strategy", [(EncodingScheme.GENERAL, FixedN()), (EncodingScheme.QUDIT, QuditOneShot())]
+)
+def test_a_run_releases_its_graph(scheme, strategy, monkeypatch):
+    """run_trial's memo holds the last graph and placement alive; a run drops
+    it once its trials are done."""
+    made = []
+    parse = harness_module.parse_graph_source
+    monkeypatch.setattr(harness_module, "parse_graph_source", lambda *args: made.append(parse(*args)) or made[-1])
+    cfg = ExperimentConfig(graph_source="path:D=30,delta=4", scheme=scheme, strategy=strategy, trials=50)
+    assert run_experiment(cfg).summary.successes > 0
+    graph = weakref.ref(made.pop())
+    gc.collect()
+    assert graph() is None
 
 
 def test_parse_graph_source_forms(tmp_path):

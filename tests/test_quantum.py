@@ -144,6 +144,14 @@ def test_runs_match_the_pcg_definition_at_far_offsets(seed, stream_id, starts, l
         assert row == [ref_draw(seed, stream_id, start + j) for j in range(length)]
 
 
+def test_runs_reject_negative_offsets():
+    """A negative offset's high part stays -1 under the arithmetic shift, so
+    the jump refuses it rather than loop."""
+    for starts in ([-1], [5, -8193], [-(2**40)]):
+        with pytest.raises(ValueError, match=r"^stream offsets must be >= 0, got -"):
+            RngStream(1, 2).runs(np.array(starts), 4)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=SEEDS, stream_id=STREAMS, m=st.one_of(st.integers(0, 3 * 2**13), st.integers(2**13 - 2, 2**13 + 2)))
 def test_uniforms_skips_exactly_the_draws_it_makes(seed, stream_id, m):
