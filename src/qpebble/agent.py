@@ -14,20 +14,17 @@ Decoding rules:
   Node r of a trial owns draws [r*n*F, (r+1)*n*F), F the family size. A
   pebble's decode is *forced* when exactly one basis is certain: that basis
   always runs uniform, so the node decodes to its port or fails as
-  ambiguous. So a fixed-n round of ``run_trial`` is a block of the forced
-  nodes ahead (up to a missing pebble, the treasure, an unforced node, a bad
-  port, the budget or ``_ROUND_DRAWS // F`` nodes), one round and step per
+  ambiguous. So a fixed-n round of ``run_trial`` tests a block of the forced
+  nodes ahead together (``_forced_run``: a run of the placement's columns,
+  at most the budget or ``_ROUND_DRAWS // F`` nodes), one round and step per
   node, ending at the first node whose count of uniform bases is not one.
   Draws are sparse: an uncertain basis's run is uniform only while each draw
-  falls on its first draw's side, so only runs still uniform draw on.
-  A block depends only on where its round starts: (n, ``_ROUND_DRAWS``,
-  node, stream offset, node limit), the offset being n*F per node before it.
-  A run's trials reach the same starts again and again, so the run's memo
-  for its (graph, placement) pair builds the block at each start once, with
-  its runs and the stream jumps of their first draws, which a trial's first
-  round in the block passes to ``RngStream.runs``; later rounds jump afresh.
-  No record depends on where blocks begin, because a node's draws sit at a
-  fixed stream offset.
+  falls on its first draw's side, so only runs still uniform draw on. A block
+  depends only on where its round starts (n, ``_ROUND_DRAWS``, node, stream
+  offset, node limit), so the run's memo builds each block once, with the
+  stream jumps of its runs' first draws, which a trial's first round there
+  passes to ``RngStream.runs``. No record depends on where blocks begin,
+  because a node's draws sit at a fixed stream offset.
 * adaptive: round-robin over the bases still alive, killing a basis the
   first time it contradicts its own previous outcome; decode once a single
   basis survives, give up at the measurement cap. A trial reads its
@@ -260,30 +257,22 @@ def _eliminate(
 
 def _forced_run(g: PortGraph, placement: Placement, cur: int, limit: int) -> tuple[int, int | None, np.ndarray]:
     """The nodes one fixed-n round tests together from ``cur``, which has a
-    pebble: it, then each forced port's neighbor, up to and including the
-    first node that is unforced, has an out-of-range forced port, leads to
-    the treasure or to a node without a pebble, or is the ``limit``-th.
-    Returns the last of them, its forced port and their P(plus) rows;
-    pebbles that share a state share one ``_decode_table`` row."""
-    pebbles, (offsets, nbr), treasure = placement.pebbles, g.csr_lists, g.treasure
-    table: list[tuple[tuple[float, ...], int | None]] = []
-    index: dict[int, int] = {}  # id(state) -> table row; the pebbles keep the states alive
-    kinds = []
-    while True:
-        state = pebbles[cur].emitted_state
-        kind = index.get(id(state))
-        if kind is None:
-            kind = index[id(state)] = len(table)
-            table.append(_decode_table(state, placement.delta, placement.scheme))
-        kinds.append(kind)
-        forced, lo = table[kind][1], offsets[cur]
-        if forced is None or forced > offsets[cur + 1] - lo or len(kinds) == limit:
-            break
-        nxt = nbr[lo + forced - 1]
-        if nxt == treasure or nxt not in pebbles:
-            break
-        cur = nxt
-    return cur, forced, np.array([row for row, _ in table])[kinds]
+    pebble: it and the next nodes in the placement's columns, up to and
+    including the first that is unforced, has an out-of-range forced port, is
+    the ``limit``-th, or whose forced port leads to the treasure or off the
+    columns. Returns the last of them, its forced port and their P(plus) rows."""
+    offsets, nbr, _ = g.csr
+    table = [_decode_table(state, placement.delta, placement.scheme) for state in placement.states]
+    i = int((placement.nodes == cur).argmax())  # cur's column
+    nodes, kinds = placement.nodes[i : i + limit], placement.state_index[i : i + limit]
+    forced = np.array([port or 0 for _, port in table])[kinds]  # 0: unforced
+    lo = offsets[nodes]
+    fits = (forced > 0) & (forced <= offsets[nodes + 1] - lo)
+    nxt = nbr[np.where(fits, lo + forced - 1, 0)]
+    # the first node that does not lead on to the next column ends the block; the last always does
+    goes_on = np.append(fits[:-1] & (nxt[:-1] == nodes[1:]) & (nodes[1:] != g.treasure), False)
+    k = int(goes_on.argmin()) + 1
+    return int(nodes[k - 1]), int(forced[k - 1]) or None, np.array([row for row, _ in table])[kinds[:k]]
 
 
 # run_trial's memo, which a run's trials share: the last (graph, placement) pair, both
@@ -296,9 +285,10 @@ _MEMO: list = []
 def _memo(g: PortGraph, placement) -> list:
     """_MEMO for this pair: kept, or made anew once the pebbles are checked to lie in the graph."""
     if not (_MEMO and _MEMO[0] is g and _MEMO[1] is placement):
-        bad = [v for v in placement.pebbles if not 0 <= v < g.node_count] if isinstance(placement, Placement) else []
-        if bad:
-            raise ValueError(f"placement references nodes outside the graph: {bad}")
+        if isinstance(placement, Placement):  # a classical strategy's bare set is not checked
+            bad = placement.nodes[(placement.nodes < 0) | (placement.nodes >= g.node_count)].tolist()
+            if bad:
+                raise ValueError(f"placement references nodes outside the graph: {bad}")
         _MEMO[:] = g, placement, {}, None, None, None
     return _MEMO
 
@@ -376,8 +366,8 @@ def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rn
     """run_trial's round loop, on checked arguments."""
     quantum = isinstance(strategy, (FixedN, Adaptive, QuditOneShot))
     if quantum:
-        delta, scheme, blocks = placement.delta, placement.scheme, _memo(g, placement)[2]
-    pebbled = placement.pebbles if isinstance(placement, Placement) else placement
+        delta, scheme, states, blocks = placement.delta, placement.scheme, placement.states, _memo(g, placement)[2]
+    pebbled = placement.index_of if isinstance(placement, Placement) else placement  # node -> state index, or a set
     offsets, nbr = g.csr_lists
     draws = None  # an adaptive trial's one buffered reader, made at its first round
 
@@ -390,10 +380,10 @@ def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rn
         # qudit first: the cheapest round, where dispatch cost shows most
         if isinstance(strategy, QuditOneShot):
             meas += 1
-            port = decode_qudit(pebbled[cur].emitted_state)
+            port = decode_qudit(states[pebbled[cur]])
         elif isinstance(strategy, Adaptive):
             draws = draws or buffered_uniforms(rng)
-            port, used = _eliminate(pebbled[cur].emitted_state, delta, strategy.cap, draws, scheme)
+            port, used = _eliminate(states[pebbled[cur]], delta, strategy.cap, draws, scheme)
             meas += used
             if port is None:
                 return _fail(FailureKind.DECLARED_FAILURE, steps, meas)

@@ -17,8 +17,10 @@ under every pebble placement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
+
+import numpy as np
 
 from .agent import DecisionTable, _decode_table, classical_trajectory
 from .encoding import Placement
@@ -58,12 +60,9 @@ class BoundReport:
     required_n: int
 
     def as_json_dict(self) -> dict:
-        return {
-            "delta": self.delta_bound,
-            "per_node_failure": self.per_node_failure,
-            "success_lower": self.success_lower,
-            "required_n": self.required_n,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["delta"] = doc.pop("delta_bound")
+        return doc
 
 
 def _log_node_failure(delta: int, n: int) -> float:
@@ -130,11 +129,13 @@ def bound_report(dist: int, delta: int, n: int | None = None, eps: float = 0.01)
 def exact_success_fixed(placement: Placement, n: int) -> float:
     """Exact success rate of a fixed-n walk over pebbles emitting their ports'
     family states: no basis with 0 < p < 1 (snapped as the agent snaps it)
-    may run uniform, as it does with chance p^n + (1-p)^n."""
+    may run uniform, as it does with chance p^n + (1-p)^n. One factor per
+    distinct state, raised to the number of pebbles emitting it."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rows = [_decode_table(s.emitted_state, placement.delta, placement.scheme)[0] for s in placement.pebbles.values()]
-    return math.prod(max(0.0, 1.0 - p**n - (1.0 - p) ** n) for row in rows for p in row if 0.0 < p < 1.0)
+    counts = np.bincount(placement.state_index, minlength=len(placement.states)).tolist()
+    rows = [_decode_table(s, placement.delta, placement.scheme)[0] for s in placement.states]
+    return math.prod(max(0.0, 1 - p**n - (1 - p) ** n) ** c for row, c in zip(rows, counts) for p in row if 0 < p < 1)
 
 
 def bitsign4_wrong_run_prob(n: int) -> float:
@@ -203,15 +204,9 @@ class ComparisonReport:
     full_path_at_least_per_node: bool
 
     def as_json_dict(self) -> dict:
-        return {
-            "D": self.dist,
-            "max_degree": self.delta,
-            "required_n": self.required_n,
-            "per_node_total": self.per_node_total,
-            "full_path_total": self.full_path_total,
-            "ln_full_path_total": self.ln_full_path_total,
-            "full_path_at_least_per_node": self.full_path_at_least_per_node,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["D"], doc["max_degree"] = doc.pop("dist"), doc.pop("delta")
+        return doc
 
 
 def compare_single_vs_per_node(dist: int, delta: int, eps: float = 0.01) -> ComparisonReport:
@@ -256,18 +251,9 @@ def _all_tables() -> list[tuple[tuple, DecisionTable]]:
     Observations are (degree 3 or 1) x (pebble or not); actions are stay
     (None) or an exit port valid for the degree.
     """
-    tables = []
-    for a3p, a3n, a1p, a1n in product((None, 0, 1, 2), (None, 0, 1, 2), (None, 0), (None, 0)):
-        key = (a3p, a3n, a1p, a1n)
-        tables.append(
-            (
-                key,
-                DecisionTable(
-                    {(3, True): a3p, (3, False): a3n, (1, True): a1p, (1, False): a1n}
-                ),
-            )
-        )
-    return tables
+    observations = ((3, True), (3, False), (1, True), (1, False))
+    actions = product((None, 0, 1, 2), (None, 0, 1, 2), (None, 0), (None, 0))
+    return [(key, DecisionTable(dict(zip(observations, key)))) for key in actions]
 
 
 def check_impossibility() -> ImpossibilityReport:
@@ -283,7 +269,6 @@ def check_impossibility() -> ImpossibilityReport:
     family = gpqr_family()
     placements = [frozenset(v for v in range(6) if bits >> v & 1) for bits in range(64)]
     witnesses = []
-    defeated = 0
     max_steps = 0
 
     def reaches(g: PortGraph, pebbled: frozenset, table: DecisionTable) -> bool:
@@ -294,29 +279,19 @@ def check_impossibility() -> ImpossibilityReport:
 
     tables = _all_tables()
     for key, table in tables:
-        witness = None
-        for spec, g in family:
-            if all(not reaches(g, bits, table) for bits in placements):
-                witness = spec
-                break
+        witness = next((spec for spec, g in family if not any(reaches(g, bits, table) for bits in placements)), None)
         if witness is not None:
-            defeated += 1
             witnesses.append((key, witness))
 
     # Sanity: every labeling loses to some rule, so the existential really
     # is per-table. The rule that walks the pendant port of the start node
     # on 'no pebble' wins on the empty placement immediately.
-    no_universal = True
-    empty = frozenset()
-    for spec, g in family:
-        if not any(reaches(g, empty, table) for _, table in tables):
-            no_universal = False
-            break
+    no_universal = all(any(reaches(g, frozenset(), table) for _, table in tables) for _, g in family)
 
     return ImpossibilityReport(
         tables_total=len(tables),
-        tables_defeated=defeated,
-        all_defeated=defeated == len(tables),
+        tables_defeated=len(witnesses),
+        all_defeated=len(witnesses) == len(tables),
         max_walk_steps=max_steps,
         witnesses=tuple(witnesses),
         no_universal_graph=no_universal,

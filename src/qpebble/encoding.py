@@ -18,6 +18,9 @@ j-1) because the encodings index states from 1:
 This module owns the port code (:func:`port_outcome` and its inverse
 :func:`decode_outcome`), the degree rounding of qubit families
 (:func:`family_delta`) and the pebbled route (:func:`route`).
+
+A :class:`Placement` holds columns, so placing pebbles builds no object per
+node; ``Placement.pebbles`` makes a :class:`QuantumPebble` only when asked.
 """
 
 from __future__ import annotations
@@ -26,9 +29,11 @@ import enum
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
-from .graph import PortGraph, shortest_path, validate
+import numpy as np
+
+from .graph import PortGraph, _read_only, shortest_path, validate
 from .quantum import (
     KET0,
     KET1,
@@ -192,51 +197,84 @@ class QuantumPebble:
     exit_port: int
 
 
+class _Columns(Mapping):
+    """Pebbles as read-only columns: ``nodes``, an int array, and ``state_index``,
+    an int per node into ``states`` and ``ports``, the distinct pairs of emitted
+    state and 1-based exit port. As a Mapping, node to a pebble made on lookup."""
+
+    def __init__(self, nodes: list, index, states, ports) -> None:
+        self.nodes, self.states, self.ports = _read_only(np.array(nodes, dtype=np.int64)), tuple(states), tuple(ports)
+        self.state_index = _read_only(np.array(index, dtype=np.intp))
+        # node -> state index: the walker's membership test and state lookup, one dict lookup each
+        self.index_of = dict(zip(nodes, self.state_index.tolist()))
+
+    def __getitem__(self, node: int) -> QuantumPebble:
+        k = self.index_of[node]
+        return QuantumPebble(node, self.states[k], self.ports[k])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.index_of)
+
+    def __len__(self) -> int:
+        return len(self.index_of)
+
+    def __reduce__(self):  # rebuilt read-only
+        return _Columns, (self.nodes.tolist(), self.state_index, self.states, self.ports)
+
+
 @dataclass(frozen=True)
 class Placement:
-    """Where the pebbles sit and what they emit."""
+    """Where the pebbles sit and what they emit. ``pebbles``, any Mapping of
+    node to pebble, is kept as :class:`_Columns` in its order (route order from
+    :func:`place_pebbles`); ``nodes``, ``state_index``, ``states`` and the
+    node-to-index dict ``index_of`` are those columns, which the walker reads."""
 
     scheme: EncodingScheme
     delta: int
     pebbles: Mapping[int, QuantumPebble]
+
+    def __post_init__(self) -> None:
+        view = self.pebbles
+        if not isinstance(view, _Columns):
+            table: dict = {}  # (state, exit port) -> index
+            index = [table.setdefault((p.emitted_state, p.exit_port), len(table)) for p in view.values()]
+            view = _Columns(list(view), index, [s for s, _ in table], [j for _, j in table])
+        for name in ("pebbles", "nodes", "state_index", "states", "index_of"):
+            object.__setattr__(self, name, view if name == "pebbles" else getattr(view, name))
+
+    def __reduce__(self):  # rebuilt through __post_init__, so the columns are shared again
+        return Placement, (self.scheme, self.delta, self.pebbles)
+
+
+def _route(g: PortGraph) -> tuple[list[int], list[int]]:
+    """:func:`route` as its node and port lists: the walk :func:`shortest_path` keeps on ``g``."""
+    violation = validate(g)
+    if violation is not None:
+        raise ValueError(f"invalid graph: {violation}")
+    shortest_path(g, g.start, g.treasure)
+    return g._last_path[g.start, g.treasure][1:]
 
 
 def route(g: PortGraph) -> list[tuple[int, int]]:
     """(node, 0-based exit port) for each step of the deterministic
     smallest-port shortest path from start, treasure excluded. An invalid
     graph raises ``ValueError("invalid graph: ...")`` first."""
-    violation = validate(g)
-    if violation is not None:
-        raise ValueError(f"invalid graph: {violation}")
-    _, ports = shortest_path(g, g.start, g.treasure)
-    offsets, nbr = g.csr_lists
-    steps = []
-    cur = g.start
-    for port in ports:
-        steps.append((cur, port))
-        cur = nbr[offsets[cur] + port]
-    return steps
+    return list(zip(*_route(g)))
 
 
 def place_pebbles(g: PortGraph, scheme: EncodingScheme) -> Placement:
     """One pebble per on-path node (treasure excluded), encoding its exit port.
 
     The path is :func:`route` (which checks the graph); delta is the graph's
-    max degree. Pebbles advertising the same port share one state.
+    max degree. The placement's table has one state per port the route uses.
     """
-    steps = route(g)
+    nodes, ports = _route(g)
     if scheme is EncodingScheme.FULL_PATH:
         raise ValueError("full_path is analysis-only; a walking agent cannot decode it")
     delta = g.max_degree
-    pebbles: dict[int, QuantumPebble] = {}
-    for node, port in steps:
-        j = port + 1
-        if scheme is EncodingScheme.QUDIT:
-            state: Union[QubitState, int] = encode_qudit(j, delta)
-        else:
-            state = encode_port(j, delta, scheme)
-        pebbles[node] = QuantumPebble(node, state, j)
-    return Placement(scheme=scheme, delta=delta, pebbles=pebbles)
+    used, qudit = sorted(set(ports)), scheme is EncodingScheme.QUDIT
+    states = [encode_qudit(j + 1, delta) if qudit else encode_port(j + 1, delta, scheme) for j in used]
+    return Placement(scheme, delta, _Columns(nodes, np.searchsorted(used, ports), states, [j + 1 for j in used]))
 
 
 def placement_to_json(placement: Placement) -> str:
@@ -249,28 +287,36 @@ def placement_to_json(placement: Placement) -> str:
             rows.append({"node": node, "level": pebble.emitted_state})
         else:
             o = port_outcome(pebble.exit_port)
-            rows.append(
-                {
-                    "node": node,
-                    "basis_index": o.basis_index,
-                    "sign": "+" if o.sign == PLUS else "-",
-                }
-            )
+            rows.append({"node": node, "basis_index": o.basis_index, "sign": "+" if o.sign == PLUS else "-"})
     doc = {"scheme": placement.scheme.value, "delta": placement.delta, "pebbles": rows}
     return json.dumps(doc, indent=2)
 
 
 def placement_from_json(text: str) -> Placement:
+    """Inverse of :func:`placement_to_json`. A missing pebble list, a
+    repeated node, a sign other than ``+`` or ``-`` and a level or port
+    outside the degree raise ValueError, naming the row."""
     doc = json.loads(text)
     scheme = EncodingScheme(doc["scheme"])
     delta = doc["delta"]
+    if not isinstance(doc.get("pebbles"), list):
+        raise ValueError('placement JSON needs a "pebbles" list')
     pebbles: dict[int, QuantumPebble] = {}
-    for row in doc["pebbles"]:
-        node = row["node"]
-        if scheme is EncodingScheme.QUDIT:
-            level = row["level"]
-            pebbles[node] = QuantumPebble(node, level, decode_qudit(level))
-        else:
-            j = decode_outcome(Outcome(row["basis_index"], PLUS if row["sign"] == "+" else MINUS), delta)
-            pebbles[node] = QuantumPebble(node, encode_port(j, delta, scheme), j)
-    return Placement(scheme=scheme, delta=delta, pebbles=pebbles)
+    for i, row in enumerate(doc["pebbles"]):
+        try:
+            node = row["node"]
+            if node in pebbles:
+                raise ValueError(f"node {node} repeats an earlier row")
+            if scheme is EncodingScheme.QUDIT:
+                level = row["level"]
+                if not 0 <= level < delta:
+                    raise ValueError(f"level {level} outside 0..{delta - 1}")
+                pebbles[node] = QuantumPebble(node, level, decode_qudit(level))
+            else:
+                if row["sign"] not in ("+", "-"):
+                    raise ValueError(f"sign must be '+' or '-', got {row['sign']!r}")
+                j = decode_outcome(Outcome(row["basis_index"], PLUS if row["sign"] == "+" else MINUS), delta)
+                pebbles[node] = QuantumPebble(node, encode_port(j, delta, scheme), j)
+        except ValueError as exc:
+            raise ValueError(f"pebble row {i}: {exc}") from None
+    return Placement(scheme, delta, pebbles)

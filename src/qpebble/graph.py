@@ -7,6 +7,9 @@ independent port number at each endpoint, so an edge is a row
 
 Lookups go through a CSR form built by a counting sort: port p of node v
 leads to ``neighbor[offsets[v] + p]``, entered through ``entry[offsets[v] + p]``.
+One BFS from the treasure, which enqueues no degree-1 node, serves both the
+connectivity check and the route search, and :func:`shortest_path` keeps the
+nodes its walk visits beside their ports, so the route is walked once.
 
 Two generators cover the experiments: padded paths (a start-to-treasure
 chain whose interior nodes are disguised with pendant decoys and shuffled
@@ -117,8 +120,8 @@ class PortGraph:
         return _bfs(self, self.treasure)
 
     @cached_property
-    def _last_path(self) -> dict[tuple[int, int], tuple[int, list[int]]]:
-        """shortest_path's last answer, by (s, t)."""
+    def _last_path(self) -> dict[tuple[int, int], tuple[int, list[int], list[int]]]:
+        """shortest_path's last answer, by (s, t): distance, nodes and ports."""
         return {}
 
 
@@ -178,7 +181,9 @@ def _first_violation(g: PortGraph) -> str | None:
 
 
 def _bfs(g: PortGraph, root: int) -> list[int]:
-    """Hop distance from ``root`` to every node, -1 where unreachable."""
+    """Hop distance from ``root`` to every node, -1 where unreachable. A
+    degree-1 node other than the root is not enqueued: its one neighbour
+    found it. On a padded path that skips the decoys, most of the graph."""
     offsets, nbr = g.csr_lists
     dist = [-1] * g.node_count
     dist[root] = 0
@@ -188,7 +193,8 @@ def _bfs(g: PortGraph, root: int) -> list[int]:
         for w in nbr[offsets[cur] : offsets[cur + 1]]:
             if dist[w] < 0:
                 dist[w] = d
-                queue.append(w)
+                if offsets[w + 1] - offsets[w] > 1:
+                    queue.append(w)
     return dist
 
 
@@ -217,6 +223,7 @@ def shortest_path(g: PortGraph, s: int, t: int) -> tuple[int, list[int]]:
         if dist[s] < 0:
             raise ValueError(f"no path from {s} to {t}")
         offsets, nbr = g.csr_lists
+        nodes: list[int] = []  # the nodes the walk leaves, and the port it leaves each by
         ports: list[int] = []
         cur = s
         while cur != t:
@@ -224,11 +231,12 @@ def shortest_path(g: PortGraph, s: int, t: int) -> tuple[int, list[int]]:
             lo, port, closer = offsets[cur], 0, dist[cur] - 1
             while dist[nbr[lo + port]] != closer:
                 port += 1
+            nodes.append(cur)
             ports.append(port)
             cur = nbr[lo + port]
         memo.clear()
-        memo[s, t] = dist[s], ports
-    d, ports = memo[s, t]
+        memo[s, t] = dist[s], nodes, ports
+    d, _, ports = memo[s, t]
     return d, list(ports)
 
 

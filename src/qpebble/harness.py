@@ -234,14 +234,13 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     # route checks g and gives the path the pebbles sit on; D is its length
     placement: Union[Placement, frozenset[int]]
     if isinstance(cfg.strategy, (ClassicalTable, RandomWalk)):
-        steps = route(g)
-        placement = frozenset(node for node, _ in steps)
-        dist = len(steps)
+        placement = frozenset(node for node, _ in route(g))
+        dist = len(placement)
     else:
         if validate(g) is None:  # the family size needs a sound graph's degree
             _check_args(cfg.strategy, cfg.scheme, None, g.max_degree)
         placement = place_pebbles(g, cfg.scheme)
-        dist = len(placement.pebbles)
+        dist = len(placement.nodes)
     budget = cfg.step_budget if cfg.step_budget is not None else dist
     eff_delta = family_delta(g.max_degree)
 

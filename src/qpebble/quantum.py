@@ -70,10 +70,7 @@ class QubitState:
         If amp0 vanishes, amp1 is rotated to be real positive instead, so
         equal rays compare equal.
         """
-        if abs(self.amp0) > _CERTAINTY_TOL:
-            rot = cmath.exp(-1j * cmath.phase(self.amp0))
-        else:
-            rot = cmath.exp(-1j * cmath.phase(self.amp1))
+        rot = cmath.exp(-1j * cmath.phase(self.amp0 if abs(self.amp0) > _CERTAINTY_TOL else self.amp1))
         return QubitState(self.amp0 * rot, self.amp1 * rot)
 
 
@@ -141,9 +138,7 @@ def cross_overlap_closed_form(j: int, k: int, sign_j: int, sign_k: int, delta: i
     (1 - cos((k - j) phi))/2, with phi = pi/delta.
     """
     c = math.cos((k - j) * math.pi / delta)
-    if sign_j == sign_k:
-        return 0.5 * (1.0 + c)
-    return 0.5 * (1.0 - c)
+    return 0.5 * (1.0 + c) if sign_j == sign_k else 0.5 * (1.0 - c)
 
 
 def snap_certain(p: float) -> float:

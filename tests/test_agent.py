@@ -436,3 +436,20 @@ def test_full_run_success_is_product_of_node_successes():
     )
     rate = wins / run_trials
     assert rate == pytest.approx(p_node**dist, abs=0.02)
+
+
+@pytest.mark.parametrize("offset", [0, -1])
+def test_pebbles_off_the_graph_are_named(offset):
+    """The memo's one array check names every pebble outside 0..node_count-1,
+    in the placement's order, for quantum and table strategies alike."""
+    g = gen_padded_path(4, 4, 2)
+    full = place_pebbles(g, GENERAL)
+    bad = g.node_count if offset == 0 else -1
+    pebbles = {**full.pebbles, bad: QuantumPebble(bad, encode_port(1, 4), 1), 2 * g.node_count: full.pebbles[0]}
+    placement = Placement(GENERAL, 4, pebbles)
+    table = ClassicalTable(DecisionTable({(d, p): 0 for d in (1, 4) for p in (True, False)}))
+    for strategy in (FixedN(5), Adaptive(), table):
+        with pytest.raises(ValueError, match=rf"^placement references nodes outside the graph: \[{bad}, {2 * g.node_count}\]$"):
+            run_trial(g, placement, strategy, 4, fresh(0))
+    copy = Placement(GENERAL, 4, dict(full.pebbles))
+    assert run_trial(g, copy, FixedN(5), 4, fresh(0)) == run_trial(g, full, FixedN(5), 4, fresh(0))

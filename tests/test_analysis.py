@@ -32,6 +32,8 @@ from qpebble import (
     run_experiment,
     success_lower_bound,
 )
+from qpebble.encoding import Placement, QuantumPebble, basis_family
+from qpebble.quantum import QubitState, born_probability, snap_certain
 
 WLOG_TABLE = DecisionTable({(3, True): 1, (3, False): 0, (1, True): 0, (1, False): 0})
 OSC_GADGET = GadgetSpec((2, 2, 2), (True, False, False))
@@ -102,6 +104,30 @@ def test_exact_success_fixed_closed_form():
     for n in (0, -1):
         with pytest.raises(ValueError, match=rf"^n must be >= 1, got {n}$"):
             exact_success_fixed(placement, n)
+
+
+def test_exact_success_fixed_equals_the_per_pebble_product():
+    """One factor per distinct state, raised to its count, must equal the
+    product taken pebble by pebble, also for turned and off-family states
+    that no basis decodes with certainty."""
+    placement = place_pebbles(gen_padded_path(60, 8, 3), EncodingScheme.GENERAL)
+    pebbles = dict(placement.pebbles)
+    for i, node in enumerate(list(pebbles)[::7]):
+        s = pebbles[node].emitted_state
+        c, t = math.cos(0.1 * (i % 3 + 1)), math.sin(0.1 * (i % 3 + 1))
+        turned = QubitState(c * s.amp0 - t * s.amp1.conjugate(), c * s.amp1 + t * s.amp0.conjugate())
+        pebbles[node] = QuantumPebble(node, turned, pebbles[node].exit_port)
+    pebbles[5] = QuantumPebble(5, QubitState(0.6 + 0j, 0.8j), 2)
+    mixed = Placement(EncodingScheme.GENERAL, 8, pebbles)
+    assert len(mixed.states) > len(placement.states)
+    for n in (1, 5, 40, 300):
+        want = 1.0
+        for pebble in pebbles.values():
+            for basis in basis_family(EncodingScheme.GENERAL, 8):
+                p = snap_certain(born_probability(pebble.emitted_state, basis.plus_vec))
+                if 0.0 < p < 1.0:
+                    want *= max(0.0, 1.0 - p**n - (1.0 - p) ** n)
+        assert exact_success_fixed(mixed, n) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [8, 16])

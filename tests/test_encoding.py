@@ -17,6 +17,7 @@ from qpebble import (
     MINUS,
     PLUS,
     EncodingScheme,
+    QubitState,
     Outcome,
     basis_family,
     born_probability,
@@ -34,7 +35,7 @@ from qpebble import (
     placement_to_json,
     shortest_path,
 )
-from qpebble.encoding import port_outcome, route
+from qpebble.encoding import Placement, QuantumPebble, port_outcome, route
 
 GENERAL = EncodingScheme.GENERAL
 BITSIGN4 = EncodingScheme.BITSIGN4
@@ -298,3 +299,83 @@ def test_placement_json_roundtrip(scheme):
 def test_decode_outcome_rejects_negative_basis():
     with pytest.raises(ValueError):
         decode_outcome(Outcome(-1, PLUS), 4)
+
+
+@pytest.mark.parametrize(
+    "scheme, dist, delta",
+    [(s, d, k) for s in (GENERAL, BITSIGN4, QUDIT) for d in (1, 7, 50) for k in (2, 4, 8) if s is not BITSIGN4 or k <= 4],
+)
+def test_placement_view_equals_the_per_node_pebbles(scheme, dist, delta):
+    """place_pebbles keeps columns; its pebbles view must hold, in route order,
+    the pebbles made one per route node from the encoders (bitsign4 handles
+    degree <= 4 only)."""
+    g = gen_padded_path(dist, delta, dist + delta)
+    placement = place_pebbles(g, scheme)
+    degree = g.max_degree  # 1 on the single edge of D=1
+    want = {}
+    for node, port in route(g):
+        state = encode_qudit(port + 1, degree) if scheme is QUDIT else encode_port(port + 1, degree, scheme)
+        want[node] = QuantumPebble(node, state, port + 1)
+    assert list(placement.pebbles.items()) == list(want.items())
+    assert len(placement.pebbles) == dist and placement.nodes.tolist() == list(want)
+    assert placement_from_json(placement_to_json(placement)) == placement
+    assert Placement(scheme, degree, want) == placement
+
+
+def test_place_pebbles_makes_no_pebble(monkeypatch):
+    made = []
+    init = QuantumPebble.__init__
+    monkeypatch.setattr(QuantumPebble, "__init__", lambda self, *a: made.append(a) or init(self, *a))
+    placement = place_pebbles(gen_padded_path(50, 8, 1), GENERAL)
+    assert made == []
+    placement.pebbles[0]
+    assert len(made) == 1
+
+
+def test_hand_built_placement_keeps_its_order_states_and_ports():
+    """Any Mapping is accepted as given: off-family states, exit ports that
+    disagree with the state, stray nodes; the JSON round trip of an
+    on-family one is equal to it, whatever the row order."""
+    turned = QubitState(0.6 + 0j, 0.8 + 0j)
+    pebbles = {
+        9: QuantumPebble(9, encode_port(3, 4), 3),
+        2: QuantumPebble(2, turned, 1),
+        -1: QuantumPebble(-1, turned, 4),
+        5: QuantumPebble(5, encode_port(3, 4), 3),
+    }
+    placement = Placement(GENERAL, 4, pebbles)
+    assert list(placement.pebbles.items()) == list(pebbles.items())
+    assert placement.nodes.tolist() == [9, 2, -1, 5] and placement.state_index.tolist() == [0, 1, 2, 0]
+    assert placement.states == (encode_port(3, 4), turned, turned)
+    assert 7 not in placement.pebbles and dict(placement.pebbles) == pebbles
+    on_family = Placement(GENERAL, 4, {v: p for v, p in pebbles.items() if p.emitted_state is not turned})
+    assert placement_from_json(placement_to_json(on_family)) == on_family
+    assert on_family != placement and on_family != Placement(BITSIGN4, 4, dict(on_family.pebbles))
+    with pytest.raises(AttributeError, match="cannot assign"):
+        placement.delta = 8
+    with pytest.raises(ValueError, match="read-only"):
+        placement.nodes[0] = 1
+
+
+@pytest.mark.parametrize(
+    "scheme, rows, message",
+    [
+        (GENERAL, [{"node": 0, "basis_index": 0, "sign": "+"}, {"node": 1, "basis_index": 1, "sign": "x"}],
+         r"^pebble row 1: sign must be '\+' or '-', got 'x'$"),
+        (GENERAL, [{"node": 3, "basis_index": 0, "sign": "+"}, {"node": 3, "basis_index": 1, "sign": "-"}],
+         r"^pebble row 1: node 3 repeats an earlier row$"),
+        (GENERAL, [{"node": 0, "basis_index": 2, "sign": "+"}], r"^pebble row 0: port 5 outside 1\.\.4$"),
+        (QUDIT, [{"node": 0, "level": 3}, {"node": 1, "level": 9}], r"^pebble row 1: level 9 outside 0\.\.3$"),
+        (QUDIT, [{"node": 0, "level": -1}], r"^pebble row 0: level -1 outside 0\.\.3$"),
+    ],
+)
+def test_placement_from_json_rejects_bad_rows(scheme, rows, message):
+    text = json.dumps({"scheme": scheme.value, "delta": 4, "pebbles": rows})
+    with pytest.raises(ValueError, match=message):
+        placement_from_json(text)
+
+
+def test_placement_from_json_needs_a_pebble_list():
+    for doc in ({"scheme": "general", "delta": 4}, {"scheme": "general", "delta": 4, "pebbles": {"0": 1}}):
+        with pytest.raises(ValueError, match=r'^placement JSON needs a "pebbles" list$'):
+            placement_from_json(json.dumps(doc))

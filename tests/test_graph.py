@@ -20,7 +20,7 @@ from qpebble import (
     shortest_path,
     validate,
 )
-from qpebble.graph import _GEN_STREAM
+from qpebble.graph import _GEN_STREAM, _bfs
 
 FIVE_CYCLE = """\
 5 5
@@ -406,3 +406,79 @@ def damaged_graphs(draw):
 @settings(max_examples=300, deadline=None)
 def test_validation_matches_the_loop_reference(g):
     assert validate(g) == reference_first_violation(g)
+
+
+def reference_bfs(g, root):
+    """Hop distances from ``root`` by a plain queue over every node's port
+    table, read straight off the edge rows: the reference for graph._bfs."""
+    ports = [{} for _ in range(g.node_count)]
+    for u, pu, v, pv in g.edges.tolist():
+        ports[u][pu], ports[v][pv] = v, u
+    dist = [-1] * g.node_count
+    dist[root] = 0
+    queue = [root]
+    for cur in queue:
+        for w in ports[cur].values():
+            if dist[w] < 0:
+                dist[w] = dist[cur] + 1
+                queue.append(w)
+    return dist, ports
+
+
+def reference_path(g, s, t):
+    """(distance, nodes, ports) of the smallest-port shortest path from s to t,
+    None when t is out of reach."""
+    dist, ports = reference_bfs(g, t)
+    if dist[s] < 0:
+        return None
+    nodes, steps, cur = [], [], s
+    while cur != t:
+        port = min(p for p, w in ports[cur].items() if dist[w] == dist[cur] - 1)
+        nodes.append(cur)
+        steps.append(port)
+        cur = ports[cur][port]
+    return dist[s], nodes, steps
+
+
+@st.composite
+def sound_graphs(draw):
+    """A simple graph on 2..10 nodes with contiguous, shuffled ports at every
+    node, in any number of components (isolated nodes and lone edges
+    included), and a root, treasure and start among its nodes."""
+    n = draw(st.integers(2, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n))
+    deg = [0] * n
+    for u, v in chosen:
+        deg[u] += 1
+        deg[v] += 1
+    free = [draw(st.permutations(range(d))) for d in deg]
+    edges = [(u, free[u].pop(), v, free[v].pop()) for u, v in chosen]
+    nodes = st.integers(0, n - 1)
+    return PortGraph(n, edges, draw(nodes), draw(nodes)), draw(nodes)
+
+
+@given(sound_graphs())
+@example((PortGraph(4, ((0, 0, 1, 0), (2, 0, 3, 0)), 0, 1), 2))  # two lone edges; root of degree 1
+@example((PortGraph(4, ((0, 0, 1, 0), (1, 1, 2, 0)), 0, 2), 3))  # isolated root, degree 0
+@example((PortGraph(5, ((0, 0, 1, 0), (1, 1, 2, 0), (2, 1, 3, 0)), 3, 0), 0))  # a chain and an isolated node
+@example((PortGraph(6, ((0, 0, 1, 1), (1, 0, 2, 0), (3, 0, 4, 0)), 0, 2), 4))  # a path and a lone edge
+@example((gen_padded_path(5, 4, 3), 0))  # decoys hang off every interior node
+@settings(max_examples=300, deadline=None)
+def test_bfs_and_route_walk_match_a_plain_bfs(case):
+    """_bfs skips degree-1 nodes but must give every distance a plain BFS
+    does, from any root; shortest_path must give the smallest-port ports of
+    the reference walk and keep that walk's nodes, toward the treasure (the
+    cached BFS) and toward any other node."""
+    g, root = case
+    assert _bfs(g, root) == reference_bfs(g, root)[0]
+    for s, t in ((g.start, g.treasure), (root, g.treasure), (g.start, root), (root, g.start)):
+        if s == t:
+            continue
+        want = reference_path(g, s, t)
+        if want is None:
+            with pytest.raises(ValueError, match=f"^no path from {s} to {t}$"):
+                shortest_path(g, s, t)
+            continue
+        assert shortest_path(g, s, t) == (want[0], want[2])
+        assert g._last_path[s, t] == want
