@@ -277,8 +277,9 @@ def _forced_run(g: PortGraph, placement: Placement, cur: int, limit: int) -> tup
 
 # run_trial's memo, which a run's trials share: the last (graph, placement) pair, both
 # compared by identity; the fixed-n blocks built for it, by where their round starts
-# (module docstring); and the strategy, budget and record of its last qudit or table
-# trial. Keeping one pair bounds what it holds alive to one graph, and a run clears it.
+# (module docstring); and the last strategy and budget that passed run_trial's checks, with
+# their record if they draw nothing. Keeping one pair bounds what it holds alive to one
+# graph, and a run clears it.
 _MEMO: list = []
 
 
@@ -340,26 +341,28 @@ def run_trial(
     was; an adaptive trial may leave it past its last draw, through
     ``buffered_uniforms``. Only this trial reads the stream, so no record
     depends on where it ends. Qudit and table trials never read it, so it may
-    be None for them: the memo's record, kept while the strategy is the same
-    object and the budget equal, is returned again once the argument checks
-    pass.
+    be None for them. A call with the memo's graph, placement, strategy and
+    budget, which passed the checks, skips them: it returns the kept record of
+    a qudit or table trial, or checks ``rng`` and walks.
     """
-    quantum = isinstance(strategy, (FixedN, Adaptive, QuditOneShot))
-    if quantum and not isinstance(placement, Placement):
-        raise ValueError("quantum strategies need a full Placement")
-    _check_args(strategy, placement.scheme if quantum else None, step_budget, placement.delta if quantum else None)
-    if isinstance(strategy, FixedN) and strategy.n is None:
-        raise ValueError("FixedN.n must be resolved to a positive sample count")
-    if not isinstance(strategy, (QuditOneShot, ClassicalTable)):
-        if rng is None:
+    memo = _MEMO  # the memo's test inline: a call would cost a qudit trial about 5%
+    if not (memo and memo[0] is g and memo[1] is placement and memo[3] is strategy and memo[4] == step_budget):
+        quantum = isinstance(strategy, (FixedN, Adaptive, QuditOneShot))
+        if quantum and not isinstance(placement, Placement):
+            raise ValueError("quantum strategies need a full Placement")
+        _check_args(strategy, placement.scheme if quantum else None, step_budget, placement.delta if quantum else None)
+        if isinstance(strategy, FixedN) and strategy.n is None:
+            raise ValueError("FixedN.n must be resolved to a positive sample count")
+        walks = not isinstance(strategy, (QuditOneShot, ClassicalTable))  # else it draws nothing: one record a run
+        if walks and rng is None:
             raise ValueError(f"{type(strategy).__name__} trials draw from a stream; got None")
-        return _walk(g, placement, strategy, step_budget, rng)
-    memo = _MEMO  # _memo's test inline: the call would cost a qudit trial about 5%
-    if not (memo and memo[0] is g and memo[1] is placement):
         memo = _memo(g, placement)
-    if memo[3] is not strategy or memo[4] != step_budget:
-        memo[3:] = strategy, step_budget, _walk(g, placement, strategy, step_budget, rng)
-    return memo[5]
+        memo[3:] = strategy, step_budget, None if walks else _walk(g, placement, strategy, step_budget, None)
+    if memo[5] is not None:
+        return memo[5]
+    if rng is None:
+        raise ValueError(f"{type(strategy).__name__} trials draw from a stream; got None")
+    return _walk(g, placement, strategy, step_budget, rng)
 
 
 def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rng: RngStream | None) -> TrialResult:

@@ -279,10 +279,10 @@ def place_pebbles(g: PortGraph, scheme: EncodingScheme) -> Placement:
 
 def placement_to_json(placement: Placement) -> str:
     """JSON form: scheme, delta, and per-pebble (node, basis_index, sign)
-    for qubit schemes or (node, level) for the qudit scheme."""
+    for qubit schemes or (node, level) for the qudit scheme, in the
+    placement's column order, which :func:`placement_from_json` keeps."""
     rows = []
-    for node in sorted(placement.pebbles):
-        pebble = placement.pebbles[node]
+    for node, pebble in placement.pebbles.items():
         if placement.scheme is EncodingScheme.QUDIT:
             rows.append({"node": node, "level": pebble.emitted_state})
         else:

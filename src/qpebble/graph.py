@@ -376,12 +376,7 @@ def parse_graph(text: str) -> PortGraph:
 
 def serialize_graph(g: PortGraph) -> str:
     """Canonical text form: edges oriented u < v and sorted by (u, port)."""
-    oriented = []
-    for u, pu, v, pv in g.edges.tolist():
-        if u > v:
-            u, pu, v, pv = v, pv, u, pu
-        oriented.append((u, pu, v, pv))
-    oriented.sort()
+    oriented = sorted((u, pu, v, pv) if u <= v else (v, pv, u, pu) for u, pu, v, pv in g.edges.tolist())
     lines = [f"{g.node_count} {len(oriented)}", f"{g.start} {g.treasure}"]
     lines.extend(f"{u} {pu} {v} {pv}" for u, pu, v, pv in oriented)
     return "\n".join(lines) + "\n"

@@ -13,12 +13,11 @@ import json
 import math
 import numbers
 import os
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from itertools import chain
-from operator import attrgetter
-from typing import Callable, Iterator, Sequence, Union, get_args
+from itertools import chain, compress, islice
+from operator import attrgetter, is_not, ne
+from typing import Sequence, Union, get_args
 
 from .agent import (
     Adaptive,
@@ -195,15 +194,16 @@ def parse_strategy(text: str) -> AgentStrategy:
 _ROW = attrgetter("success", "steps_taken", "measurements_total", "failure_kind._value_")
 
 
-def _record_rows(records: Sequence[TrialResult], fmt: Callable[..., object]) -> Iterator:
-    """fmt(*row) for each trial's record, in order, made once per distinct row; when trials
-    share record objects, as a qudit or table run's do, once per object."""
-    by_id = dict(zip(map(id, records), records))
-    if len(by_id) < len(records):  # an id is cheaper to look up than a row, if objects repeat
-        made = {key: fmt(*_ROW(r)) for key, r in by_id.items()}
-        return map(made.__getitem__, map(id, records))
-    made = {row: fmt(*row) for row in set(map(_ROW, records))}
-    return map(made.__getitem__, map(_ROW, records))
+def _record_runs(records: Sequence[TrialResult]) -> list[tuple[tuple, int, int]]:
+    """(row, lo, hi) for each run of trials lo..hi-1 with equal rows, in order, found in C: neighbours
+    are compared by identity, _ROW read once per run of one object, and equal neighbouring rows merged."""
+    if not records:
+        return []
+    cuts = [0, *compress(range(1, len(records)), map(is_not, islice(records, 1, None), records))]
+    rows = list(map(_ROW, map(records.__getitem__, cuts)))
+    keep = [0, *compress(range(1, len(rows)), map(ne, rows[1:], rows))]
+    bounds = [*map(cuts.__getitem__, keep), len(records)]
+    return list(zip(map(rows.__getitem__, keep), bounds, bounds[1:]))
 
 
 def _trial_range(args) -> list[TrialResult]:
@@ -262,8 +262,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     done = tuple(chain.from_iterable(blocks))
     successes = steps_sum = meas_sum = 0
     breakdown: dict[str, int] = {kind.value: 0 for kind in FailureKind}
-    # one pass over the trials, in C, then one per distinct row
-    for (success, steps_taken, meas, kind), count in Counter(map(_ROW, done)).items():
+    for (success, steps_taken, meas, kind), lo, hi in _record_runs(done):
+        count = hi - lo
         successes += success * count
         steps_sum += steps_taken * count
         meas_sum += meas * count
@@ -318,21 +318,22 @@ def sweep(
 
 def records_to_csv(records: Sequence[TrialResult]) -> str:
     """Per-trial table. Fixed columns, LF newlines, byte-stable."""
-    rows = _record_rows(records, lambda s, n, m, k: f"{int(s)},{n},{m},{k}")
-    return "".join(["trial,success,steps,measurements,failure_kind\n", *(f"{i},{row}\n" for i, row in enumerate(rows))])
-
-
-def _json_row(s: bool, n: int, m: int, k: str) -> str:
-    """A record's members as ``json.dumps(rows, indent=2)`` writes them after a row's "trial"."""
-    row = {"success": s, "steps": n, "measurements": m, "failure_kind": k}
-    return json.dumps(row, indent=2)[1:].replace("\n", "\n  ")
+    out = ["trial,success,steps,measurements,failure_kind\n"]
+    for (s, n, m, k), lo, hi in _record_runs(records):  # a run's lines share all but the index
+        row = f",{int(s)},{n},{m},{k}\n"
+        out += row.join(map(str, range(lo, hi))), row
+    return "".join(out)
 
 
 def records_to_json(records: Sequence[TrialResult]) -> str:
     """``json.dumps(rows, indent=2)`` and a newline, each row a trial's index and record; indent
-    picks the pure-Python encoder, so each distinct row is encoded once and each trial adds its index."""
-    body = ",".join(f'\n  {{\n    "trial": {i},{row}' for i, row in enumerate(_record_rows(records, _json_row)))
-    return f"[{body}\n]\n" if records else "[]\n"
+    picks the pure-Python encoder, so each run of equal rows is encoded once and each trial adds its index."""
+    head, out = '\n  {\n    "trial": ', []
+    for (s, n, m, k), lo, hi in _record_runs(records):  # a run's rows share all but the index
+        doc = {"success": s, "steps": n, "measurements": m, "failure_kind": k}
+        row = "," + json.dumps(doc, indent=2)[1:].replace("\n", "\n  ")
+        out.append(head + f"{row},{head}".join(map(str, range(lo, hi))) + row)
+    return f"[{','.join(out)}\n]\n" if records else "[]\n"
 
 
 def sweep_table_csv(axis: str, rows: Sequence[tuple[int, SummaryStats]]) -> str:

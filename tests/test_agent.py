@@ -1,5 +1,7 @@
 """Agent strategies: measurement loops, the decision rule, trial execution."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from qpebble import (
     FixedN,
     GadgetSpec,
     Placement,
+    PortGraph,
     QuantumPebble,
     QuditOneShot,
     RandomWalk,
@@ -30,6 +33,8 @@ from qpebble import (
     measure_node_adaptive,
     measure_node_fixed,
     place_pebbles,
+    placement_from_json,
+    placement_to_json,
     run_trial,
     sample_measurement,
 )
@@ -376,6 +381,56 @@ def test_a_kept_record_is_recomputed_when_an_argument_changes(monkeypatch):
         gadget, frozenset({0, 1, 2}), table, 7, fresh(1)
     )
     assert len(walked) == 7  # two frozenset objects, one per call
+
+
+def test_bad_arguments_raise_after_a_memo_hit(monkeypatch):
+    """A call with the memo's graph, placement, strategy and budget skips the
+    argument checks. Bad arguments never enter the memo, so after a hit each
+    bad call still raises its message, and the next good call returns the
+    record a fresh memo gives."""
+    monkeypatch.setattr(agent, "_MEMO", [])
+    g, small = gen_padded_path(6, 4, 3), gen_padded_path(2, 4, 3)
+    general, qudit = place_pebbles(g, GENERAL), place_pebbles(g, EncodingScheme.QUDIT)
+    outside = [v for v in general.nodes.tolist() if v >= small.node_count]
+    fixed = FixedN(5)
+    for placement, strategy, rng in [(general, fixed, fresh(0, 3)), (qudit, QuditOneShot(), None)]:
+        bad_calls = [
+            ((g, placement, strategy, 0, rng), "step_budget must be >= 1, got 0"),
+            ((g, general, FixedN(None), 6, fresh(0)), "FixedN.n must be resolved to a positive sample count"),
+            ((g, general, QuditOneShot(), 6, None), "QuditOneShot requires the qudit scheme"),
+            ((small, placement, strategy, 6, rng), f"placement references nodes outside the graph: {outside}"),
+            # for fixed-n, the memo's four arguments with no stream
+            ((g, general, fixed, 6, None), "FixedN trials draw from a stream; got None"),
+        ]
+        agent._MEMO.clear()
+        fresh_record = run_trial(g, placement, strategy, 6, rng)
+        for args, message in bad_calls:
+            assert run_trial(g, placement, strategy, 6, rng) == fresh_record  # a memo hit
+            assert agent._MEMO[3] is strategy
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                run_trial(*args)
+            assert run_trial(g, placement, strategy, 6, rng) == fresh_record
+
+
+def test_a_round_tripped_placement_builds_as_many_blocks(monkeypatch):
+    """placement_to_json writes its rows in column order, route order for a
+    placed placement, so a JSON round trip keeps the fixed-n blocks whole even
+    where node ids descend along the route."""
+    path = gen_padded_path(200, 8, 7)
+    top = path.node_count - 1
+    edges = path.edges.copy()
+    edges[:, [0, 2]] = top - edges[:, [0, 2]]
+    g = PortGraph(path.node_count, edges, top - path.start, top - path.treasure)
+    placed = place_pebbles(g, GENERAL)
+    tripped = placement_from_json(placement_to_json(placed))
+    assert tripped == placed and placed.nodes[0] > placed.nodes[-1]
+    built, records = [], []
+    for placement in (placed, tripped):
+        monkeypatch.setattr(agent, "_MEMO", [])
+        records.append([run_trial(g, placement, FixedN(300), 200, fresh(0, i)) for i in range(3)])
+        built.append(len(agent._MEMO[2]))
+    assert records[0] == records[1]
+    assert built[0] == built[1] == 1
 
 
 def test_a_qudit_run_decodes_each_node_once(monkeypatch):

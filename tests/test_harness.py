@@ -21,6 +21,7 @@ from qpebble import (
     PortGraph,
     QuditOneShot,
     RandomWalk,
+    SummaryStats,
     TrialResult,
     gen_padded_path,
     parse_graph_source,
@@ -31,6 +32,7 @@ from qpebble import (
     sweep,
     wilson_ci,
 )
+from qpebble import agent as agent_module
 from qpebble import graph as graph_module
 from qpebble import harness as harness_module
 from qpebble.analysis import bound_report
@@ -256,7 +258,7 @@ def test_records_to_json_writes_the_bytes_of_json_dumps():
     success values, large counts, one record and none."""
     records = [TrialResult(kind is FailureKind.NONE, 3 * i, 40 * i, kind) for i, kind in enumerate(FailureKind)]
     records += [TrialResult(False, 0, 0, FailureKind.NONE), TrialResult(True, 10**9, 2**70, FailureKind.NONE)]
-    # repeated objects, then equal copies: both of _record_rows's paths
+    # repeated objects, then equal copies: runs of one object, and runs merged across objects
     records += records[::-1] + [replace(r) for r in records]
     for case in (records, records[-len(FailureKind) - 2 :], records[:1], []):
         rows = [
@@ -265,6 +267,102 @@ def test_records_to_json_writes_the_bytes_of_json_dumps():
             for i, r in enumerate(case)
         ]
         assert records_to_json(case) == json.dumps(rows, indent=2) + "\n"
+
+
+def _plain_csv(records):
+    rows = "".join(
+        f"{i},{int(r.success)},{r.steps_taken},{r.measurements_total},{r.failure_kind.value}\n"
+        for i, r in enumerate(records)
+    )
+    return "trial,success,steps,measurements,failure_kind\n" + rows
+
+
+def _plain_json(records):
+    rows = [
+        {"trial": i, "success": r.success, "steps": r.steps_taken, "measurements": r.measurements_total,
+         "failure_kind": r.failure_kind.value}
+        for i, r in enumerate(records)
+    ]
+    return json.dumps(rows, indent=2) + "\n"
+
+
+def _record_cases():
+    """Record sequences that shape the runs of equal rows in every way."""
+    a = TrialResult(True, 10, 530, FailureKind.NONE)
+    b = TrialResult(False, 3, 212, FailureKind.AMBIGUOUS_DECODE)
+    c = TrialResult(False, 10, 10, FailureKind.STEP_BUDGET_EXHAUSTED)
+    return {
+        "empty": [],
+        "single": [b],
+        "one object 1000 times": [a] * 1000,
+        "equal copies": [replace(a) for _ in range(1000)],
+        "two objects alternating": [a, b] * 500,
+        "equal objects alternating": [a, replace(a)] * 500,
+        "runs at both ends": [a] * 7 + [b, c, c, replace(b)] + [replace(c)] * 3 + [a] * 5,
+        "lone trials at both ends": [c] + [a] * 9 + [b, b, replace(b)] + [c],
+    }
+
+
+@pytest.mark.parametrize("case", list(_record_cases()))
+def test_writers_match_a_per_row_reference(case):
+    """The writers format a run of equal rows at once; their bytes must be those
+    of one line per trial, and of json.dumps(rows, indent=2)."""
+    records = _record_cases()[case]
+    for seq in (records, tuple(records)):
+        assert records_to_csv(seq) == _plain_csv(records)
+        assert records_to_json(seq) == _plain_json(records)
+
+
+@pytest.mark.parametrize("case", [name for name in _record_cases() if name != "empty"])
+def test_summary_equals_one_from_a_counter_of_rows(case, monkeypatch):
+    """run_experiment aggregates by runs of equal rows; its summary must equal
+    one made from a plain Counter of the trials' rows."""
+    records = _record_cases()[case]
+    # a random walk gets stream i at trial i, which picks the record
+    monkeypatch.setattr(harness_module, "run_trial", lambda g, placement, strategy, budget, rng: records[rng.stream_id])
+    cfg = ExperimentConfig(graph_source="path:D=4,delta=4", strategy=RandomWalk(), trials=len(records), seed=1)
+    res = run_experiment(cfg)
+    assert res.records == tuple(records)
+    rows = Counter((r.success, r.steps_taken, r.measurements_total, r.failure_kind.value) for r in records)
+    successes = sum(count for (success, *_), count in rows.items() if success)
+    breakdown = {kind.value: 0 for kind in FailureKind}
+    for (*_, kind), count in rows.items():
+        breakdown[kind] += count
+    assert res.summary == SummaryStats(
+        trials=len(records),
+        successes=successes,
+        success_rate=successes / len(records),
+        wilson_ci_95=wilson_ci(successes, len(records)),
+        mean_steps=sum(steps * count for (_, steps, _, _), count in rows.items()) / len(records),
+        mean_measurements=sum(meas * count for (_, _, meas, _), count in rows.items()) / len(records),
+        failure_breakdown=breakdown,
+        bound=res.summary.bound,
+    )
+
+
+@pytest.mark.parametrize("strategy", ["fixed:auto", "adaptive", "qudit", "random", "table:1p=0,1n=0,4p=0,4n=s"])
+def test_a_run_checks_its_trial_arguments_once(strategy, monkeypatch):
+    """_check_args runs once per run-level check, and in run_trial once for the
+    run's one set of arguments, not once per trial."""
+    calls = []
+    check = agent_module._check_args
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(agent_module, "_check_args", counted)
+    monkeypatch.setattr(harness_module, "_check_args", counted)
+    scheme = EncodingScheme.QUDIT if strategy == "qudit" else EncodingScheme.GENERAL
+    cfg = ExperimentConfig(
+        graph_source="path:D=4,delta=4", scheme=scheme, strategy=parse_strategy(strategy), trials=40, seed=3
+    )
+    assert len(run_experiment(cfg).records) == 40
+    classical = strategy == "random" or strategy.startswith("table:")
+    # the run's checks: the rules before set-up, then (quantum strategies) the family size
+    run_level = 1 if classical else 2
+    assert len(calls) == run_level + 1
+    assert calls[-1][2] == 4  # run_trial's, with the run's budget
 
 
 def test_adaptive_and_qudit_through_the_harness():
