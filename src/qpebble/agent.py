@@ -28,7 +28,8 @@ Decoding rules:
 * adaptive: round-robin over the bases still alive, killing a basis the
   first time it contradicts its own previous outcome; decode once a single
   basis survives, give up at the measurement cap. A trial reads its
-  stream straight through, node after node, via ``rng.buffered_uniforms``.
+  stream straight through from offset 0, node after node, in blocks read
+  by offset (``rng.buffered_uniforms``).
 * qudit one-shot: read the level in one computational-basis measurement.
 
 Both qubit rules compare each uniform draw with the Born probability as
@@ -298,8 +299,7 @@ def _fail(kind: FailureKind, steps: int, meas: int) -> TrialResult:
     return TrialResult(False, steps, meas, kind)
 
 
-# The schemes each walking strategy decodes, read off the Enum once: reading a
-# member off its class is a Python-level call, too slow to make every trial.
+# The schemes each walking strategy decodes; classical strategies read no pebble.
 _QUBIT_SCHEMES = (EncodingScheme.GENERAL, EncodingScheme.BITSIGN4)
 _DECODES = {QuditOneShot: (EncodingScheme.QUDIT,), FixedN: _QUBIT_SCHEMES, Adaptive: _QUBIT_SCHEMES}
 
@@ -309,7 +309,7 @@ def _check_args(strategy: AgentStrategy, scheme: EncodingScheme | None, step_bud
     rule. A walking strategy on full_path gets place_pebbles's message."""
     if step_budget is not None and step_budget < 1:
         raise ValueError(f"step_budget must be >= 1, got {step_budget}")
-    if scheme not in _DECODES.get(type(strategy), (scheme,)):  # classical strategies read no pebble
+    if scheme not in _DECODES.get(type(strategy), (scheme,)):
         if scheme is EncodingScheme.FULL_PATH:
             raise ValueError("full_path is analysis-only; a walking agent cannot decode it")
         if isinstance(strategy, QuditOneShot):
@@ -317,6 +317,11 @@ def _check_args(strategy: AgentStrategy, scheme: EncodingScheme | None, step_bud
         raise ValueError(f"{type(strategy).__name__} cannot decode scheme {scheme.value}")
     if isinstance(strategy, Adaptive) and delta is not None and strategy.cap < len(basis_family(scheme, delta)):
         raise ValueError(f"cap {strategy.cap} below family size {len(basis_family(scheme, delta))}")
+    if isinstance(strategy, FixedN) and None not in (strategy.n, step_budget, delta):
+        # a trial's stream offsets lie below budget * n * F; they, and n, must fit in int64
+        draws = step_budget * strategy.n * len(basis_family(scheme, delta))
+        if draws >= 2**63:
+            raise ValueError(f"FixedN.n {strategy.n} too large: {step_budget} rounds read {draws} draws, over 2**63-1")
 
 
 def run_trial(
@@ -337,13 +342,12 @@ def run_trial(
     which one shared tail range-checks and follows. A fixed-n round walks
     ``cur`` through a block of forced nodes first (module docstring).
 
-    A fixed-n trial reads its draws by offset and leaves ``rng`` where it
-    was; an adaptive trial may leave it past its last draw, through
-    ``buffered_uniforms``. Only this trial reads the stream, so no record
-    depends on where it ends. Qudit and table trials never read it, so it may
-    be None for them. A call with the memo's graph, placement, strategy and
-    budget, which passed the checks, skips them: it returns the kept record of
-    a qudit or table trial, or checks ``rng`` and walks.
+    A fixed-n or adaptive trial reads its draws by offset and leaves ``rng``
+    where it was; a random walk takes one scalar draw per round. Qudit and
+    table trials never read it, so it may be None for them. A call with the
+    memo's graph, placement, strategy and budget, which passed the checks,
+    skips them: it returns the kept record of a qudit or table trial, or
+    checks ``rng`` and walks.
     """
     memo = _MEMO  # the memo's test inline: a call would cost a qudit trial about 5%
     if not (memo and memo[0] is g and memo[1] is placement and memo[3] is strategy and memo[4] == step_budget):
@@ -371,7 +375,7 @@ def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rn
     if quantum:
         delta, scheme, states, blocks = placement.delta, placement.scheme, placement.states, _memo(g, placement)[2]
     pebbled = placement.index_of if isinstance(placement, Placement) else placement  # node -> state index, or a set
-    offsets, nbr = g.csr_lists
+    offsets, nbr, _ = g.csr  # read through ndarray.item, so cur stays a Python int
     draws = None  # an adaptive trial's one buffered reader, made at its first round
 
     cur = g.start
@@ -380,7 +384,6 @@ def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rn
         rounds += 1
         if quantum and cur not in pebbled:
             return _fail(FailureKind.MISSING_PEBBLE, steps, meas)
-        # qudit first: the cheapest round, where dispatch cost shows most
         if isinstance(strategy, QuditOneShot):
             meas += 1
             port = decode_qudit(states[pebbled[cur]])
@@ -424,18 +427,18 @@ def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rn
             # unforced: the one run left is the last node's; base // n = node * F + basis
             port = forced or decode_outcome(Outcome(int(base[-1]) // n % family, PLUS if first[-1] else MINUS), delta)
         elif isinstance(strategy, ClassicalTable):
-            action = strategy.table.action(offsets[cur + 1] - offsets[cur], cur in pebbled)
+            action = strategy.table.action(offsets.item(cur + 1) - offsets.item(cur), cur in pebbled)
             if action is None:
                 continue  # stay: round spent, no move
             port = action + 1
         elif isinstance(strategy, RandomWalk):
-            port = rng.below(offsets[cur + 1] - offsets[cur]) + 1
+            port = rng.below(offsets.item(cur + 1) - offsets.item(cur)) + 1
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
-        lo = offsets[cur]
-        if not 1 <= port <= offsets[cur + 1] - lo:
+        lo = offsets.item(cur)
+        if not 1 <= port <= offsets.item(cur + 1) - lo:
             return _fail(FailureKind.WRONG_PORT_RANGE, steps, meas)
-        cur = nbr[lo + port - 1]
+        cur = nbr.item(lo + port - 1)
         steps += 1
         if cur == g.treasure:
             return TrialResult(True, steps, meas, FailureKind.NONE)

@@ -7,9 +7,10 @@ independent port number at each endpoint, so an edge is a row
 
 Lookups go through a CSR form built by a counting sort: port p of node v
 leads to ``neighbor[offsets[v] + p]``, entered through ``entry[offsets[v] + p]``.
-One BFS from the treasure, which enqueues no degree-1 node, serves both the
-connectivity check and the route search, and :func:`shortest_path` keeps the
-nodes its walk visits beside their ports, so the route is walked once.
+Each graph keeps one route search: a BFS from the treasure, which enqueues no
+degree-1 node, and the smallest-port walk from the start. Validation's
+connectivity check and :func:`shortest_path` read it, and the pebbled route
+is the nodes that walk leaves beside their ports.
 
 Two generators cover the experiments: padded paths (a start-to-treasure
 chain whose interior nodes are disguised with pendant decoys and shuffled
@@ -95,15 +96,9 @@ class PortGraph:
         entry[slot[:m]], entry[slot[m:]] = ports[m:], ports[:m]
         return _read_only(offsets), _read_only(nbr), _read_only(entry)
 
-    @cached_property
-    def csr_lists(self) -> tuple[list[int], list[int]]:
-        """CSR offsets and neighbours as int lists, for per-step lookups."""
-        offsets, nbr, _ = self.csr
-        return offsets.tolist(), nbr.tolist()
-
     def degree(self, v: int) -> int:
-        offsets = self.csr_lists[0]
-        return offsets[v + 1] - offsets[v]
+        offsets = self.csr[0]
+        return offsets.item(v + 1) - offsets.item(v)
 
     @cached_property
     def max_degree(self) -> int:
@@ -115,14 +110,10 @@ class PortGraph:
         return _first_violation(self)
 
     @cached_property
-    def _treasure_dist(self) -> list[int]:
-        """_bfs from the treasure, for validation's connectivity check and the route search."""
-        return _bfs(self, self.treasure)
-
-    @cached_property
-    def _last_path(self) -> dict[tuple[int, int], tuple[int, list[int], list[int]]]:
-        """shortest_path's last answer, by (s, t): distance, nodes and ports."""
-        return {}
+    def _search(self) -> tuple[bool, list[int] | None, list[int] | None]:
+        """_route_search from the start to the treasure: whether every node
+        reaches the treasure, and the route's nodes and ports."""
+        return _route_search(self, self.start, self.treasure)
 
 
 def validate(g: PortGraph) -> str | None:
@@ -174,18 +165,18 @@ def _first_violation(g: PortGraph) -> str | None:
         return f"port set not contiguous at node {node}: {sorted(ports[ends == node].tolist())}"
     # ids, ports and edges are sound by now, so g.csr is exact; isolated nodes
     # (empty port set) fall out of the connectivity check, named as from node 0
-    if -1 in g._treasure_dist:
-        dist = _bfs(g, 0)
+    if not g._search[0]:
+        dist = _bfs(g.csr[0].tolist(), g.csr[1].tolist(), 0)
         return f"not connected: node {dist.index(-1)} unreachable"
     return None
 
 
-def _bfs(g: PortGraph, root: int) -> list[int]:
-    """Hop distance from ``root`` to every node, -1 where unreachable. A
-    degree-1 node other than the root is not enqueued: its one neighbour
-    found it. On a padded path that skips the decoys, most of the graph."""
-    offsets, nbr = g.csr_lists
-    dist = [-1] * g.node_count
+def _bfs(offsets: list[int], nbr: list[int], root: int) -> list[int]:
+    """Hop distance from ``root`` to every node, -1 where unreachable, over the
+    CSR offsets and neighbours as int lists. A degree-1 node other than the
+    root is not enqueued: its one neighbour found it. On a padded path that
+    skips the decoys, most of the graph."""
+    dist = [-1] * (len(offsets) - 1)
     dist[root] = 0
     queue = [root]
     for cur in queue:  # the loop also visits nodes appended while it runs
@@ -207,37 +198,43 @@ def neighbor_via_port(g: PortGraph, v: int, port: int) -> tuple[int, int]:
     return int(nbr[i]), int(entry[i])
 
 
+def _route_search(g: PortGraph, s: int, t: int) -> tuple[bool, list[int] | None, list[int] | None]:
+    """_bfs from t and the smallest-port walk from s: whether every node
+    reaches t, and the nodes the walk leaves and the port it leaves each by,
+    both None if s does not reach t. The CSR becomes int lists here, for the
+    per-step lookups, and is dropped with them."""
+    offsets, nbr = g.csr[0].tolist(), g.csr[1].tolist()
+    dist = _bfs(offsets, nbr, t)
+    if dist[s] < 0:
+        return False, None, None
+    nodes: list[int] = []
+    ports: list[int] = []
+    cur = s
+    while cur != t:
+        # neighbours in port order; one is a step closer to t
+        lo, port, closer = offsets[cur], 0, dist[cur] - 1
+        while dist[nbr[lo + port]] != closer:
+            port += 1
+        nodes.append(cur)
+        ports.append(port)
+        cur = nbr[lo + port]
+    return -1 not in dist, nodes, ports
+
+
 def shortest_path(g: PortGraph, s: int, t: int) -> tuple[int, list[int]]:
     """BFS distance from s to t plus one witness port sequence.
 
     Ties are broken by taking the smallest exit port at each step, so the
-    returned port list is deterministic.
+    returned port list is deterministic. From the start to the treasure it
+    reads the graph's kept search; other pairs are searched afresh.
     """
     n = g.node_count
     if not (0 <= s < n and 0 <= t < n):
         raise ValueError(f"invalid endpoint: s={s}, t={t}")
-    # the graph is frozen: a caller's search and route()'s share one walk and BFS
-    memo = g._last_path
-    if (s, t) not in memo:
-        dist = g._treasure_dist if t == g.treasure else _bfs(g, t)
-        if dist[s] < 0:
-            raise ValueError(f"no path from {s} to {t}")
-        offsets, nbr = g.csr_lists
-        nodes: list[int] = []  # the nodes the walk leaves, and the port it leaves each by
-        ports: list[int] = []
-        cur = s
-        while cur != t:
-            # neighbours in port order; one is a step closer to t
-            lo, port, closer = offsets[cur], 0, dist[cur] - 1
-            while dist[nbr[lo + port]] != closer:
-                port += 1
-            nodes.append(cur)
-            ports.append(port)
-            cur = nbr[lo + port]
-        memo.clear()
-        memo[s, t] = dist[s], nodes, ports
-    d, _, ports = memo[s, t]
-    return d, list(ports)
+    _, _, ports = g._search if (s, t) == (g.start, g.treasure) else _route_search(g, s, t)
+    if ports is None:
+        raise ValueError(f"no path from {s} to {t}")
+    return len(ports), list(ports)
 
 
 def gen_padded_path(dist: int, delta: int, seed: int) -> PortGraph:

@@ -142,11 +142,9 @@ class RngStream:
 
 
 def buffered_uniforms(rng: RngStream) -> Iterator[float]:
-    """The uniforms of ``rng`` in order, drawn in blocks of 64 doubling to
-    4096. The reader may leave ``rng`` up to a block past the last uniform
-    taken, so use it only on a stream nothing reads afterwards, such as
-    trial i's own ``RngStream(seed, i)``."""
-    m = 64
+    """The uniforms of ``rng`` in order, read by offset through
+    :meth:`RngStream.runs` in blocks of 64 doubling to 4096; ``rng`` does not move."""
+    at, m = 0, 64
     while True:
-        yield from rng.uniforms(m).tolist()
-        m = min(2 * m, 4096)
+        yield from (rng.runs(np.array([at]), m)[0] * 2.0**-32).tolist()
+        at, m = at + m, min(2 * m, 4096)

@@ -275,6 +275,33 @@ def test_run_trial_validation():
             run_trial(g, stray, strategy, 2, fresh(0))
 
 
+def test_a_fixed_n_run_trial_rejects_offsets_past_int64():
+    """A trial reads stream offsets below budget * n * F; at 2**63 and past it, n is named."""
+    g = gen_padded_path(2, 4, 1)
+    placement = place_pebbles(g, GENERAL)  # F = 2
+    with pytest.raises(ValueError, match=rf"^FixedN.n {2**60} too large: 4 rounds read {2**63} draws, over 2\*\*63-1$"):
+        run_trial(g, placement, FixedN(2**60), 4, fresh(0))
+    with pytest.raises(ValueError, match=rf"^FixedN.n {2**63} too large: 1 rounds read {2**64} draws"):
+        run_trial(g, placement, FixedN(2**63), 1, fresh(0))
+    assert run_trial(g, placement, FixedN(2**60 - 1), 4, fresh(0)).success
+
+
+@pytest.mark.parametrize("strategy", [FixedN(3), FixedN(53), Adaptive(), Adaptive(5), RandomWalk()])
+def test_only_a_random_walk_moves_its_stream(strategy):
+    """Fixed-n and adaptive trials read their draws by offset and leave the
+    stream where it was; a random walk takes one scalar draw per round."""
+    g = gen_padded_path(10, 4, 3)
+    placement = place_pebbles(g, GENERAL)
+    for trial in range(20):
+        rng = fresh(11, trial)
+        res = run_trial(g, placement, strategy, 10, rng)
+        assert (res.measurements_total > 0) == (not isinstance(strategy, RandomWalk))
+        reference = fresh(11, trial)
+        for _ in range(res.steps_taken if isinstance(strategy, RandomWalk) else 0):
+            reference.next_u32()
+        assert rng.next_u32() == reference.next_u32()
+
+
 def test_only_drawing_strategies_need_a_stream():
     """Qudit and table trials draw nothing and accept None for a stream, with
     the records of a walk given one; fixed-n, adaptive and random trials

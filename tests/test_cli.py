@@ -251,6 +251,15 @@ def test_impossible_subcommand(capsys):
             assert classical_trajectory(g, pebbled, table)[-1] != g.treasure, witness
 
 
+@pytest.mark.parametrize("n", [9223372036854775808, 5000000000000000000])
+def test_a_fixed_n_whose_stream_offsets_pass_int64_exits_2(n, capsys):
+    """budget * n * F = 3 * n * 2 passes 2**63 - 1, the last stream offset: the run names n."""
+    argv = ["simulate", "--gen", "path:D=3,delta=4", "--strategy", f"fixed:{n}", "--trials", "1"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"qpebble: error: FixedN.n {n} too large: 3 rounds read {6 * n} draws, over 2**63-1\n"
+
+
 def test_config_errors_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["simulate", "--gen", "path:D=x,delta=4", "--trials", "2"])
     assert code == 2

@@ -468,10 +468,12 @@ def sound_graphs(draw):
 def test_bfs_and_route_walk_match_a_plain_bfs(case):
     """_bfs skips degree-1 nodes but must give every distance a plain BFS
     does, from any root; shortest_path must give the smallest-port ports of
-    the reference walk and keep that walk's nodes, toward the treasure (the
-    cached BFS) and toward any other node."""
+    the reference walk, toward the treasure (the graph's kept search) and
+    toward any other node; and the kept search must hold the reference
+    walk's nodes and whether every node reaches the treasure."""
     g, root = case
-    assert _bfs(g, root) == reference_bfs(g, root)[0]
+    assert _bfs(g.csr[0].tolist(), g.csr[1].tolist(), root) == reference_bfs(g, root)[0]
+    assert g._search[0] == (-1 not in reference_bfs(g, g.treasure)[0])
     for s, t in ((g.start, g.treasure), (root, g.treasure), (g.start, root), (root, g.start)):
         if s == t:
             continue
@@ -481,4 +483,5 @@ def test_bfs_and_route_walk_match_a_plain_bfs(case):
                 shortest_path(g, s, t)
             continue
         assert shortest_path(g, s, t) == (want[0], want[2])
-        assert g._last_path[s, t] == want
+        if (s, t) == (g.start, g.treasure):
+            assert g._search[1:] == (want[1], want[2])

@@ -36,7 +36,8 @@ from qpebble import agent as agent_module
 from qpebble import graph as graph_module
 from qpebble import harness as harness_module
 from qpebble.analysis import bound_report
-from qpebble.graph import serialize_graph
+from qpebble.encoding import place_pebbles
+from qpebble.graph import serialize_graph, shortest_path
 from qpebble.harness import config_from_dict, env_seed_default, sweep_table_csv
 
 
@@ -149,8 +150,8 @@ def test_invalid_in_memory_graph_is_rejected_for_every_strategy(strategy):
 @pytest.mark.parametrize("strategy", ["fixed:auto", "adaptive", "random"])
 @pytest.mark.parametrize("source", ["path", "file", "memory"])
 def test_a_run_checks_the_graph_once_and_searches_the_route_once(source, strategy, tmp_path, monkeypatch):
-    """One validation and one BFS per run, however the graph arrives: the
-    connectivity check and the route search share the BFS from the treasure."""
+    """One validation and one route search per run, however the graph arrives:
+    the connectivity check and the route share the search's BFS from the treasure."""
     graph_source = gen_padded_path(6, 4, 2)
     if source == "path":
         graph_source = "path:D=6,delta=4"
@@ -167,13 +168,29 @@ def test_a_run_checks_the_graph_once_and_searches_the_route_once(source, strateg
         return wrapper
 
     monkeypatch.setattr(graph_module, "_bfs", counted("bfs", graph_module._bfs))
+    monkeypatch.setattr(graph_module, "_route_search", counted("search", graph_module._route_search))
     monkeypatch.setattr(graph_module, "_first_violation", counted("validation", graph_module._first_violation))
     cfg = ExperimentConfig(graph_source=graph_source, strategy=parse_strategy(strategy), trials=3, seed=1)
     res = run_experiment(cfg)
-    assert counts == {"bfs": 1, "validation": 1}
+    assert counts == {"bfs": 1, "search": 1, "validation": 1}
     assert res.summary.bound == bound_report(6, 4, n=res.summary.bound.required_n, eps=cfg.eps)
     if strategy != "random":
         assert all(r.steps_taken <= 6 for r in res.records)
+
+
+@pytest.mark.parametrize("scheme", [EncodingScheme.GENERAL, EncodingScheme.BITSIGN4, EncodingScheme.QUDIT])
+def test_the_bench_set_up_searches_the_route_once(scheme, monkeypatch):
+    """bench/child.py times parse_graph_source, a standalone shortest_path
+    and place_pebbles; all three read one route search per graph."""
+    calls = []
+    search = graph_module._route_search
+    monkeypatch.setattr(graph_module, "_route_search", lambda g, *ends: calls.append(g) or search(g, *ends))
+    for seed in (1, 2):
+        g = parse_graph_source("path:D=30,delta=4", seed)
+        assert shortest_path(g, g.start, g.treasure)[0] == 30
+        assert len(place_pebbles(g, scheme).nodes) == 30
+        assert calls[-1] is g
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("strategy", ["fixed:auto", "adaptive", "qudit", "random", "table:1p=0,1n=0,4p=0,4n=s"])
