@@ -321,6 +321,9 @@ def sha256(data):
 
 
 SIM = ["simulate", "--trials", "12", "--seed", "5"]
+QUDIT_10012 = ["simulate", "--gen", "path:D=10,delta=4", "--scheme", "qudit", "--strategy", "qudit", "--trials", "10012",
+               "--seed", "5"]
+ADAPTIVE_105 = ["simulate", "--gen", "path:D=100,delta=8", "--strategy", "adaptive", "--trials", "105", "--seed", "7"]
 
 # SHA-256 of stdout, and of the --out file where there is one. They pin key
 # order, indentation, the trailing newline and how inf is printed.
@@ -360,6 +363,33 @@ PINNED_OUTPUT = [
         SIM + ["--gen", "path:D=2,delta=4", "--strategy", "fixed:3", "--format", "json", "--out", "{out}"],
         "abf11546bc5719fe6300a6a86343863909c190819eab71a6bc42087ab1453531",
         "92dcfe00868561e7d6594dd87f54f2e09f6f02372ddd3a13d49e21c5598759fe",
+    ),
+    # one run of 10012 equal rows, whose indices cross 999->1000 and 9999->10000, whole and in two chunks
+    *(
+        (
+            f"simulate_qudit_10012_{fmt}_workers_{workers}",
+            QUDIT_10012 + ["--workers", str(workers), "--format", fmt, "--out", "{out}"],
+            "95f210447014e0c9b4940bf53a0506529ca76191fbd56e504c4646320001072d",
+            digest,
+        )
+        for fmt, digest in [
+            ("csv", "cffde251ec2ee8a3c7e9e70733bf5b440e70fca2caca58949901b4ba3985c5e9"),
+            ("json", "905cbcae53c058337aa0cc03fc80be71eb833a429648061fbf396e92704c887f"),
+        ]
+        for workers in (1, 2)
+    ),
+    # 105 adaptive trials whose rows are all distinct: 105 runs of one
+    (
+        "simulate_adaptive_distinct_csv",
+        ADAPTIVE_105 + ["--out", "{out}"],
+        "1dfc54c7c5bc313123d6cb4748000ed664f6070263cba8c8d4d01e4bf933670b",
+        "8a3e8efa34aee0b36f8f0647c37852e349e48845bd6762231dbc4674c0df23b2",
+    ),
+    (
+        "simulate_adaptive_distinct_json",
+        ADAPTIVE_105 + ["--format", "json", "--out", "{out}"],
+        "1dfc54c7c5bc313123d6cb4748000ed664f6070263cba8c8d4d01e4bf933670b",
+        "32c5022c7f859aa621eb376b88b6eb4fb4c3885a55acb76fd87c8c99b8bba948",
     ),
     (
         "sweep_csv",
