@@ -98,7 +98,7 @@ def _cmd_simulate(args) -> int:
     cfg = _experiment_config(args)
     result = run_experiment(cfg, workers=args.workers)
     if args.out:
-        text = records_to_csv(result.records) if args.format == "csv" else records_to_json(result.records)
+        text = records_to_csv(result) if args.format == "csv" else records_to_json(result)
         _write_text(args.out, text)
     # with the records on stdout, the summary goes to stderr so each stream parses on its own
     _print_json(result.summary.as_json_dict(), sys.stderr if args.out == "-" else None)

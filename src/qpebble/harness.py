@@ -15,9 +15,11 @@ import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from itertools import chain, compress, islice
-from operator import attrgetter, is_not, ne
+from itertools import chain, compress, islice, repeat
+from operator import attrgetter, is_not, itemgetter, ne
 from typing import Sequence, Union, get_args
+
+import numpy as np
 
 from .agent import (
     Adaptive,
@@ -90,6 +92,7 @@ class ExperimentResult:
     config: ExperimentConfig
     summary: SummaryStats
     records: tuple[TrialResult, ...]
+    runs: tuple[tuple[tuple, int, int], ...]  # _record_runs(records), found once for the summary and the writers
 
 
 def wilson_ci(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -192,18 +195,19 @@ def parse_strategy(text: str) -> AgentStrategy:
 # a record's row: success, steps, measurements and failure kind, read in C (the
 # kind's _value_ skips Enum.value, a Python-level property)
 _ROW = attrgetter("success", "steps_taken", "measurements_total", "failure_kind._value_")
+_JSON_ROW = json.JSONEncoder(separators=(",\n    ", ": ")).encode  # see records_to_json
 
 
-def _record_runs(records: Sequence[TrialResult]) -> list[tuple[tuple, int, int]]:
+def _record_runs(records: Sequence[TrialResult]) -> tuple[tuple[tuple, int, int], ...]:
     """(row, lo, hi) for each run of trials lo..hi-1 with equal rows, in order, found in C: neighbours
     are compared by identity, _ROW read once per run of one object, and equal neighbouring rows merged."""
     if not records:
-        return []
+        return ()
     cuts = [0, *compress(range(1, len(records)), map(is_not, islice(records, 1, None), records))]
     rows = list(map(_ROW, map(records.__getitem__, cuts)))
     keep = [0, *compress(range(1, len(rows)), map(ne, rows[1:], rows))]
     bounds = [*map(cuts.__getitem__, keep), len(records)]
-    return list(zip(map(rows.__getitem__, keep), bounds, bounds[1:]))
+    return tuple(zip(map(rows.__getitem__, keep), bounds, bounds[1:]))
 
 
 def _trial_range(args) -> list[TrialResult]:
@@ -260,9 +264,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_trial_range, payloads))
     done = tuple(chain.from_iterable(blocks))
+    runs = _record_runs(done)
     successes = steps_sum = meas_sum = 0
     breakdown: dict[str, int] = {kind.value: 0 for kind in FailureKind}
-    for (success, steps_taken, meas, kind), lo, hi in _record_runs(done):
+    for (success, steps_taken, meas, kind), lo, hi in runs:
         count = hi - lo
         successes += success * count
         steps_sum += steps_taken * count
@@ -279,7 +284,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
         failure_breakdown=breakdown,
         bound=bound_report(dist, eff_delta, n=n_for_bound, eps=cfg.eps),
     )
-    return ExperimentResult(config=cfg, summary=summary, records=done)
+    return ExperimentResult(config=cfg, summary=summary, records=done, runs=runs)
 
 
 _SWEEP_AXES = ("n", "D", "delta")
@@ -316,24 +321,39 @@ def sweep(
     return out
 
 
-def records_to_csv(records: Sequence[TrialResult]) -> str:
+def _run_indices(records: Union[ExperimentResult, Sequence[TrialResult]]) -> tuple[list[tuple], list[str]]:
+    """Each run's row (a result's kept runs) and its trial indices "lo\\n...{hi-1}\\n", split from one index column
+    built in numpy: per digit width a uint8 matrix of digits and "\\n", then "\\0" after each run. Trial i's text
+    starts at 2i + the sum of max(0, i - edge) over the width edges 10, 100, ...: a digit more per edge passed."""
+    runs = records.runs if isinstance(records, ExperimentResult) else _record_runs(records)
+    n = runs[-1][2] if runs else 0
+    edges, parts = [0, *(10**k for k in range(1, len(str(n)))), n], []  # the first index of each width, then n
+    for width, (lo, hi) in enumerate(zip(edges, edges[1:]), 1):
+        v, digits = np.arange(lo, hi), np.full((hi - lo, width + 1), 10, np.uint8)
+        for j in range(width - 1, -1, -1):
+            digits[:, j] = v % 10 + 48
+            v //= 10
+        parts.append(digits.reshape(-1))
+    ends = np.fromiter(map(itemgetter(2), runs), np.int64, len(runs))
+    column = np.insert(np.concatenate(parts), 2 * ends + sum(np.maximum(ends - e, 0) for e in edges[1:-1]), 0)
+    return [*map(itemgetter(0), runs)], column.tobytes().decode("ascii").split("\0")[:-1]
+
+
+def records_to_csv(records: Union[ExperimentResult, Sequence[TrialResult]]) -> str:
     """Per-trial table. Fixed columns, LF newlines, byte-stable."""
-    out = ["trial,success,steps,measurements,failure_kind\n"]
-    for (s, n, m, k), lo, hi in _record_runs(records):  # a run's lines share all but the index
-        row = f",{int(s)},{n},{m},{k}\n"
-        out += row.join(map(str, range(lo, hi))), row
-    return "".join(out)
+    rows, indices = _run_indices(records)  # a run's lines share all but the index; "%d" writes success as 0 or 1
+    lines = map(str.replace, indices, repeat("\n"), map(",%d,%s,%s,%s\n".__mod__, rows))
+    return "".join(chain(["trial,success,steps,measurements,failure_kind\n"], lines))
 
 
-def records_to_json(records: Sequence[TrialResult]) -> str:
-    """``json.dumps(rows, indent=2)`` and a newline, each row a trial's index and record; indent
-    picks the pure-Python encoder, so each run of equal rows is encoded once and each trial adds its index."""
+def records_to_json(records: Union[ExperimentResult, Sequence[TrialResult]]) -> str:
+    """``json.dumps(rows, indent=2)`` and a newline, each row a trial's index and record. A run's row is encoded
+    once, by the C encoder (indent picks the pure-Python one), whose _JSON_ROW separators give indent=2's layout."""
     head, out = '\n  {\n    "trial": ', []
-    for (s, n, m, k), lo, hi in _record_runs(records):  # a run's rows share all but the index
-        doc = {"success": s, "steps": n, "measurements": m, "failure_kind": k}
-        row = "," + json.dumps(doc, indent=2)[1:].replace("\n", "\n  ")
-        out.append(head + f"{row},{head}".join(map(str, range(lo, hi))) + row)
-    return f"[{','.join(out)}\n]\n" if records else "[]\n"
+    for (s, n, m, k), indices in zip(*_run_indices(records)):  # a run's rows share all but the index
+        row = ",\n    " + _JSON_ROW({"success": s, "steps": n, "measurements": m, "failure_kind": k})[1:-1] + "\n  }"
+        out.append(head + indices.replace("\n", f"{row},{head}")[: -len(head) - 1])
+    return f"[{','.join(out)}\n]\n" if out else "[]\n"
 
 
 def sweep_table_csv(axis: str, rows: Sequence[tuple[int, SummaryStats]]) -> str:

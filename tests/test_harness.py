@@ -33,6 +33,7 @@ from qpebble import (
     wilson_ci,
 )
 from qpebble import agent as agent_module
+from qpebble import cli as cli_module
 from qpebble import graph as graph_module
 from qpebble import harness as harness_module
 from qpebble.analysis import bound_report
@@ -304,7 +305,8 @@ def _plain_json(records):
 
 
 def _record_cases():
-    """Record sequences that shape the runs of equal rows in every way."""
+    """Record sequences that shape the runs of equal rows in every way, and put
+    their bounds before, on, after and across the indices' digit-width edges."""
     a = TrialResult(True, 10, 530, FailureKind.NONE)
     b = TrialResult(False, 3, 212, FailureKind.AMBIGUOUS_DECODE)
     c = TrialResult(False, 10, 10, FailureKind.STEP_BUDGET_EXHAUSTED)
@@ -317,17 +319,35 @@ def _record_cases():
         "equal objects alternating": [a, replace(a)] * 500,
         "runs at both ends": [a] * 7 + [b, c, c, replace(b)] + [replace(c)] * 3 + [a] * 5,
         "lone trials at both ends": [c] + [a] * 9 + [b, b, replace(b)] + [c],
+        "runs across width edges": [a] * 998 + [b] * 5 + [a] * 9000 + [c],
+        "runs cut at width edges": [a] * 10 + [b] * 90 + [c] * 900 + [a] * 9000 + [b],
+        "lone trials at width edges": [a] * 9 + [b, c] + [a] * 88 + [b, c] + [a] * 899 + [b, c],
+        "ten trials": [a] * 9 + [b],
+        "a hundred trials": [a] * 100,
     }
 
 
+def _result_of(records, monkeypatch):
+    """run_experiment's result for a run whose trials are these records."""
+    # a random walk gets stream i at trial i, which picks the record
+    monkeypatch.setattr(harness_module, "run_trial", lambda g, placement, strategy, budget, rng: records[rng.stream_id])
+    cfg = ExperimentConfig(graph_source="path:D=4,delta=4", strategy=RandomWalk(), trials=len(records), seed=1)
+    return run_experiment(cfg)
+
+
 @pytest.mark.parametrize("case", list(_record_cases()))
-def test_writers_match_a_per_row_reference(case):
+def test_writers_match_a_per_row_reference(case, monkeypatch):
     """The writers format a run of equal rows at once; their bytes must be those
-    of one line per trial, and of json.dumps(rows, indent=2)."""
+    of one line per trial, and of json.dumps(rows, indent=2), whether they get
+    the records or a run's result, whose runs they then reuse."""
     records = _record_cases()[case]
     for seq in (records, tuple(records)):
         assert records_to_csv(seq) == _plain_csv(records)
         assert records_to_json(seq) == _plain_json(records)
+    if records:
+        res = _result_of(records, monkeypatch)
+        assert records_to_csv(res) == records_to_csv(res.records) == _plain_csv(records)
+        assert records_to_json(res) == records_to_json(res.records) == _plain_json(records)
 
 
 @pytest.mark.parametrize("case", [name for name in _record_cases() if name != "empty"])
@@ -335,10 +355,7 @@ def test_summary_equals_one_from_a_counter_of_rows(case, monkeypatch):
     """run_experiment aggregates by runs of equal rows; its summary must equal
     one made from a plain Counter of the trials' rows."""
     records = _record_cases()[case]
-    # a random walk gets stream i at trial i, which picks the record
-    monkeypatch.setattr(harness_module, "run_trial", lambda g, placement, strategy, budget, rng: records[rng.stream_id])
-    cfg = ExperimentConfig(graph_source="path:D=4,delta=4", strategy=RandomWalk(), trials=len(records), seed=1)
-    res = run_experiment(cfg)
+    res = _result_of(records, monkeypatch)
     assert res.records == tuple(records)
     rows = Counter((r.success, r.steps_taken, r.measurements_total, r.failure_kind.value) for r in records)
     successes = sum(count for (success, *_), count in rows.items() if success)
@@ -355,6 +372,26 @@ def test_summary_equals_one_from_a_counter_of_rows(case, monkeypatch):
         failure_breakdown=breakdown,
         bound=res.summary.bound,
     )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_simulate_finds_the_runs_of_equal_rows_once(fmt, tmp_path, monkeypatch):
+    """run_experiment finds the runs for the summary and keeps them on its
+    result, and the CLI's writer reuses them rather than scanning the records again."""
+    calls = []
+    find = harness_module._record_runs
+
+    def counted(records):
+        calls.append(len(records))
+        return find(records)
+
+    monkeypatch.setattr(harness_module, "_record_runs", counted)
+    out = tmp_path / "records"
+    argv = ["simulate", "--gen", "path:D=10,delta=4", "--scheme", "qudit", "--strategy", "qudit", "--trials", "300",
+            "--format", fmt, "--out", str(out)]
+    assert cli_module.main(argv) == 0
+    assert calls == [300]
+    assert out.read_text().count("true" if fmt == "json" else ",1,10,") == 300
 
 
 @pytest.mark.parametrize("strategy", ["fixed:auto", "adaptive", "qudit", "random", "table:1p=0,1n=0,4p=0,4n=s"])
