@@ -8,9 +8,10 @@ independent port number at each endpoint, so an edge is a row
 Lookups go through a CSR form built by a counting sort: port p of node v
 leads to ``neighbor[offsets[v] + p]``, entered through ``entry[offsets[v] + p]``.
 Each graph keeps one route search: a BFS from the treasure, which enqueues no
-degree-1 node, and the smallest-port walk from the start. Validation's
-connectivity check and :func:`shortest_path` read it, and the pebbled route
-is the nodes that walk leaves beside their ports.
+degree-1 node, and the smallest-port walk from the start, both over the core
+(the other nodes, the start and the treasure) of a graph of many degree-1 nodes.
+Validation's connectivity check and :func:`shortest_path` read it, and the
+pebbled route is the nodes that walk leaves beside their ports.
 
 Two generators cover the experiments: padded paths (a start-to-treasure
 chain whose interior nodes are disguised with pendant decoys and shuffled
@@ -173,9 +174,9 @@ def _first_violation(g: PortGraph) -> str | None:
 
 def _bfs(offsets: list[int], nbr: list[int], root: int) -> list[int]:
     """Hop distance from ``root`` to every node, -1 where unreachable, over the
-    CSR offsets and neighbours as int lists. A degree-1 node other than the
-    root is not enqueued: its one neighbour found it. On a padded path that
-    skips the decoys, most of the graph."""
+    CSR offsets and neighbours as int lists: a whole graph's, or its core's from
+    _route_search. A degree-1 node other than the root is not enqueued: its one
+    neighbour found it."""
     dist = [-1] * (len(offsets) - 1)
     dist[root] = 0
     queue = [root]
@@ -198,27 +199,48 @@ def neighbor_via_port(g: PortGraph, v: int, port: int) -> tuple[int, int]:
     return int(nbr[i]), int(entry[i])
 
 
+# _route_search searches only the core of a graph with this many nodes and degree-1 nodes or more. Plain
+# against core, in process on a 2-core machine, padded paths: 599 nodes, 400 of degree 1 (δ=4), 128-150
+# against 130-161 µs; 695, 596 (δ=8), 185 against 125 µs; 140k (δ=8), 55 against 24 ms; 10⁵, none (δ=2),
+# 47-53 against 63-69 ms.
+_PRUNE_FROM = 512
+
+
 def _route_search(g: PortGraph, s: int, t: int) -> tuple[bool, list[int] | None, list[int] | None]:
     """_bfs from t and the smallest-port walk from s: whether every node
     reaches t, and the nodes the walk leaves and the port it leaves each by,
     both None if s does not reach t. The CSR becomes int lists here, for the
-    per-step lookups, and is dropped with them."""
-    offsets, nbr = g.csr[0].tolist(), g.csr[1].tolist()
-    dist = _bfs(offsets, nbr, t)
+    per-step lookups, and is dropped with them. Past _PRUNE_FROM they hold only the
+    core, s, t and the nodes of degree > 1, joined by its CSR entries in port order:
+    no shortest path passes another node, and one is reached iff its neighbour is."""
+    offsets, nbr = g.csr[0], g.csr[1]
+    n, core, hangs = g.node_count, None, True
+    if n >= _PRUNE_FROM and np.count_nonzero((deg := offsets[1:] - offsets[:-1]) == 1) >= _PRUNE_FROM:
+        keep = deg > 1
+        keep[[s, t]] = True
+        own, to = np.repeat(keep, deg), keep[nbr]  # per CSR entry: its node, its neighbour in the core
+        core, slot = keep.nonzero()[0], (own & to).nonzero()[0]
+        # the rest is connected iff every node outside the core has one entry, leading into it
+        hangs = bool(np.count_nonzero(to & ~own) == n - len(core))
+        rank, offsets = keep.cumsum() - 1, slot.searchsorted(offsets[np.append(core, n)])
+        nbr, s, t = rank[nbr[slot]], int(rank[s]), int(rank[t])
+    off, nb = offsets.tolist(), nbr.tolist()
+    dist = _bfs(off, nb, t)
     if dist[s] < 0:
         return False, None, None
-    nodes: list[int] = []
-    ports: list[int] = []
-    cur = s
+    nodes, ports, cur = [], [], s
     while cur != t:
         # neighbours in port order; one is a step closer to t
-        lo, port, closer = offsets[cur], 0, dist[cur] - 1
-        while dist[nbr[lo + port]] != closer:
+        lo, port, closer = off[cur], 0, dist[cur] - 1
+        while dist[nb[lo + port]] != closer:
             port += 1
         nodes.append(cur)
         ports.append(port)
-        cur = nbr[lo + port]
-    return -1 not in dist, nodes, ports
+        cur = nb[lo + port]
+    if core is not None:  # core ranks and list ports back to the graph's nodes and ports
+        nodes, at = core[nodes], slot[offsets[nodes] + np.array(ports, np.int64)]
+        nodes, ports = nodes.tolist(), (at - g.csr[0][nodes]).tolist()
+    return hangs and -1 not in dist, nodes, ports
 
 
 def shortest_path(g: PortGraph, s: int, t: int) -> tuple[int, list[int]]:

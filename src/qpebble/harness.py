@@ -349,11 +349,14 @@ def records_to_csv(records: Union[ExperimentResult, Sequence[TrialResult]]) -> s
 def records_to_json(records: Union[ExperimentResult, Sequence[TrialResult]]) -> str:
     """``json.dumps(rows, indent=2)`` and a newline, each row a trial's index and record. A run's row is encoded
     once, by the C encoder (indent picks the pure-Python one), whose _JSON_ROW separators give indent=2's layout."""
-    head, out = '\n  {\n    "trial": ', []
-    for (s, n, m, k), indices in zip(*_run_indices(records)):  # a run's rows share all but the index
-        row = ",\n    " + _JSON_ROW({"success": s, "steps": n, "measurements": m, "failure_kind": k})[1:-1] + "\n  }"
-        out.append(head + indices.replace("\n", f"{row},{head}")[: -len(head) - 1])
-    return f"[{','.join(out)}\n]\n" if out else "[]\n"
+    head, (rows, indices) = '\n  {\n    "trial": ', _run_indices(records)  # a run's rows share all but the index
+    if not rows:
+        return "[]\n"
+    rows = [",\n    " + _JSON_ROW({"success": s, "steps": n, "measurements": m, "failure_kind": k})[1:-1] + "\n  }"
+            for s, n, m, k in rows]
+    indices[-1] = indices[-1][:-1]  # the last trial closes the list: no comma and head after it
+    runs = map(str.replace, indices, repeat("\n"), [f"{row},{head}" for row in rows])
+    return "".join(chain(["[", head], runs, [rows[-1], "\n]\n"]))
 
 
 def sweep_table_csv(axis: str, rows: Sequence[tuple[int, SummaryStats]]) -> str:

@@ -1,6 +1,7 @@
 """Port-labeled graphs: invariants, generators, text format, BFS."""
 
 import pickle
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +21,7 @@ from qpebble import (
     shortest_path,
     validate,
 )
+from qpebble import graph as graph_module
 from qpebble.graph import _GEN_STREAM, _bfs
 
 FIVE_CYCLE = """\
@@ -485,3 +487,56 @@ def test_bfs_and_route_walk_match_a_plain_bfs(case):
         assert shortest_path(g, s, t) == (want[0], want[2])
         if (s, t) == (g.start, g.treasure):
             assert g._search[1:] == (want[1], want[2])
+
+
+@given(sound_graphs())
+@example((PortGraph(3, ((0, 0, 1, 0), (1, 1, 2, 0)), 0, 2), 1))  # s and t both pendants
+@example((PortGraph(5, ((1, 0, 0, 0), (1, 1, 2, 0), (1, 2, 3, 0), (1, 3, 4, 0)), 2, 4), 1))  # pendants of one hub
+@example((PortGraph(5, ((0, 0, 1, 0), (1, 1, 2, 0), (3, 0, 4, 0)), 0, 2), 3))  # a K2 away from t: pendants of pendants
+@example((PortGraph(5, ((0, 0, 1, 0), (1, 1, 2, 0), (3, 0, 4, 0)), 3, 2), 0))  # s on that K2
+@example((PortGraph(4, ((0, 0, 1, 0), (1, 1, 2, 0)), 0, 2), 3))  # isolated node, the last id
+@example((PortGraph(5, ((0, 0, 1, 0), (1, 1, 2, 0), (2, 1, 3, 0)), 3, 0), 0))  # isolated node, not s, t or root
+@example((PortGraph(4, ((0, 0, 1, 0), (1, 1, 2, 0), (1, 2, 3, 0)), 1, 0), 3))  # s next to t, t a pendant
+@example((PortGraph(2, ((0, 0, 1, 0),), 0, 1), 0))  # s next to t, both pendants
+@example((PortGraph(4, ((0, 0, 1, 0), (2, 0, 3, 0)), 0, 1), 2))  # s next to t, and a K2 apart
+@example((gen_padded_path(5, 4, 3), 7))  # root a decoy
+@settings(max_examples=300, deadline=None)
+def test_the_core_search_matches_a_plain_bfs(case):
+    """The checks of test_bfs_and_route_walk_match_a_plain_bfs with the gate at 0,
+    so every graph's route searches run over its core: the nodes of degree > 1,
+    s and t."""
+    with mock.patch.object(graph_module, "_PRUNE_FROM", 0):
+        test_bfs_and_route_walk_match_a_plain_bfs.hypothesis.inner_test(case)
+
+
+def searched_sizes(monkeypatch):
+    """The node count of each list graph _bfs is given from now on."""
+    sizes, bfs = [], graph_module._bfs
+    monkeypatch.setattr(graph_module, "_bfs", lambda offsets, nbr, root: sizes.append(len(offsets) - 1) or bfs(offsets, nbr, root))
+    return sizes
+
+
+def test_a_padded_path_above_the_gate_is_searched_over_its_core(monkeypatch):
+    """D=2000, delta=8: 13995 nodes, 11996 of degree 1. The kept search and
+    searches between other pairs, decoys included, give the reference walk."""
+    g = gen_padded_path(2000, 8, 7)
+    sizes = searched_sizes(monkeypatch)
+    assert validate(g) is None
+    assert g._search[1:] == reference_path(g, g.start, g.treasure)[1:]
+    decoys = (2001, 2006, 2007, g.node_count - 1)  # two decoys of node 1, one of node 2, one of node 1999
+    pairs = [(decoys[0], g.treasure), (g.start, decoys[1]), (decoys[1], decoys[2]), (decoys[3], decoys[0]), (1000, decoys[3])]
+    for s, t in pairs:
+        want = reference_path(g, s, t)
+        assert shortest_path(g, s, t) == (want[0], want[2])
+        assert graph_module._route_search(g, s, t) == (True, want[1], want[2])
+    assert len(sizes) == 1 + 2 * len(pairs) and max(sizes) <= 2001  # the 1999 interior nodes, s and t
+
+
+@pytest.mark.parametrize("dist, delta, core", [(10, 4, None), (170, 4, None), (255, 4, None), (256, 4, 257), (3000, 2, None)])
+def test_the_gate_reads_the_graph(dist, delta, core, monkeypatch):
+    """The lists hold every node of a graph under _PRUNE_FROM nodes (509 at
+    D=170, delta=4) or degree-1 nodes (510 at D=255; 2 at delta=2), and only
+    the core from 512 degree-1 nodes (D=256)."""
+    g = gen_padded_path(dist, delta, 3)
+    sizes = searched_sizes(monkeypatch)
+    assert g._search[0] and sizes == [core or g.node_count]
