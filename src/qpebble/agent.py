@@ -29,7 +29,13 @@ Decoding rules:
   first time it contradicts its own previous outcome; decode once a single
   basis survives, give up at the measurement cap. A trial reads its
   stream straight through from offset 0, node after node, in blocks read
-  by offset (``rng.buffered_uniforms``).
+  by offset, and keeps the last block's draws as one sign byte per draw
+  and threshold of the placement's states (``_Signs``). ``_eliminate``
+  steps a node from one elimination to the next: a basis's samples
+  between two are a strided slice of those bytes, and its first
+  contradiction one find.
+  ``measure_node_adaptive`` keeps the per-draw loop on scalar draws, the
+  reference the walk is tested against.
 * qudit one-shot: read the level in one computational-basis measurement.
 
 Both qubit rules compare each uniform draw with the Born probability as
@@ -41,10 +47,10 @@ so a correct-basis run is always uniform. Ports decode through
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
-from typing import AbstractSet, Iterator, Mapping, Union
+from typing import AbstractSet, Mapping, Union
 
 import numpy as np
 
@@ -58,7 +64,7 @@ from .encoding import (
 )
 from .graph import PortGraph, neighbor_via_port
 from .quantum import MINUS, PLUS, Outcome, QubitState, born_probability, snap_certain
-from .rng import RngStream, _run_jumps, buffered_uniforms
+from .rng import RngStream, _run_jumps
 
 __all__ = [
     "FailureKind",
@@ -226,26 +232,19 @@ def measure_node_adaptive(
     (and has at least one sample) its sign decodes the port. Hitting the
     cap first returns None. The cursor stays in place on elimination, so
     the successor basis is sampled next. It takes exactly ``used`` scalar
-    draws from ``rng``.
+    draws from ``rng``, one per sample: the reference for ``_eliminate``.
     """
     _check_args(Adaptive(cap), scheme, None, delta)
     state = pebble.emitted_state if isinstance(pebble, QuantumPebble) else pebble
-    return _eliminate(state, delta, cap, iter(rng.uniform, None), scheme)
-
-
-def _eliminate(
-    state: QubitState, delta: int, cap: int, draws: Iterator[float], scheme: EncodingScheme
-) -> tuple[int | None, int]:
-    """measure_node_adaptive's loop on a checked cap, one uniform from ``draws`` per sample."""
     p_plus, _ = _decode_table(state, delta, scheme)
     live = list(range(len(p_plus)))
     # each basis's previous sign, 0 until it is first sampled
     last = [0] * len(p_plus)
     pos = 0
-    for used, u in enumerate(islice(draws, cap), 1):
+    for used in range(1, cap + 1):
         pos %= len(live)
         b = live[pos]
-        sign = PLUS if u < p_plus[b] else MINUS
+        sign = PLUS if rng.uniform() < p_plus[b] else MINUS
         if last[b] == -sign:
             del live[pos]
         else:
@@ -254,6 +253,96 @@ def _eliminate(
         if len(live) == 1 and last[live[0]]:
             return decode_outcome(Outcome(live[0], last[live[0]]), delta), used
     return None, cap
+
+
+@lru_cache(maxsize=1024)
+def _sign_table(state: QubitState, delta: int, scheme: EncodingScheme) -> tuple[tuple, tuple, tuple]:
+    """``state``'s family bases as ``_eliminate`` reads them: each one's u32
+    threshold (a draw's sign is plus iff its u32 is at most it, the rule of
+    ``_block_pairs``), None if the basis is certain; each certain one's sign
+    byte (1 plus, 0 minus); and the ports each sign byte decodes to."""
+    p_plus, _ = _decode_table(state, delta, scheme)
+    thr = tuple(None if p in (0.0, 1.0) else math.ceil(p * 2.0**32) - 1 for p in p_plus)
+    ports = [[decode_outcome(Outcome(b, sign), delta) for sign in (MINUS, PLUS)] for b in range(len(p_plus))]
+    return thr, tuple(int(p == 1.0) for p in p_plus), tuple(map(tuple, ports))
+
+
+class _Signs:
+    """An adaptive trial's draws as sign bytes, one bytes object per threshold
+    in ``of``: byte k is 1 iff draw ``base + k``'s u32 is at most the
+    threshold. It holds the last block read, draws ``base`` to ``read``: a
+    block is read only once every draw before it is used. Blocks of 64
+    doubling to 4096 draws are read by offset through :meth:`RngStream.runs`,
+    so ``rng`` does not move."""
+
+    __slots__ = ("rng", "of", "base", "read")
+
+    def __init__(self, rng: RngStream, thresholds) -> None:
+        self.rng, self.of, self.base, self.read = rng, dict.fromkeys(thresholds, b""), 0, 0
+
+    def more(self) -> None:
+        """Read the next block: as many draws as read so far plus 64, at most 4096."""
+        block = min(self.read + 64, 4096)
+        u32 = self.rng.runs(np.array([self.read]), block)[0]
+        for t in self.of:
+            self.of[t] = (u32 <= t).tobytes()
+        self.base, self.read = self.read, self.read + block
+
+
+def _eliminate(table: tuple, cap: int, signs: _Signs, at: int) -> tuple[int | None, int]:
+    """measure_node_adaptive's result on a checked cap for a state with
+    ``_sign_table`` ``table``, whose draws start at stream offset ``at``.
+
+    It steps from one elimination to the next, not from draw to draw. Between
+    two, the draws go round-robin over the m live bases, so a basis's samples
+    are every m-th draw from its first, and its first contradiction is one
+    find on that slice of its sign bytes; the earliest over the live bases is
+    the next elimination. A certain basis never contradicts."""
+    thr, fixed, ports = table
+    of = signs.of
+    lo, size = at - signs.base, signs.read - signs.base  # the next draw's byte in the block, and the block's size
+    live = list(range(len(thr)))
+    last = [-1] * len(thr)  # each basis's previous sign byte, -1 until it is first sampled
+    pos = t = 0  # the cursor into live, and the draws used
+    while len(live) > 1:
+        if t == cap:
+            return None, cap
+        if lo == size:
+            signs.more()
+            lo, size = 0, signs.read - signs.base
+        m = len(live)
+        pos %= m
+        # bytes lo + k, k < end, in the block and within the cap, until the event at k = end, if any
+        end, who = min(cap - t, size - lo), -1
+        # in draw order, so every basis looked at is sampled before the event: an
+        # event found later falls on a later basis's draw
+        for k, b in enumerate(live[pos:] + live[:pos]):
+            if k >= end:
+                break
+            if thr[b] is None:
+                last[b] = fixed[b]
+                continue
+            s, run = last[b], of[thr[b]][lo + k : lo + end : m]
+            if s < 0:
+                s = last[b] = run[0]
+                j = run.find(1 - s, 1)
+            else:
+                j = run.find(1 - s)
+            if j >= 0:
+                end, who = k + j * m, k
+        if who < 0:
+            pos += end
+        else:  # the cursor stays on an elimination
+            end, pos = end + 1, (pos + who) % m
+            del live[pos]
+        t, lo = t + end, lo + end
+    b = live[0]
+    if last[b] < 0:  # a lone survivor never sampled, so a family of one basis: one draw decodes it
+        if lo == size:
+            signs.more()
+            lo = 0
+        last[b], t = fixed[b] if thr[b] is None else of[thr[b]][lo], 1
+    return ports[b][last[b]], t
 
 
 def _forced_run(g: PortGraph, placement: Placement, cur: int, limit: int) -> tuple[int, int | None, np.ndarray]:
@@ -278,7 +367,8 @@ def _forced_run(g: PortGraph, placement: Placement, cur: int, limit: int) -> tup
 
 # run_trial's memo, which a run's trials share: the last (graph, placement) pair, both
 # compared by identity; the fixed-n blocks built for it, by where their round starts
-# (module docstring); and the last strategy and budget that passed run_trial's checks, with
+# (module docstring), and under the key Adaptive the placement's sign tables and their
+# thresholds; and the last strategy and budget that passed run_trial's checks, with
 # their record if they draw nothing. Keeping one pair bounds what it holds alive to one
 # graph, and a run clears it.
 _MEMO: list = []
@@ -376,7 +466,7 @@ def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rn
         delta, scheme, states, blocks = placement.delta, placement.scheme, placement.states, _memo(g, placement)[2]
     pebbled = placement.index_of if isinstance(placement, Placement) else placement  # node -> state index, or a set
     offsets, nbr, _ = g.csr  # read through ndarray.item, so cur stays a Python int
-    draws = None  # an adaptive trial's one buffered reader, made at its first round
+    signs = None  # an adaptive trial's sign bytes, made at its first round
 
     cur = g.start
     steps = rounds = meas = 0
@@ -388,8 +478,13 @@ def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rn
             meas += 1
             port = decode_qudit(states[pebbled[cur]])
         elif isinstance(strategy, Adaptive):
-            draws = draws or buffered_uniforms(rng)
-            port, used = _eliminate(states[pebbled[cur]], delta, strategy.cap, draws, scheme)
+            if signs is None:
+                if Adaptive not in blocks:  # the placement's sign tables, and their distinct thresholds
+                    tables = [_sign_table(state, delta, scheme) for state in states]
+                    blocks[Adaptive] = tables, {t for thr, _, _ in tables for t in thr if t is not None}
+                tables, thresholds = blocks[Adaptive]
+                signs = _Signs(rng, thresholds)
+            port, used = _eliminate(tables[pebbled[cur]], strategy.cap, signs, meas)
             meas += used
             if port is None:
                 return _fail(FailureKind.DECLARED_FAILURE, steps, meas)

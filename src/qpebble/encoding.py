@@ -292,30 +292,51 @@ def placement_to_json(placement: Placement) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _int_field(doc: dict, key: str, prefix: str = "") -> int:
+    """``doc[key]``, which must be a JSON integer, not a boolean; ``prefix`` starts the messages."""
+    if key not in doc:
+        raise ValueError(f'{prefix}needs a "{key}"')
+    value = doc[key]
+    if type(value) is not int:
+        raise ValueError(f'{prefix}"{key}" must be an integer, got {value!r}')
+    return value
+
+
 def placement_from_json(text: str) -> Placement:
-    """Inverse of :func:`placement_to_json`. A missing pebble list, a
-    repeated node, a sign other than ``+`` or ``-`` and a level or port
-    outside the degree raise ValueError, naming the row."""
+    """Inverse of :func:`placement_to_json`. A document or row that is not an
+    object, a missing key, a scheme, delta, node, level or basis index of the
+    wrong type, a missing pebble list, a repeated node, a sign other than
+    ``+`` or ``-`` and a level or port outside the degree raise ValueError,
+    naming the row or key."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"placement JSON must be an object, got {type(doc).__name__}")
+    if "scheme" not in doc:
+        raise ValueError('placement JSON needs a "scheme"')
     scheme = EncodingScheme(doc["scheme"])
-    delta = doc["delta"]
+    delta = _int_field(doc, "delta", "placement JSON ")
     if not isinstance(doc.get("pebbles"), list):
         raise ValueError('placement JSON needs a "pebbles" list')
     pebbles: dict[int, QuantumPebble] = {}
     for i, row in enumerate(doc["pebbles"]):
         try:
-            node = row["node"]
+            if not isinstance(row, dict):
+                raise ValueError(f"must be an object, got {type(row).__name__}")
+            node = _int_field(row, "node")
             if node in pebbles:
                 raise ValueError(f"node {node} repeats an earlier row")
             if scheme is EncodingScheme.QUDIT:
-                level = row["level"]
+                level = _int_field(row, "level")
                 if not 0 <= level < delta:
                     raise ValueError(f"level {level} outside 0..{delta - 1}")
                 pebbles[node] = QuantumPebble(node, level, decode_qudit(level))
             else:
+                if "sign" not in row:
+                    raise ValueError('needs a "sign"')
                 if row["sign"] not in ("+", "-"):
                     raise ValueError(f"sign must be '+' or '-', got {row['sign']!r}")
-                j = decode_outcome(Outcome(row["basis_index"], PLUS if row["sign"] == "+" else MINUS), delta)
+                basis = _int_field(row, "basis_index")
+                j = decode_outcome(Outcome(basis, PLUS if row["sign"] == "+" else MINUS), delta)
                 pebbles[node] = QuantumPebble(node, encode_port(j, delta, scheme), j)
         except ValueError as exc:
             raise ValueError(f"pebble row {i}: {exc}") from None

@@ -9,7 +9,7 @@ Lookups go through a CSR form built by a counting sort: port p of node v
 leads to ``neighbor[offsets[v] + p]``, entered through ``entry[offsets[v] + p]``.
 Each graph keeps one route search: a BFS from the treasure, which enqueues no
 degree-1 node, and the smallest-port walk from the start, both over the core
-(the other nodes, the start and the treasure) of a graph of many degree-1 nodes.
+(the other nodes, the start and the treasure) of a graph mostly of degree-1 nodes.
 Validation's connectivity check and :func:`shortest_path` read it, and the
 pebbled route is the nodes that walk leaves beside their ports.
 
@@ -199,23 +199,36 @@ def neighbor_via_port(g: PortGraph, v: int, port: int) -> tuple[int, int]:
     return int(nbr[i]), int(entry[i])
 
 
-# _route_search searches only the core of a graph with this many nodes and degree-1 nodes or more. Plain
-# against core, in process on a 2-core machine, padded paths: 599 nodes, 400 of degree 1 (δ=4), 128-150
-# against 130-161 µs; 695, 596 (δ=8), 185 against 125 µs; 140k (δ=8), 55 against 24 ms; 10⁵, none (δ=2),
-# 47-53 against 63-69 ms.
+# _route_search searches only the core of a graph with this many nodes and degree-1 nodes or more, and
+# only if the degree-1 nodes are more than half of it. Plain against core, in process on a 2-core machine,
+# padded paths: 599 nodes, 400 of degree 1 (δ=4), 128-150 against 130-161 µs; 695, 596 (δ=8), 185 against
+# 125 µs; 140k (δ=8), 24 against 11 ms; 90k, 60k (δ=4), 21 against 16 ms; 10⁵, none (δ=2), 39 against
+# 51-60 ms. Combs, a 50k chain with a pendant on every fourth node or on every node: 62.5k, 12.5k of
+# degree 1, 19-20 against 29-30 ms; 100k, 50k, 25 against 25 ms.
 _PRUNE_FROM = 512
+
+
+def _core_gate(offsets: np.ndarray) -> np.ndarray | None:
+    """The node degrees from CSR ``offsets`` if _route_search should search only
+    the graph's core (see _PRUNE_FROM), else None."""
+    n = len(offsets) - 1
+    if n < _PRUNE_FROM:
+        return None
+    deg = offsets[1:] - offsets[:-1]
+    leaves = np.count_nonzero(deg == 1)
+    return deg if leaves >= _PRUNE_FROM and 2 * leaves > n else None
 
 
 def _route_search(g: PortGraph, s: int, t: int) -> tuple[bool, list[int] | None, list[int] | None]:
     """_bfs from t and the smallest-port walk from s: whether every node
     reaches t, and the nodes the walk leaves and the port it leaves each by,
     both None if s does not reach t. The CSR becomes int lists here, for the
-    per-step lookups, and is dropped with them. Past _PRUNE_FROM they hold only the
+    per-step lookups, and is dropped with them. Past _core_gate they hold only the
     core, s, t and the nodes of degree > 1, joined by its CSR entries in port order:
     no shortest path passes another node, and one is reached iff its neighbour is."""
     offsets, nbr = g.csr[0], g.csr[1]
     n, core, hangs = g.node_count, None, True
-    if n >= _PRUNE_FROM and np.count_nonzero((deg := offsets[1:] - offsets[:-1]) == 1) >= _PRUNE_FROM:
+    if (deg := _core_gate(offsets)) is not None:
         keep = deg > 1
         keep[[s, t]] = True
         own, to = np.repeat(keep, deg), keep[nbr]  # per CSR entry: its node, its neighbour in the core
@@ -354,8 +367,10 @@ def parse_graph(text: str) -> PortGraph:
 
     Line 1: ``n m``. Line 2: ``start treasure``. Then m lines
     ``u port_at_u v port_at_v``. ``#`` starts a comment; blank lines are
-    skipped. Ids and ports are 0-based. Invariant violations are rejected
-    with the validate() message.
+    skipped. Ids and ports are 0-based. A header with more nodes than edges
+    plus one is rejected before the graph is built, since a connected graph
+    needs m >= n - 1; other invariant violations are rejected with the
+    validate() message.
     """
     rows: list[tuple[int, list[int]]] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -371,9 +386,9 @@ def parse_graph(text: str) -> PortGraph:
         rows.append((ln, fields))
     if len(rows) < 2:
         raise GraphFormatError("need at least a header line and a start/treasure line")
-    ln, header = rows[0]
+    head, header = rows[0]
     if len(header) != 2:
-        raise GraphFormatError(f"line {ln}: header must be 'n m'")
+        raise GraphFormatError(f"line {head}: header must be 'n m'")
     n, m = header
     ln, meta = rows[1]
     if len(meta) != 2:
@@ -381,6 +396,8 @@ def parse_graph(text: str) -> PortGraph:
     start, treasure = meta
     if len(rows) - 2 != m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(rows) - 2}")
+    if n > m + 1:  # checked before any array grows with n
+        raise GraphFormatError(f"line {head}: {n} nodes need at least {n - 1} edges to be connected, got {m}")
     edges = []
     for ln, fields in rows[2:]:
         if len(fields) != 4:

@@ -20,8 +20,6 @@ run's first state with the tables' jumps along the run.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 __all__ = ["RngStream"]
@@ -140,11 +138,3 @@ class RngStream:
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
-
-def buffered_uniforms(rng: RngStream) -> Iterator[float]:
-    """The uniforms of ``rng`` in order, read by offset through
-    :meth:`RngStream.runs` in blocks of 64 doubling to 4096; ``rng`` does not move."""
-    at, m = 0, 64
-    while True:
-        yield from (rng.runs(np.array([at]), m)[0] * 2.0**-32).tolist()
-        at, m = at + m, min(2 * m, 4096)

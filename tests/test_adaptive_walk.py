@@ -1,18 +1,26 @@
-"""The adaptive walk, reading one buffered stream per trial, against the
-per-node walk built from measure_node_adaptive and scalar draws."""
+"""The adaptive walk, reading one trial's sign bytes by stream offset, and its
+per-node elimination, against the per-node walk built from
+measure_node_adaptive and scalar draws."""
 
+import cmath
 import json
+import math
+import random
+import tracemalloc
 
 import pytest
 
 from qpebble import (
+    KET0,
     Adaptive,
     EncodingScheme,
     FailureKind,
     Placement,
     QuantumPebble,
+    QubitState,
     RngStream,
     TrialResult,
+    basis_family,
     encode_port,
     gen_padded_path,
     measure_node_adaptive,
@@ -22,6 +30,7 @@ from qpebble import (
     placement_to_json,
     run_trial,
 )
+from qpebble import agent
 from qpebble.encoding import route
 
 SEEDS = range(200)
@@ -153,3 +162,70 @@ def test_measure_node_adaptive_takes_exactly_its_measurements(cap):
         for _ in range(used):
             fresh.next_u32()
         assert rng.next_u32() == fresh.next_u32()
+
+
+# an adaptive trial reads its stream in blocks of 64 draws doubling to 4096, which end at these offsets
+BLOCK_EDGES = (64, 192, 448, 960, 1984, 4032, 8128, 12224)
+OFFSETS = (0, 1, 4096, *(edge + d for edge in BLOCK_EDGES for d in (-1, 0, 1)))
+BITSIGN4 = EncodingScheme.BITSIGN4
+
+
+def node_states(delta, scheme, rand):
+    """Every port's state, and states off the family: one turned a little off a
+    port's state, so no basis is certain and the right one is nearly so; |0>;
+    and two at random points of the Bloch sphere."""
+    on = [encode_port(j, delta, scheme) for j in range(1, delta + 1)]
+    a0, a1 = on[-1].amp0, on[-1].amp1
+    c, s = math.cos(0.01), math.sin(0.01)
+    off = [QubitState(c * a0 - s * a1.conjugate(), c * a1 + s * a0.conjugate()), KET0]
+    for _ in range(2):
+        theta, phi = math.acos(rand.uniform(-1, 1)), rand.uniform(0, 2 * math.pi)
+        off.append(QubitState(complex(math.cos(theta / 2)), cmath.exp(1j * phi) * math.sin(theta / 2)))
+    return on + off
+
+
+@pytest.mark.parametrize(
+    "scheme, delta", [(GENERAL, d) for d in (2, 3, 4, 6, 8, 12, 16)] + [(BITSIGN4, d) for d in (2, 3, 4)]
+)
+def test_eliminate_matches_measure_node_adaptive(scheme, delta):
+    """The walk's elimination, which steps from one elimination to the next,
+    gives the port and measurement count of measure_node_adaptive's per-draw
+    loop: at caps of the family size and a little above, where nodes end at the
+    cap, and at the default cap; from stream offsets on both sides of the read
+    blocks' edges, with blocks read until they reach the offset, as a walk
+    reads them."""
+    family = len(basis_family(scheme, delta))
+    rand = random.Random(f"{scheme.value}-{delta}")
+    ends = set()
+    for state in node_states(delta, scheme, rand):
+        table = agent._sign_table(state, delta, scheme)
+        thresholds = {t for t in table[0] if t is not None}
+        for cap in (family, family + 1, family + 3, DEFAULT_CAP):
+            for at in OFFSETS:
+                seed = rand.getrandbits(64)
+                signs = agent._Signs(RngStream(seed, 2), thresholds)
+                while signs.read < at:
+                    signs.more()
+                rng = RngStream(seed, 2)
+                rng.uniforms(at)
+                want = measure_node_adaptive(state, delta, cap, rng, scheme)
+                assert agent._eliminate(table, cap, signs, at) == want, (state, cap, at)
+                ends.add(want[0] is None)
+    assert ends == ({False} if family == 1 else {False, True})  # some nodes end at the cap
+
+
+def test_an_adaptive_trial_holds_one_block_of_sign_bytes():
+    """A trial keeps the sign bytes of the last block it read, not of every draw:
+    at D=3000, delta=8 it makes about 240k measurements, which as 6 thresholds'
+    bytes each would take 1.4 MB."""
+    g = gen_padded_path(3000, 8, 7)
+    placement = place_pebbles(g, GENERAL)
+    run_trial(g, placement, Adaptive(), 3000, RngStream(7, 0))  # the memo's tables, outside the trace
+    tracemalloc.start()
+    try:
+        got = run_trial(g, placement, Adaptive(), 3000, RngStream(7, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.success and got.measurements_total > 200_000
+    assert peak < 500_000, peak

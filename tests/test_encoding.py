@@ -2,6 +2,7 @@
 and the whole-path mixed-radix packing."""
 
 import json
+import re
 import tracemalloc
 
 import pytest
@@ -373,6 +374,43 @@ def test_placement_from_json_rejects_bad_rows(scheme, rows, message):
     text = json.dumps({"scheme": scheme.value, "delta": 4, "pebbles": rows})
     with pytest.raises(ValueError, match=message):
         placement_from_json(text)
+
+
+ROW = {"node": 0, "basis_index": 0, "sign": "+"}
+
+
+def general(*rows, **keys):
+    return {"scheme": "general", "delta": 4, "pebbles": list(rows), **keys}
+
+
+def qudit(*rows):
+    return {"scheme": "qudit", "delta": 4, "pebbles": list(rows)}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([ROW], "placement JSON must be an object, got list"),
+        ({"delta": 4, "pebbles": [ROW]}, 'placement JSON needs a "scheme"'),
+        ({"scheme": "general", "pebbles": [ROW]}, 'placement JSON needs a "delta"'),
+        (general(ROW, delta="4"), """placement JSON "delta" must be an integer, got '4'"""),
+        (general(ROW, delta=True), 'placement JSON "delta" must be an integer, got True'),
+        (general(ROW, [1, 0, "+"]), "pebble row 1: must be an object, got list"),
+        (general({"node": 0, "basis_index": 0}), 'pebble row 0: needs a "sign"'),
+        (general({"basis_index": 0, "sign": "+"}), 'pebble row 0: needs a "node"'),
+        (general({"node": 0, "sign": "+"}), 'pebble row 0: needs a "basis_index"'),
+        (qudit({"node": 0}), 'pebble row 0: needs a "level"'),
+        (general(ROW, {**ROW, "node": 1.5}), 'pebble row 1: "node" must be an integer, got 1.5'),
+        (general({**ROW, "node": True}), 'pebble row 0: "node" must be an integer, got True'),
+        (general({**ROW, "basis_index": 0.5}), 'pebble row 0: "basis_index" must be an integer, got 0.5'),
+        (general({**ROW, "basis_index": False}), 'pebble row 0: "basis_index" must be an integer, got False'),
+        (qudit({"node": 0, "level": 1.0}), 'pebble row 0: "level" must be an integer, got 1.0'),
+        (qudit({"node": 0, "level": True}), 'pebble row 0: "level" must be an integer, got True'),
+    ],
+)
+def test_placement_from_json_names_the_bad_row_or_key(doc, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        placement_from_json(json.dumps(doc))
 
 
 def test_placement_from_json_needs_a_pebble_list():

@@ -269,6 +269,22 @@ def test_parse_checks_edge_count_and_header():
         parse_graph("3\n0 2\n")
 
 
+def test_parse_rejects_a_header_with_too_few_edges_before_building_the_graph():
+    """A connected graph needs m >= n - 1, so the header alone rules out n > m + 1,
+    named by its line, before any array grows with n: 99999999999 nodes would
+    need 745 GiB. The graph is never built, so a lost check fails here, not in
+    an allocation."""
+    with mock.patch.object(graph_module, "PortGraph", side_effect=AssertionError("built")):
+        huge = "^line 1: 99999999999 nodes need at least 99999999998 edges to be connected, got 1$"
+        with pytest.raises(GraphFormatError, match=huge):
+            parse_graph("99999999999 1\n0 1\n0 0 1 0\n")
+        with pytest.raises(GraphFormatError, match="^line 2: 4 nodes need at least 3 edges to be connected, got 2$"):
+            parse_graph("# a path with an isolated node\n4 2\n0 2\n0 0 1 0\n1 1 2 0\n")
+    # n = m + 1 passes the header check
+    with pytest.raises(GraphFormatError, match="^invalid graph: not connected: node 3 unreachable$"):
+        parse_graph("4 3\n0 2\n0 0 1 0\n1 1 2 0\n0 1 2 1\n")
+
+
 def test_parse_rejects_invariant_violations():
     # start == treasure
     with pytest.raises(GraphFormatError, match="invalid graph"):
@@ -489,6 +505,19 @@ def test_bfs_and_route_walk_match_a_plain_bfs(case):
             assert g._search[1:] == (want[1], want[2])
 
 
+def comb(chain, every, pendants=1):
+    """A path 0..chain-1 with ``pendants`` pendants on every ``every``-th node
+    from node 0, at its highest ports; start 0, treasure chain-1."""
+    edges = [(v, int(v > 0), v + 1, 0) for v in range(chain - 1)]
+    n = chain
+    for v in range(0, chain, every):
+        deg = (v > 0) + (v < chain - 1)
+        for k in range(pendants):
+            edges.append((v, deg + k, n, 0))
+            n += 1
+    return PortGraph(n, edges, 0, chain - 1)
+
+
 @given(sound_graphs())
 @example((PortGraph(3, ((0, 0, 1, 0), (1, 1, 2, 0)), 0, 2), 1))  # s and t both pendants
 @example((PortGraph(5, ((1, 0, 0, 0), (1, 1, 2, 0), (1, 2, 3, 0), (1, 3, 4, 0)), 2, 4), 1))  # pendants of one hub
@@ -500,12 +529,15 @@ def test_bfs_and_route_walk_match_a_plain_bfs(case):
 @example((PortGraph(2, ((0, 0, 1, 0),), 0, 1), 0))  # s next to t, both pendants
 @example((PortGraph(4, ((0, 0, 1, 0), (2, 0, 3, 0)), 0, 1), 2))  # s next to t, and a K2 apart
 @example((gen_padded_path(5, 4, 3), 7))  # root a decoy
+@example((comb(13, 4), 14))  # a pendant on every fourth node, the end nodes' included; root a pendant
+@example((comb(9, 1), 4))  # a pendant on every node: half the nodes of degree 1
+@example((comb(9, 3, 2), 11))  # two pendants on every third node
 @settings(max_examples=300, deadline=None)
 def test_the_core_search_matches_a_plain_bfs(case):
-    """The checks of test_bfs_and_route_walk_match_a_plain_bfs with the gate at 0,
-    so every graph's route searches run over its core: the nodes of degree > 1,
-    s and t."""
-    with mock.patch.object(graph_module, "_PRUNE_FROM", 0):
+    """The checks of test_bfs_and_route_walk_match_a_plain_bfs with the gate
+    open, so every graph's route searches run over its core: the nodes of
+    degree > 1, s and t."""
+    with mock.patch.object(graph_module, "_core_gate", lambda offsets: offsets[1:] - offsets[:-1]):
         test_bfs_and_route_walk_match_a_plain_bfs.hypothesis.inner_test(case)
 
 
@@ -539,4 +571,19 @@ def test_the_gate_reads_the_graph(dist, delta, core, monkeypatch):
     the core from 512 degree-1 nodes (D=256)."""
     g = gen_padded_path(dist, delta, 3)
     sizes = searched_sizes(monkeypatch)
+    assert g._search[0] and sizes == [core or g.node_count]
+
+
+@pytest.mark.parametrize(
+    "chain, every, pendants, core",
+    [(4000, 4, 1, None), (2000, 1, 1, None), (1000, 1, 2, 1000), (200, 1, 2, None)],
+)
+def test_the_gate_reads_the_share_of_degree_1_nodes(chain, every, pendants, core, monkeypatch):
+    """Combs: a pendant on every fourth node (1001 of 5000 nodes of degree 1)
+    or on every node (2000 of 4000, half) are searched over every node; two on
+    every node (2000 of 3000) over the core, but not 400 of 600, under the
+    512 floor."""
+    g = comb(chain, every, pendants)
+    sizes = searched_sizes(monkeypatch)
+    assert g._search[1:] == reference_path(g, g.start, g.treasure)[1:]
     assert g._search[0] and sizes == [core or g.node_count]

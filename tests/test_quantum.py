@@ -45,6 +45,18 @@ def test_pcg32_reference_sequences():
         assert [s.next_u32() for _ in range(len(want))] == want
 
 
+def test_pcg32_demo_known_answer():
+    """The PCG32 reference demo's first six outputs at seed 42, stream 54,
+    through every way RngStream reads them: scalar draws, the block path and
+    reads by offset, one run of six and six runs of one."""
+    want = [0xA15C02B7, 0x7B47F409, 0xBA1D3330, 0x83D2F293, 0xBFA4784B, 0xCBED606E]
+    rng = RngStream(42, 54)
+    assert [rng.next_u32() for _ in range(3)] + [int(rng.uniform() * 2**32) for _ in range(3)] == want
+    assert (RngStream(42, 54).uniforms(6) * 2**32).astype(np.uint32).tolist() == want
+    assert RngStream(42, 54).runs(np.array([0]), 6)[0].tolist() == want
+    assert RngStream(42, 54).runs(np.arange(6), 1)[:, 0].tolist() == want
+
+
 def test_pcg32_streams_are_deterministic_and_distinct():
     a = RngStream(123, 5)
     b = RngStream(123, 5)
