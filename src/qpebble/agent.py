@@ -19,7 +19,9 @@ Decoding rules:
   at most the budget or ``_ROUND_DRAWS // F`` nodes), one round and step per
   node, ending at the first node whose count of uniform bases is not one.
   Draws are sparse: an uncertain basis's run is uniform only while each draw
-  falls on its first draw's side, so only runs still uniform draw on. A block
+  falls on its first draw's side, so only runs still uniform draw on; a round
+  reads that from each run's draw-major extremes (plus iff the largest u32 is
+  at most the threshold, minus iff the least is above it). A block
   depends only on where its round starts (n, ``_ROUND_DRAWS``, node, stream
   offset, node limit), so the run's memo builds each block once, with the
   stream jumps of its runs' first draws, which a trial's first round there
@@ -502,10 +504,10 @@ def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rn
             first, done = None, 0
             while node.size and done < n:
                 w = _round_width(n - done, node.size)
-                below = rng.runs(starts, w, jumps) <= thr[:, None]
-                first = below[:, :1] if first is None else first
-                keep = (below == first).all(axis=1)
-                if not keep.any():  # no run is uniform, as is common after one round: skip the gathers
+                u = rng.runs(starts, w, jumps)
+                plus, minus = np.maximum.reduce(u, axis=1) <= thr, np.minimum.reduce(u, axis=1) > thr
+                first, keep = (plus, plus | minus) if first is None else (first, np.where(first, plus, minus))
+                if not np.count_nonzero(keep):  # no run is uniform, as is common after one round: skip the gathers
                     node = node[:0]
                     break
                 node, thr, base, first = node[keep], thr[keep], base[keep], first[keep]

@@ -46,6 +46,8 @@ __all__ = [
 # Stream id reserved for graph generation, out of the way of per-trial
 # streams which use small consecutive ids.
 _GEN_STREAM = 0x67726170
+# gen_padded_path's node-count limit, checked before it allocates anything
+MAX_PATH_NODES = 1 << 24
 
 
 class GraphFormatError(ValueError):
@@ -278,12 +280,16 @@ def gen_padded_path(dist: int, delta: int, seed: int) -> PortGraph:
     Interior chain nodes get pendant decoys up to degree ``delta`` and a
     seed-determined permutation of their port labels, so the exit port that
     continues toward the treasure is uniform over 0..delta-1. Decoys and
-    the two chain endpoints keep degree 1 with port 0.
+    the two chain endpoints keep degree 1 with port 0. A graph of more than
+    ``MAX_PATH_NODES`` nodes is refused before anything is allocated.
     """
     if dist < 1:
         raise ValueError(f"dist must be >= 1, got {dist}")
     if delta < 2 or delta % 2:
         raise ValueError(f"delta must be an even integer >= 2, got {delta}")
+    decoys = (dist - 1) * (delta - 2)
+    if dist + 1 + decoys > MAX_PATH_NODES:
+        raise ValueError(f"padded path D={dist}, delta={delta} has over {MAX_PATH_NODES} nodes, the limit")
     # a Fisher-Yates shuffle per interior node, k from delta-1 down to 1, run
     # column-wise; int(u * (k + 1)) is RngStream.below(k + 1) on the same draw.
     # Slot k of node i (row i-1): 0 = toward i-1, 1 = toward i+1, 2.. = decoys
@@ -298,7 +304,6 @@ def gen_padded_path(dist: int, delta: int, seed: int) -> PortGraph:
         held = flat[j]
         flat[j] = slots[:, k]
         slots[:, k] = held
-    decoys = (dist - 1) * (delta - 2)
     # chain edges i -> i+1, then each node's decoys; endpoints and decoys use port 0
     ids = np.arange(dist + 1 + decoys)
     edges = np.zeros((dist + decoys, 4), dtype=np.int64)

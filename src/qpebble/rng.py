@@ -14,7 +14,9 @@ reads draws at any offsets, bit-identical to repeated scalar draws. It is the
 one array draw, XSH-RR of A^o*s + G_o*inc with (A^o, G_o) the jump of offset
 o, which depends on o alone: from the stream's state with jumps a caller
 kept, since it reads the same offsets in many streams; or else from each
-run's first state with the tables' jumps along the run.
+run's first state with the tables' jumps along the run. It builds the draws
+draw-major, a row per position in the runs, so its arithmetic and a caller's
+reduction along each run (the fixed-n walk's min and max) go across the runs.
 :meth:`RngStream.uniforms` is the run at offset 0.
 """
 
@@ -58,9 +60,9 @@ def _jump(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _run_jumps(starts: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """(A^o, G_o) for the offsets o = starts[i] + j, j < length, as two (len(starts), length) arrays."""
+    """(A^o, G_o) for the offsets o = starts[i] + j, j < length, as two draw-major (length, len(starts)) arrays."""
     a, c = _jump(starts)
-    return a[:, None] * _POW[:length], c[:, None] * _POW[:length] + _GEO[:length]
+    return _POW[:length, None] * a, _POW[:length, None] * c + _GEO[:length, None]
 
 
 def _output(state: int) -> int:
@@ -75,10 +77,15 @@ _U18, _U27, _U59, _UMASK32, _UTWICE = map(np.uint64, (18, 27, 59, _MASK32, 0x100
 
 
 def _output_vec(states: np.ndarray) -> np.ndarray:
-    """_output over a uint64 array, to uint32: the 32-bit xorshift is copied
-    into both halves of a word, so a right shift by rot rotates it."""
-    doubled = ((((states >> _U18) ^ states) >> _U27) & _UMASK32) * _UTWICE
-    return (doubled >> (states >> _U59)).astype(np.uint32)
+    """_output over a uint64 array, to uint32, in place, so never on a kept array: the
+    32-bit xorshift is copied into both halves of a word, so a right shift by rot rotates it."""
+    rot = states >> _U59
+    states ^= states >> _U18
+    states >>= _U27
+    states &= _UMASK32
+    states *= _UTWICE
+    states >>= rot
+    return states.astype(np.uint32)
 
 
 class RngStream:
@@ -107,16 +114,16 @@ class RngStream:
 
     def runs(self, starts: np.ndarray, length: int, jumps: tuple | None = None) -> np.ndarray:
         """The u32 draws at offsets ``starts[i] + j`` >= 0, j < ``length`` <= 8192, past the
-        current position, as a (len(starts), length) array; the stream does not move.
-        ``jumps``, if given, is ``_run_jumps(starts, length)``, which a caller reading
-        the same offsets in many streams keeps."""
+        current position, as the transposed view of a draw-major (length, len(starts))
+        array; the stream does not move. ``jumps``, if given, is ``_run_jumps(starts,
+        length)``, which a caller reading the same offsets in many streams keeps."""
         if length > _BLOCK:
             raise ValueError(f"run length must be <= {_BLOCK}, got {length}")
         state, inc = np.uint64(self._state), np.uint64(self._inc)
         if jumps is None:  # jump to each run's first state, then along the run from there
             a, c = _jump(starts)
-            state, jumps = (a * state + c * inc)[:, None], (_POW[:length], _GEO[:length])
-        return _output_vec(jumps[0] * state + jumps[1] * inc)  # uint64 wraparound
+            state, jumps = a * state + c * inc, (_POW[:length, None], _GEO[:length, None])
+        return _output_vec(jumps[0] * state + jumps[1] * inc).T  # uint64 wraparound; a fresh array
 
     def uniforms(self, n: int) -> np.ndarray:
         """``n`` uniform doubles, bit-identical to ``n`` scalar draws."""

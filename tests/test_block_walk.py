@@ -407,3 +407,81 @@ def test_sparse_draws_stay_bounded_on_a_long_route(dist, n, trials, outcomes):
             assert r.measurements_total == dist * per_node
             assert drawn.size < r.measurements_total / 4
     assert seen == outcomes
+
+
+class CraftedStream(RngStream):
+    """Draw j of basis b's run at the start node is ``thr[b] + step(b, j)``:
+    a step of 0 sits on the basis's u32 threshold, so reads as plus, and a
+    step of 1 just above it, so reads as minus. ``uniforms`` reads through
+    ``runs``, so the per-node walk reads the same draws."""
+
+    def __init__(self, thr, n, step):
+        super().__init__(0)
+        self.thr, self.n, self.step = thr, n, step
+
+    def runs(self, starts, length, jumps=None):
+        offsets = starts[:, None] + np.arange(length)
+        b, j = offsets // self.n, offsets % self.n
+        return (self.thr[b] + self.step(b, j)).astype(np.uint32)
+
+
+def mixed_but(basis, step):
+    """Every run mixed, j % 2, but basis ``basis``'s, which takes ``step(j)``."""
+    return lambda b, j: np.where(b == basis, step(j), j % 2)
+
+
+def one_round(placement, step):
+    """The record of a one-round trial at the start node of ``placement``'s
+    D=2 path, n = 16 in two rounds of 8 draws, which must equal the per-node
+    walk's; the port-1 exit leads on to node 1, so a decode ends the budget."""
+    g = gen_padded_path(2, placement.delta, 3)
+    p = np.array(_decode_table(placement.pebbles[g.start].emitted_state, placement.delta, GENERAL)[0])
+    thr = np.where(p < 1, np.ceil(p * 2.0**32) - 1, 0).astype(np.int64)
+    got = run_trial(g, placement, FixedN(16), 1, CraftedStream(thr, 16, step))
+    assert got == reference_walk(g, placement, 16, 1, CraftedStream(thr, 16, step))
+    return p, got
+
+
+ROUND = 8
+DECODED = FailureKind.STEP_BUDGET_EXHAUSTED
+# basis 2's run, with n = 16, spans both rounds
+THRESHOLD_CASES = {
+    "mixed": (lambda b, j: j % 2, DECODED),
+    "all_at_thr_is_plus_uniform": (mixed_but(2, lambda j: 0), FailureKind.AMBIGUOUS_DECODE),
+    "all_above_thr_is_minus_uniform": (mixed_but(2, lambda j: 1), FailureKind.AMBIGUOUS_DECODE),
+    "thr_then_above_in_round_one": (mixed_but(2, lambda j: j == 3), DECODED),
+    "above_then_thr_in_round_one": (mixed_but(2, lambda j: j != 5), DECODED),
+    "plus_then_minus_rounds": (mixed_but(2, lambda j: j >= ROUND), DECODED),
+    "minus_then_plus_rounds": (mixed_but(2, lambda j: j < ROUND), DECODED),
+    "minus_then_one_plus_draw": (mixed_but(2, lambda j: j != 12), DECODED),
+}
+
+
+@pytest.mark.parametrize("name", list(THRESHOLD_CASES))
+def test_uniform_runs_at_the_threshold(name, monkeypatch):
+    """A run is plus-uniform iff every draw is at most its u32 threshold and
+    minus-uniform iff every draw is above it; a run kept in round one must
+    stay on its first round's side in every later round. At delta = 8 the
+    start node has basis 0 certain and bases 1-3 uncertain, so a second
+    uniform run makes its decode ambiguous."""
+    step, kind = THRESHOLD_CASES[name]
+    monkeypatch.setattr(agent, "_ROUND_DRAWS", ROUND)
+    monkeypatch.setattr(agent, "_MEMO", [])
+    p, got = one_round(place_pebbles(gen_padded_path(2, 8, 3), GENERAL), step)
+    assert p[0] == 1.0 and ((p[1:] > 0) & (p[1:] < 1)).all()
+    assert got.failure_kind == kind
+
+
+@pytest.mark.parametrize("sign, kind", [(0, DECODED), (1, FailureKind.WRONG_PORT_RANGE)])
+def test_an_unforced_node_decodes_its_one_uniform_run_by_its_sign(sign, kind, monkeypatch):
+    """With no certain basis, the one uniform run decodes the port: basis 0
+    plus is the start node's port 1, and basis 0 minus a port it lacks."""
+    monkeypatch.setattr(agent, "_ROUND_DRAWS", ROUND)
+    monkeypatch.setattr(agent, "_MEMO", [])
+    state = place_pebbles(gen_padded_path(2, 4, 3), GENERAL).states[0]
+    c, s = math.cos(0.01), math.sin(0.01)  # turned off the family, as in near_certain
+    state = QubitState(c * state.amp0 - s * state.amp1.conjugate(), c * state.amp1 + s * state.amp0.conjugate())
+    placement = Placement(GENERAL, 4, {0: QuantumPebble(0, state, 1)})
+    p, got = one_round(placement, mixed_but(0, lambda j: sign))
+    assert ((p > 0) & (p < 1)).all()
+    assert got.failure_kind == kind

@@ -17,6 +17,7 @@ from qpebble import (
     gpqr_family,
     neighbor_via_port,
     parse_graph,
+    parse_graph_source,
     serialize_graph,
     shortest_path,
     validate,
@@ -204,6 +205,33 @@ def test_padded_path_rejects_bad_parameters():
         gen_padded_path(3, 3, 1)
     with pytest.raises(ValueError):
         gen_padded_path(3, 0, 1)
+
+
+class Drew(Exception):
+    pass
+
+
+def test_padded_path_refuses_more_nodes_than_its_limit(monkeypatch):
+    """The node-count check comes before the generator's first draw, so
+    before any array that grows with D or delta is allocated."""
+
+    def drew(self, n):
+        raise Drew(n)
+
+    monkeypatch.setattr(RngStream, "uniforms", drew)
+    assert graph_module.MAX_PATH_NODES == 2**24
+    with pytest.raises(ValueError) as err:
+        parse_graph_source("path:D=10,delta=100000000000", 1)
+    assert str(err.value) == "padded path D=10, delta=100000000000 has over 16777216 nodes, the limit"
+    with pytest.raises(ValueError) as err:
+        gen_padded_path(2**23, 4, 0)  # 3 * 2**23 - 1 nodes
+    assert str(err.value) == "padded path D=8388608, delta=4 has over 16777216 nodes, the limit"
+    # a path has (D - 1) * (delta - 1) + 2 nodes: 2**24 exactly at D = 2**24 - 1, delta = 2
+    with pytest.raises(ValueError) as err:
+        gen_padded_path(2**24, 2, 0)
+    assert str(err.value) == "padded path D=16777216, delta=2 has over 16777216 nodes, the limit"
+    with pytest.raises(Drew):
+        gen_padded_path(2**24 - 1, 2, 0)
 
 
 def test_gadget_shape():
