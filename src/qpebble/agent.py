@@ -353,7 +353,7 @@ def _forced_run(g: PortGraph, placement: Placement, cur: int, limit: int) -> tup
     including the first that is unforced, has an out-of-range forced port, is
     the ``limit``-th, or whose forced port leads to the treasure or off the
     columns. Returns the last of them, its forced port and their P(plus) rows."""
-    offsets, nbr, _ = g.csr
+    offsets, nbr = g.csr
     table = [_decode_table(state, placement.delta, placement.scheme) for state in placement.states]
     i = int((placement.nodes == cur).argmax())  # cur's column
     nodes, kinds = placement.nodes[i : i + limit], placement.state_index[i : i + limit]
@@ -394,6 +394,7 @@ def _fail(kind: FailureKind, steps: int, meas: int) -> TrialResult:
 # The schemes each walking strategy decodes; classical strategies read no pebble.
 _QUBIT_SCHEMES = (EncodingScheme.GENERAL, EncodingScheme.BITSIGN4)
 _DECODES = {QuditOneShot: (EncodingScheme.QUDIT,), FixedN: _QUBIT_SCHEMES, Adaptive: _QUBIT_SCHEMES}
+_DRAWS_NOTHING = (QuditOneShot, ClassicalTable)  # their trials read no stream: one record a run
 
 
 def _check_args(strategy: AgentStrategy, scheme: EncodingScheme | None, step_budget: int | None, delta=None) -> None:
@@ -449,9 +450,7 @@ def run_trial(
         _check_args(strategy, placement.scheme if quantum else None, step_budget, placement.delta if quantum else None)
         if isinstance(strategy, FixedN) and strategy.n is None:
             raise ValueError("FixedN.n must be resolved to a positive sample count")
-        walks = not isinstance(strategy, (QuditOneShot, ClassicalTable))  # else it draws nothing: one record a run
-        if walks and rng is None:
-            raise ValueError(f"{type(strategy).__name__} trials draw from a stream; got None")
+        walks = not isinstance(strategy, _DRAWS_NOTHING)
         memo = _memo(g, placement)
         memo[3:] = strategy, step_budget, None if walks else _walk(g, placement, strategy, step_budget, None)
     if memo[5] is not None:
@@ -467,7 +466,7 @@ def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rn
     if quantum:
         delta, scheme, states, blocks = placement.delta, placement.scheme, placement.states, _memo(g, placement)[2]
     pebbled = placement.index_of if isinstance(placement, Placement) else placement  # node -> state index, or a set
-    offsets, nbr, _ = g.csr  # read through ndarray.item, so cur stays a Python int
+    offsets, nbr = g.csr  # read through ndarray.item, so cur stays a Python int
     signs = None  # an adaptive trial's sign bytes, made at its first round
 
     cur = g.start

@@ -6,7 +6,7 @@ independent port number at each endpoint, so an edge is a row
 ``(u, port_at_u, v, port_at_v)`` of the graph's read-only (m, 4) int array.
 
 Lookups go through a CSR form built by a counting sort: port p of node v
-leads to ``neighbor[offsets[v] + p]``, entered through ``entry[offsets[v] + p]``.
+leads to ``neighbor[offsets[v] + p]``.
 Each graph keeps one route search: a BFS from the treasure, which enqueues no
 degree-1 node, and the smallest-port walk from the start, both over the core
 (the other nodes, the start and the treasure) of a graph mostly of degree-1 nodes.
@@ -86,18 +86,17 @@ class PortGraph:
         return PortGraph, (self.node_count, self.edges, self.start, self.treasure)
 
     @cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only (offsets, neighbor, entry port): each edge end, u's then
-        v's, scattered to its slot offsets[node] + port."""
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (offsets, neighbor): each edge end, u's then v's, scattered
+        to its slot offsets[node] + port. No entry port: no agent sees one."""
         ends, ports = self.edges[:, ::2].T.ravel(), self.edges[:, 1::2].T.ravel()
         offsets = np.zeros(self.node_count + 1, dtype=np.int64)
         np.bincount(ends, minlength=self.node_count).cumsum(out=offsets[1:])
         slot = offsets[ends] + ports
         m = len(self.edges)
-        nbr, entry = np.empty_like(ends), np.empty_like(ends)
+        nbr = np.empty_like(ends)
         nbr[slot[:m]], nbr[slot[m:]] = ends[m:], ends[:m]
-        entry[slot[:m]], entry[slot[m:]] = ports[m:], ports[:m]
-        return _read_only(offsets), _read_only(nbr), _read_only(entry)
+        return _read_only(offsets), _read_only(nbr)
 
     def degree(self, v: int) -> int:
         offsets = self.csr[0]
@@ -193,12 +192,13 @@ def _bfs(offsets: list[int], nbr: list[int], root: int) -> list[int]:
 
 
 def neighbor_via_port(g: PortGraph, v: int, port: int) -> tuple[int, int]:
-    """Cross the edge leaving ``v`` through ``port``: (neighbor, entry port)."""
+    """Cross the edge leaving ``v`` through ``port``: (neighbor, entry port), the
+    latter v's place in the neighbour's CSR row, once there with no parallel edges."""
     if not (0 <= v < g.node_count and 0 <= port < g.degree(v)):
         raise ValueError(f"node {v} has no port {port}")
-    offsets, nbr, entry = g.csr
-    i = int(offsets[v]) + port
-    return int(nbr[i]), int(entry[i])
+    offsets, nbr = g.csr
+    w = nbr.item(offsets.item(v) + port)
+    return w, nbr[offsets.item(w) : offsets.item(w + 1)].tolist().index(v)
 
 
 # _route_search searches only the core of a graph with this many nodes and degree-1 nodes or more, and
@@ -228,7 +228,7 @@ def _route_search(g: PortGraph, s: int, t: int) -> tuple[bool, list[int] | None,
     per-step lookups, and is dropped with them. Past _core_gate they hold only the
     core, s, t and the nodes of degree > 1, joined by its CSR entries in port order:
     no shortest path passes another node, and one is reached iff its neighbour is."""
-    offsets, nbr = g.csr[0], g.csr[1]
+    offsets, nbr = g.csr
     n, core, hangs = g.node_count, None, True
     if (deg := _core_gate(offsets)) is not None:
         keep = deg > 1

@@ -31,6 +31,7 @@ from .agent import (
     QuditOneShot,
     RandomWalk,
     TrialResult,
+    _DRAWS_NOTHING,
     _MEMO,
     _check_args,
     run_trial,
@@ -212,9 +213,8 @@ def _record_runs(records: Sequence[TrialResult]) -> tuple[tuple[tuple, int, int]
 
 def _trial_range(args) -> list[TrialResult]:
     g, placement, strategy, budget, seed, lo, hi = args
-    # run_trial is looked up per trial, as this module's global, so it can be replaced;
-    # qudit and table trials draw nothing, so they get no stream
-    draws = not isinstance(strategy, (QuditOneShot, ClassicalTable))
+    # run_trial is looked up per trial, as this module's global, so it can be replaced
+    draws = not isinstance(strategy, _DRAWS_NOTHING)
     try:
         return [run_trial(g, placement, strategy, budget, RngStream(seed, i) if draws else None) for i in range(lo, hi)]
     finally:
@@ -252,7 +252,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     if isinstance(strategy, FixedN) and strategy.n is None:
         strategy = FixedN(required_n(dist, eff_delta, cfg.eps))
 
-    # one chunk per worker; a single chunk runs in this process
+    # one chunk per worker and one process per chunk; a single chunk runs in this process
     chunk = -(-cfg.trials // workers)
     payloads = [
         (g, placement, strategy, budget, cfg.seed, lo, min(lo + chunk, cfg.trials))
@@ -261,7 +261,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     if len(payloads) == 1:
         blocks = [_trial_range(payloads[0])]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
             blocks = list(pool.map(_trial_range, payloads))
     done = tuple(chain.from_iterable(blocks))
     runs = _record_runs(done)

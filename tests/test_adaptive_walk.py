@@ -3,7 +3,6 @@ per-node elimination, against the per-node walk built from
 measure_node_adaptive and scalar draws."""
 
 import cmath
-import json
 import math
 import random
 import tracemalloc
@@ -15,132 +14,72 @@ from qpebble import (
     Adaptive,
     EncodingScheme,
     FailureKind,
-    Placement,
-    QuantumPebble,
     QubitState,
     RngStream,
-    TrialResult,
     basis_family,
     encode_port,
     gen_padded_path,
     measure_node_adaptive,
-    neighbor_via_port,
     place_pebbles,
-    placement_from_json,
-    placement_to_json,
     run_trial,
 )
 from qpebble import agent
-from qpebble.encoding import route
+from walks import (
+    GENERAL,
+    bitsign4,
+    delta_two,
+    flipped_sign,
+    missing_mid_route,
+    port_out_of_range,
+    reference_walk,
+    short_budget,
+    turned,
+)
 
 SEEDS = range(200)
-GENERAL = EncodingScheme.GENERAL
 DEFAULT_CAP = Adaptive().cap
-
-
-def reference_walk(g, placement, cap, step_budget, rng):
-    """One round per node: measure_node_adaptive on the trial's stream."""
-    cur, steps, meas = g.start, 0, 0
-    for _ in range(step_budget):
-        if cur not in placement.pebbles:
-            return TrialResult(False, steps, meas, FailureKind.MISSING_PEBBLE)
-        port, used = measure_node_adaptive(placement.pebbles[cur], placement.delta, cap, rng, placement.scheme)
-        meas += used
-        if port is None:
-            return TrialResult(False, steps, meas, FailureKind.DECLARED_FAILURE)
-        if port > g.degree(cur):
-            return TrialResult(False, steps, meas, FailureKind.WRONG_PORT_RANGE)
-        cur = neighbor_via_port(g, cur, port - 1)[0]
-        steps += 1
-        if cur == g.treasure:
-            return TrialResult(True, steps, meas, FailureKind.NONE)
-    return TrialResult(False, steps, meas, FailureKind.STEP_BUDGET_EXHAUSTED)
 
 
 def cap_at_family_size():
     # two bases, two samples: no basis can be eliminated in time
     g = gen_padded_path(6, 4, 0)
-    return g, place_pebbles(g, GENERAL), 2, 6
+    return g, place_pebbles(g, GENERAL), 6
 
 
 def default_cap():
     # about 3000 draws a trial, several refills of the buffer
     g = gen_padded_path(40, 8, 9)
-    return g, place_pebbles(g, GENERAL), DEFAULT_CAP, 40
+    return g, place_pebbles(g, GENERAL), 40
 
 
 def cap_mid_route():
     # a cap of 300 at delta 8 declares failure at nodes along the route
     g = gen_padded_path(40, 8, 9)
-    return g, place_pebbles(g, GENERAL), 300, 40
+    return g, place_pebbles(g, GENERAL), 40
 
 
-def flipped_sign():
-    # node 5 advertises port 1; port 2 leads to a decoy with no pebble
-    g = gen_padded_path(12, 4, 11)
-    doc = json.loads(placement_to_json(place_pebbles(g, GENERAL)))
-    for row in doc["pebbles"]:
-        if row["node"] == 5:
-            row["sign"] = "-"
-    return g, placement_from_json(json.dumps(doc)), DEFAULT_CAP, 12
-
-
-def missing_mid_route():
-    g = gen_padded_path(9, 4, 3)
-    placement = place_pebbles(g, GENERAL)
-    hole = route(g)[5][0]
-    pebbles = {v: p for v, p in placement.pebbles.items() if v != hole}
-    return g, Placement(GENERAL, 4, pebbles), DEFAULT_CAP, 9
-
-
-def port_out_of_range():
-    # a plain path: interior nodes have degree 2, node 3 advertises port 4
-    g = gen_padded_path(6, 2, 0)
-    pebbles = {}
-    for node, port in route(g):
-        j = 4 if node == 3 else port + 1
-        pebbles[node] = QuantumPebble(node, encode_port(j, 4), j)
-    return g, Placement(GENERAL, 4, pebbles), DEFAULT_CAP, 6
-
-
-def short_budget():
-    g = gen_padded_path(30, 4, 8)
-    return g, place_pebbles(g, GENERAL), DEFAULT_CAP, 17
-
-
-def bitsign4():
-    g = gen_padded_path(10, 4, 6)
-    return g, place_pebbles(g, EncodingScheme.BITSIGN4), DEFAULT_CAP, 10
-
-
-def delta_two():
-    # one basis in the family: every node decodes from its first sample
-    g = gen_padded_path(7, 2, 4)
-    return g, place_pebbles(g, GENERAL), 1, 7
-
-
-# each case, and a failure kind its records must show
+# each case, its cap, and a failure kind its records must show
 CASES = {
-    "cap_at_family_size": (cap_at_family_size, FailureKind.DECLARED_FAILURE),
-    "default_cap": (default_cap, FailureKind.NONE),
-    "cap_mid_route": (cap_mid_route, FailureKind.DECLARED_FAILURE),
-    "flipped_sign": (flipped_sign, FailureKind.MISSING_PEBBLE),
-    "missing_mid_route": (missing_mid_route, FailureKind.MISSING_PEBBLE),
-    "port_out_of_range": (port_out_of_range, FailureKind.WRONG_PORT_RANGE),
-    "short_budget": (short_budget, FailureKind.STEP_BUDGET_EXHAUSTED),
-    "bitsign4": (bitsign4, FailureKind.NONE),
-    "delta2": (delta_two, FailureKind.NONE),
+    "cap_at_family_size": (cap_at_family_size, 2, FailureKind.DECLARED_FAILURE),
+    "default_cap": (default_cap, DEFAULT_CAP, FailureKind.NONE),
+    "cap_mid_route": (cap_mid_route, 300, FailureKind.DECLARED_FAILURE),
+    "flipped_sign": (flipped_sign, DEFAULT_CAP, FailureKind.MISSING_PEBBLE),
+    "missing_mid_route": (missing_mid_route, DEFAULT_CAP, FailureKind.MISSING_PEBBLE),
+    "port_out_of_range": (port_out_of_range, DEFAULT_CAP, FailureKind.WRONG_PORT_RANGE),
+    "short_budget": (short_budget, DEFAULT_CAP, FailureKind.STEP_BUDGET_EXHAUSTED),
+    "bitsign4": (bitsign4, DEFAULT_CAP, FailureKind.NONE),
+    "delta2": (delta_two, 1, FailureKind.NONE),
 }
 
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_adaptive_walk_matches_per_node_walk(name):
-    build, shown = CASES[name]
-    g, placement, cap, budget = build()
+    build, cap, shown = CASES[name]
+    g, placement, budget = build()
     kinds, steps = set(), set()
     for seed in SEEDS:
         got = run_trial(g, placement, Adaptive(cap), budget, RngStream(seed, 1))
-        assert got == reference_walk(g, placement, cap, budget, RngStream(seed, 1)), seed
+        assert got == reference_walk(g, placement, Adaptive(cap), budget, RngStream(seed, 1)), seed
         kinds.add(got.failure_kind)
         steps.add(got.steps_taken)
     assert shown in kinds
@@ -175,9 +114,7 @@ def node_states(delta, scheme, rand):
     port's state, so no basis is certain and the right one is nearly so; |0>;
     and two at random points of the Bloch sphere."""
     on = [encode_port(j, delta, scheme) for j in range(1, delta + 1)]
-    a0, a1 = on[-1].amp0, on[-1].amp1
-    c, s = math.cos(0.01), math.sin(0.01)
-    off = [QubitState(c * a0 - s * a1.conjugate(), c * a1 + s * a0.conjugate()), KET0]
+    off = [turned(on[-1], 0.01), KET0]
     for _ in range(2):
         theta, phi = math.acos(rand.uniform(-1, 1)), rand.uniform(0, 2 * math.pi)
         off.append(QubitState(complex(math.cos(theta / 2)), cmath.exp(1j * phi) * math.sin(theta / 2)))

@@ -1,5 +1,6 @@
 """Agent strategies: measurement loops, the decision rule, trial execution."""
 
+import random
 import re
 
 import numpy as np
@@ -39,6 +40,8 @@ from qpebble import (
     sample_measurement,
 )
 from qpebble import agent
+from qpebble.encoding import route
+from walks import reference_walk
 
 GENERAL = EncodingScheme.GENERAL
 
@@ -535,3 +538,34 @@ def test_pebbles_off_the_graph_are_named(offset):
             run_trial(g, placement, strategy, 4, fresh(0))
     copy = Placement(GENERAL, 4, dict(full.pebbles))
     assert run_trial(g, copy, FixedN(5), 4, fresh(0)) == run_trial(g, full, FixedN(5), 4, fresh(0))
+
+
+def test_qudit_table_and_random_trials_match_the_per_node_walk():
+    """Qudit trials, with and without a hole in the route, table trials on the
+    route's bare set with random actions (stays and out-of-range ports among
+    them) and random walks give the records of the per-node reference walk."""
+    kinds = {QuditOneShot: set(), ClassicalTable: set(), RandomWalk: set()}
+    for seed in range(20):
+        rand = random.Random(seed)
+        g = gen_padded_path(5 + seed % 6, (4, 8)[seed % 2], seed)
+        steps = route(g)
+        qudit = place_pebbles(g, EncodingScheme.QUDIT)
+        hole = steps[rand.randrange(len(steps))][0]
+        holey = Placement(qudit.scheme, qudit.delta, {v: p for v, p in qudit.pebbles.items() if v != hole})
+        bare = frozenset(node for node, _ in steps)
+        degrees = {g.degree(v) for v in range(g.node_count)}
+        tables = [
+            DecisionTable({(d, p): rand.choice([None, *range(d + 1)]) for d in degrees for p in (True, False)})
+            for _ in range(3)
+        ]
+        trials = [(qudit, QuditOneShot(), None), (holey, QuditOneShot(), None)]
+        trials += [(bare, ClassicalTable(table), None) for table in tables]
+        trials += [(bare, RandomWalk(), (seed, i)) for i in range(10)]
+        budget = 3 * len(steps)
+        for placement, strategy, stream in trials:
+            got = run_trial(g, placement, strategy, budget, stream and RngStream(*stream))
+            assert got == reference_walk(g, placement, strategy, budget, stream and RngStream(*stream)), (seed, strategy)
+            kinds[type(strategy)].add(got.failure_kind)
+    assert kinds[QuditOneShot] == {FailureKind.NONE, FailureKind.MISSING_PEBBLE}
+    assert {FailureKind.STEP_BUDGET_EXHAUSTED, FailureKind.WRONG_PORT_RANGE} <= kinds[ClassicalTable]
+    assert kinds[RandomWalk] == {FailureKind.NONE, FailureKind.STEP_BUDGET_EXHAUSTED}

@@ -34,6 +34,7 @@ from qpebble import (
 )
 from qpebble.encoding import Placement, QuantumPebble, basis_family
 from qpebble.quantum import QubitState, born_probability, snap_certain
+from walks import turned
 
 WLOG_TABLE = DecisionTable({(3, True): 1, (3, False): 0, (1, True): 0, (1, False): 0})
 OSC_GADGET = GadgetSpec((2, 2, 2), (True, False, False))
@@ -113,10 +114,8 @@ def test_exact_success_fixed_equals_the_per_pebble_product():
     placement = place_pebbles(gen_padded_path(60, 8, 3), EncodingScheme.GENERAL)
     pebbles = dict(placement.pebbles)
     for i, node in enumerate(list(pebbles)[::7]):
-        s = pebbles[node].emitted_state
-        c, t = math.cos(0.1 * (i % 3 + 1)), math.sin(0.1 * (i % 3 + 1))
-        turned = QubitState(c * s.amp0 - t * s.amp1.conjugate(), c * s.amp1 + t * s.amp0.conjugate())
-        pebbles[node] = QuantumPebble(node, turned, pebbles[node].exit_port)
+        pebble = pebbles[node]
+        pebbles[node] = QuantumPebble(node, turned(pebble.emitted_state, 0.1 * (i % 3 + 1)), pebble.exit_port)
     pebbles[5] = QuantumPebble(5, QubitState(0.6 + 0j, 0.8j), 2)
     mixed = Placement(EncodingScheme.GENERAL, 8, pebbles)
     assert len(mixed.states) > len(placement.states)

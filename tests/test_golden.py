@@ -9,7 +9,6 @@ A change that alters a digest on purpose must say why in CHANGES.md.
 """
 
 import hashlib
-import json
 
 import pytest
 
@@ -20,15 +19,12 @@ from qpebble import (
     FailureKind,
     FixedN,
     RngStream,
-    gen_padded_path,
     parse_strategy,
-    place_pebbles,
-    placement_from_json,
-    placement_to_json,
     records_to_csv,
     run_experiment,
     run_trial,
 )
+from walks import FLIPPED_NODE, flipped_sign
 
 SEED = 11
 TRIALS = 60
@@ -177,21 +173,15 @@ def test_route_records_digest(case):
     assert hashlib.sha256(text.encode()).hexdigest() == ROUTE_CASES[case]
 
 
-# Node 5 of this route leaves through port 1 (basis 0, plus); flipping the
-# sign sends the agent through port 2 to a decoy, which has no pebble.
-FLIPPED_NODE = 5
+# walks.flipped_sign: the flipped sign at FLIPPED_NODE sends the agent
+# through port 2 to a decoy, which has no pebble
 FLIPPED_DIGEST = "83ef54b02eb1683e99a0d23d9222c1d5a3c9ac6cf62b2ecb1c6929eeb142dea3"
 FLIPPED_ADAPTIVE_DIGEST = "03a4845a9d31556582ea6d8e84ad329f3cc76ddcdd214d5893aa55c4fd6cab39"
 
 
 def _flipped_records(strategy):
-    g = gen_padded_path(12, 4, SEED)
-    doc = json.loads(placement_to_json(place_pebbles(g, EncodingScheme.GENERAL)))
-    row = next(r for r in doc["pebbles"] if r["node"] == FLIPPED_NODE)
-    assert row["sign"] == "+"
-    row["sign"] = "-"
-    placement = placement_from_json(json.dumps(doc))
-    records = [run_trial(g, placement, strategy, 12, RngStream(SEED, i)) for i in range(TRIALS)]
+    g, placement, budget = flipped_sign()
+    records = [run_trial(g, placement, strategy, budget, RngStream(SEED, i)) for i in range(TRIALS)]
     assert any(r.failure_kind is FailureKind.MISSING_PEBBLE and r.steps_taken == FLIPPED_NODE + 1 for r in records)
     return records_to_csv(records)
 

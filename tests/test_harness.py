@@ -99,6 +99,30 @@ def test_worker_count_does_not_change_results():
     assert records_to_csv(solo.records) == records_to_csv(pooled.records)
 
 
+def test_the_pool_has_one_process_per_chunk(monkeypatch):
+    # a pool forks all its workers at its first submit, so it must not outnumber the chunks
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(harness_module, "ProcessPoolExecutor", InProcessPool)
+    cfg = ExperimentConfig(graph_source="path:D=4,delta=4", trials=2, seed=3)
+    pooled = run_experiment(cfg, workers=8)
+    assert sizes == [2]
+    assert pooled.records == run_experiment(cfg, workers=1).records
+
+
 def test_summary_aggregation_is_consistent():
     res = run_experiment(ExperimentConfig(graph_source="path:D=3,delta=4", trials=200, seed=1))
     s = res.summary
