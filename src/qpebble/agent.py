@@ -15,18 +15,18 @@ Decoding rules:
   pebble's decode is *forced* when exactly one basis is certain: that basis
   always runs uniform, so the node decodes to its port or fails as
   ambiguous. So a fixed-n round of ``run_trial`` tests a block of the forced
-  nodes ahead together (``_forced_run``: a run of the placement's columns,
+  nodes ahead together (``_fixed_block``: a run of the placement's columns,
   at most the budget or ``_ROUND_DRAWS // F`` nodes), one round and step per
   node, ending at the first node whose count of uniform bases is not one.
   Draws are sparse: an uncertain basis's run is uniform only while each draw
   falls on its first draw's side, so only runs still uniform draw on; a round
   reads that from each run's draw-major extremes (plus iff the largest u32 is
   at most the threshold, minus iff the least is above it). A block
-  depends only on where its round starts (n, ``_ROUND_DRAWS``, node, stream
-  offset, node limit), so the run's memo builds each block once, with the
-  stream jumps of its runs' first draws, which a trial's first round there
-  passes to ``RngStream.runs``. No record depends on where blocks begin,
-  because a node's draws sit at a fixed stream offset.
+  depends only on where its round starts (n, node, stream offset, node
+  limit), so the run's memo builds each block once, with the stream jumps
+  of its runs' first draws, which a trial's first round there passes to
+  ``RngStream.runs``. No record depends on where blocks begin, because a
+  node's draws sit at a fixed stream offset.
 * adaptive: round-robin over the bases still alive, killing a basis the
   first time it contradicts its own previous outcome; decode once a single
   basis survives, give up at the measurement cap. A trial reads its
@@ -42,8 +42,8 @@ Decoding rules:
 
 Both qubit rules compare each uniform draw with the Born probability as
 snapped by ``quantum.snap_certain``, the rule ``sample_measurement`` uses,
-so a correct-basis run is always uniform. Ports decode through
-``encoding.decode_outcome``.
+so a correct-basis run is always uniform. Both read a state's bases, and the
+ports (``encoding.decode_outcome``) they decode to, from one ``_decode_table``.
 """
 
 from __future__ import annotations
@@ -164,30 +164,23 @@ def _round_width(left: int, runs: int) -> int:
     return min(left, max(8, _ROUND_DRAWS // runs))
 
 
+def _u32_threshold(p: float) -> int:
+    """P(plus) ``p``'s u32 threshold, 0 < p < 1: a draw u = u32 * 2**-32 is below p iff u32 is at most it."""
+    return math.ceil(p * 2.0**32) - 1
+
+
 @lru_cache(maxsize=1024)
-def _decode_table(state: QubitState, delta: int, scheme: EncodingScheme) -> tuple[tuple[float, ...], int | None]:
-    """P(plus) of ``state`` in each family basis, in index order, snapped
-    to certainty; and the forced port, the decode of the one certain basis
-    (None unless exactly one basis is certain)."""
+def _decode_table(state: QubitState, delta: int, scheme: EncodingScheme) -> tuple:
+    """``state`` in each family basis, in index order, as (P(plus) snapped to
+    certainty; the forced port, the one certain basis's decode, or None unless
+    one basis is certain; u32 thresholds, None where certain; sign bytes, 1
+    where certain plus, else 0; the ports each sign byte, 0 minus or 1 plus, decodes to)."""
     p_plus = tuple(snap_certain(born_probability(state, b.plus_vec)) for b in basis_family(scheme, delta))
-    certain = [Outcome(i, PLUS if p else MINUS) for i, p in enumerate(p_plus) if p in (0.0, 1.0)]
-    return p_plus, decode_outcome(certain[0], delta) if len(certain) == 1 else None
-
-
-def _block_pairs(rows, n: int, meas: int) -> tuple[np.ndarray, ...]:
-    """The uncertain (node, basis) runs of a fixed-n block with P(plus) rows
-    ``rows`` (k by F), drawing from stream offset ``meas`` on: each run's node,
-    u32 threshold (u = u32 * 2**-32 is below p iff u32 <= ceil(p * 2**32) - 1)
-    and first draw's offset in the block and in the stream; the first round's
-    ``_run_jumps``; each node's count of certain bases; and the nodes where it
-    is not one, the ambiguous nodes once no run is uniform."""
-    p = np.asarray(rows, dtype=float)
-    node, basis = np.nonzero((p > 0.0) & (p < 1.0))
-    thr = (np.ceil(p[node, basis] * 2.0**32) - 1).astype(np.uint32)
-    base = (node * p.shape[1] + basis) * n
-    certain = ((p == 0.0) | (p == 1.0)).sum(axis=1)
-    jumps = _run_jumps(base + meas, _round_width(n, max(node.size, 1)))
-    return node, thr, base, base + meas, jumps, certain, np.flatnonzero(certain != 1)
+    thr = tuple(None if p in (0.0, 1.0) else _u32_threshold(p) for p in p_plus)
+    fixed = tuple(int(p == 1.0) for p in p_plus)
+    ports = tuple(tuple(decode_outcome(Outcome(b, sign), delta) for sign in (MINUS, PLUS)) for b in range(len(thr)))
+    forced = ports[thr.index(None)][fixed[thr.index(None)]] if thr.count(None) == 1 else None
+    return p_plus, forced, thr, fixed, ports
 
 
 def measure_node_fixed(
@@ -205,7 +198,7 @@ def measure_node_fixed(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     state = pebble.emitted_state if isinstance(pebble, QuantumPebble) else pebble
-    p_plus, _ = _decode_table(state, delta, scheme)
+    p_plus = _decode_table(state, delta, scheme)[0]
     draws = rng.uniforms(n * len(p_plus)).reshape(len(p_plus), n)
     return list(np.where(draws < np.array(p_plus)[:, None], PLUS, MINUS).astype(np.int8))
 
@@ -238,7 +231,7 @@ def measure_node_adaptive(
     """
     _check_args(Adaptive(cap), scheme, None, delta)
     state = pebble.emitted_state if isinstance(pebble, QuantumPebble) else pebble
-    p_plus, _ = _decode_table(state, delta, scheme)
+    p_plus = _decode_table(state, delta, scheme)[0]
     live = list(range(len(p_plus)))
     # each basis's previous sign, 0 until it is first sampled
     last = [0] * len(p_plus)
@@ -255,18 +248,6 @@ def measure_node_adaptive(
         if len(live) == 1 and last[live[0]]:
             return decode_outcome(Outcome(live[0], last[live[0]]), delta), used
     return None, cap
-
-
-@lru_cache(maxsize=1024)
-def _sign_table(state: QubitState, delta: int, scheme: EncodingScheme) -> tuple[tuple, tuple, tuple]:
-    """``state``'s family bases as ``_eliminate`` reads them: each one's u32
-    threshold (a draw's sign is plus iff its u32 is at most it, the rule of
-    ``_block_pairs``), None if the basis is certain; each certain one's sign
-    byte (1 plus, 0 minus); and the ports each sign byte decodes to."""
-    p_plus, _ = _decode_table(state, delta, scheme)
-    thr = tuple(None if p in (0.0, 1.0) else math.ceil(p * 2.0**32) - 1 for p in p_plus)
-    ports = [[decode_outcome(Outcome(b, sign), delta) for sign in (MINUS, PLUS)] for b in range(len(p_plus))]
-    return thr, tuple(int(p == 1.0) for p in p_plus), tuple(map(tuple, ports))
 
 
 class _Signs:
@@ -293,14 +274,14 @@ class _Signs:
 
 def _eliminate(table: tuple, cap: int, signs: _Signs, at: int) -> tuple[int | None, int]:
     """measure_node_adaptive's result on a checked cap for a state with
-    ``_sign_table`` ``table``, whose draws start at stream offset ``at``.
+    ``_decode_table`` ``table``, whose draws start at stream offset ``at``.
 
     It steps from one elimination to the next, not from draw to draw. Between
     two, the draws go round-robin over the m live bases, so a basis's samples
     are every m-th draw from its first, and its first contradiction is one
     find on that slice of its sign bytes; the earliest over the live bases is
     the next elimination. A certain basis never contradicts."""
-    thr, fixed, ports = table
+    _, _, thr, fixed, ports = table
     of = signs.of
     lo, size = at - signs.base, signs.read - signs.base  # the next draw's byte in the block, and the block's size
     live = list(range(len(thr)))
@@ -347,29 +328,38 @@ def _eliminate(table: tuple, cap: int, signs: _Signs, at: int) -> tuple[int | No
     return ports[b][last[b]], t
 
 
-def _forced_run(g: PortGraph, placement: Placement, cur: int, limit: int) -> tuple[int, int | None, np.ndarray]:
-    """The nodes one fixed-n round tests together from ``cur``, which has a
-    pebble: it and the next nodes in the placement's columns, up to and
-    including the first that is unforced, has an out-of-range forced port, is
-    the ``limit``-th, or whose forced port leads to the treasure or off the
-    columns. Returns the last of them, its forced port and their P(plus) rows."""
+def _fixed_block(g: PortGraph, placement: Placement, cur: int, limit: int, n: int, meas: int) -> tuple:
+    """The block a fixed-n round tests from ``cur``, which has a pebble, at stream offset ``meas``: it and
+    the next nodes in the placement's columns, up to and including the first that is unforced, has an
+    out-of-range forced port, is the ``limit``-th, or whose forced port leads to the treasure or off the
+    columns. As ``_walk`` unpacks it: the node count; the last node, its forced port and its sign ports;
+    the uncertain (node, basis) runs' node, u32 threshold, first draw's offset in the block and in the
+    stream, and first round's ``_run_jumps``; each node's count of certain bases; and the nodes where it
+    is not one, the ambiguous nodes once no run is uniform."""
     offsets, nbr = g.csr
-    table = [_decode_table(state, placement.delta, placement.scheme) for state in placement.states]
+    tables = [_decode_table(state, placement.delta, placement.scheme) for state in placement.states]
     i = int((placement.nodes == cur).argmax())  # cur's column
     nodes, kinds = placement.nodes[i : i + limit], placement.state_index[i : i + limit]
-    forced = np.array([port or 0 for _, port in table])[kinds]  # 0: unforced
+    forced = np.array([table[1] or 0 for table in tables])[kinds]  # 0: unforced
     lo = offsets[nodes]
     fits = (forced > 0) & (forced <= offsets[nodes + 1] - lo)
     nxt = nbr[np.where(fits, lo + forced - 1, 0)]
     # the first node that does not lead on to the next column ends the block; the last always does
     goes_on = np.append(fits[:-1] & (nxt[:-1] == nodes[1:]) & (nodes[1:] != g.treasure), False)
     k = int(goes_on.argmin()) + 1
-    return int(nodes[k - 1]), int(forced[k - 1]) or None, np.array([row for row, _ in table])[kinds[:k]]
+    thr = np.array([[-1 if t is None else t for t in table[2]] for table in tables])[kinds[:k]]  # -1: certain
+    node, basis = np.nonzero(thr >= 0)
+    base = (node * thr.shape[1] + basis) * n
+    certain = (thr < 0).sum(axis=1)
+    jumps = _run_jumps(base + meas, _round_width(n, max(node.size, 1)))
+    last = int(nodes[k - 1]), int(forced[k - 1]) or None, tables[kinds[k - 1]][4]
+    runs = node, thr[node, basis].astype(np.uint32), base, base + meas, jumps
+    return k, *last, *runs, certain, np.flatnonzero(certain != 1)
 
 
 # run_trial's memo, which a run's trials share: the last (graph, placement) pair, both
 # compared by identity; the fixed-n blocks built for it, by where their round starts
-# (module docstring), and under the key Adaptive the placement's sign tables and their
+# (module docstring), and under the key Adaptive the placement's decode tables and their
 # thresholds; and the last strategy and budget that passed run_trial's checks, with
 # their record if they draw nothing. Keeping one pair bounds what it holds alive to one
 # graph, and a run clears it.
@@ -480,9 +470,9 @@ def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rn
             port = decode_qudit(states[pebbled[cur]])
         elif isinstance(strategy, Adaptive):
             if signs is None:
-                if Adaptive not in blocks:  # the placement's sign tables, and their distinct thresholds
-                    tables = [_sign_table(state, delta, scheme) for state in states]
-                    blocks[Adaptive] = tables, {t for thr, _, _ in tables for t in thr if t is not None}
+                if Adaptive not in blocks:  # the placement's decode tables, and their distinct thresholds
+                    tables = [_decode_table(state, delta, scheme) for state in states]
+                    blocks[Adaptive] = tables, {t for table in tables for t in table[2] if t is not None}
                 tables, thresholds = blocks[Adaptive]
                 signs = _Signs(rng, thresholds)
             port, used = _eliminate(tables[pebbled[cur]], strategy.cap, signs, meas)
@@ -493,11 +483,10 @@ def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rn
             # this round and one per forced node ahead, tested together
             n, family = strategy.n, len(basis_family(scheme, delta))
             limit = min(step_budget - rounds + 1, max(1, _ROUND_DRAWS // family))
-            key = (n, _ROUND_DRAWS, cur, meas, limit)
+            key = (n, cur, meas, limit)
             if key not in blocks:
-                last, forced, rows = _forced_run(g, placement, cur, limit)
-                blocks[key] = len(rows), last, forced, _block_pairs(rows, n, meas)
-            k, cur, forced, (node, thr, base, starts, jumps, certain, dead) = blocks[key]
+                blocks[key] = _fixed_block(g, placement, cur, limit, n, meas)
+            k, cur, forced, ports, node, thr, base, starts, jumps, certain, dead = blocks[key]
             # draw j of a run is stream offset meas + base + j; keep the runs
             # whose draws so far all fall on their first draw's side
             first, done = None, 0
@@ -521,7 +510,7 @@ def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rn
             rounds += k - 1
             meas += k * n * family
             # unforced: the one run left is the last node's; base // n = node * F + basis
-            port = forced or decode_outcome(Outcome(int(base[-1]) // n % family, PLUS if first[-1] else MINUS), delta)
+            port = forced or ports[int(base[-1]) // n % family][int(first[-1])]
         elif isinstance(strategy, ClassicalTable):
             action = strategy.table.action(offsets.item(cur + 1) - offsets.item(cur), cur in pebbled)
             if action is None:

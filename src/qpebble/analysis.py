@@ -22,10 +22,10 @@ from itertools import product
 
 import numpy as np
 
-from .agent import DecisionTable, _decode_table, classical_trajectory
-from .encoding import Placement
+from .agent import DecisionTable, classical_trajectory
+from .encoding import Placement, basis_family
 from .graph import GadgetSpec, PortGraph, gpqr_family
-from .quantum import delta_bound
+from .quantum import born_probability, delta_bound, snap_certain
 
 __all__ = [
     "BoundReport",
@@ -134,7 +134,8 @@ def exact_success_fixed(placement: Placement, n: int) -> float:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     counts = np.bincount(placement.state_index, minlength=len(placement.states)).tolist()
-    rows = [_decode_table(s, placement.delta, placement.scheme)[0] for s in placement.states]
+    family = basis_family(placement.scheme, placement.delta)
+    rows = [[snap_certain(born_probability(s, b.plus_vec)) for b in family] for s in placement.states]
     return math.prod(max(0.0, 1 - p**n - (1 - p) ** n) ** c for row, c in zip(rows, counts) for p in row if 0 < p < 1)
 
 

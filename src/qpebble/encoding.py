@@ -76,6 +76,14 @@ class EncodingScheme(str, enum.Enum):
 FULL_PATH_CAP = 1 << 20
 
 
+def _scheme_named(value, what: str) -> EncodingScheme:
+    """The scheme called ``value``; a ValueError names ``what`` and the accepted names otherwise."""
+    try:
+        return EncodingScheme(value)
+    except ValueError:
+        raise ValueError(f"{what} must be one of {[s.value for s in EncodingScheme]}, got {value!r}") from None
+
+
 def family_delta(delta: int) -> int:
     """The even degree bound a qubit family is built for: odd degrees round
     up to the next even value, and the floor is 2."""
@@ -313,7 +321,7 @@ def placement_from_json(text: str) -> Placement:
         raise ValueError(f"placement JSON must be an object, got {type(doc).__name__}")
     if "scheme" not in doc:
         raise ValueError('placement JSON needs a "scheme"')
-    scheme = EncodingScheme(doc["scheme"])
+    scheme = _scheme_named(doc["scheme"], 'placement JSON "scheme"')
     delta = _int_field(doc, "delta", "placement JSON ")
     if not isinstance(doc.get("pebbles"), list):
         raise ValueError('placement JSON needs a "pebbles" list')

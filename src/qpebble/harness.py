@@ -37,7 +37,7 @@ from .agent import (
     run_trial,
 )
 from .analysis import BoundReport, bound_report, required_n
-from .encoding import EncodingScheme, Placement, family_delta, place_pebbles, route
+from .encoding import EncodingScheme, Placement, _scheme_named, family_delta, place_pebbles, route
 # shortest_path is not called here, but bench/spans.py wraps this name
 from .graph import PortGraph, GadgetSpec, gen_gpqr, gen_padded_path, parse_graph, shortest_path, validate
 from .rng import RngStream
@@ -174,10 +174,10 @@ def parse_strategy(text: str) -> AgentStrategy:
         if rest == "":
             return Adaptive()
         return Adaptive(_spec_int(rest.removeprefix("cap="), "strategy", text))
-    if head == "qudit":
-        return QuditOneShot()
-    if head == "random":
-        return RandomWalk()
+    if head in ("qudit", "random"):
+        if text != head:
+            raise ValueError(f"strategy {head} takes no parameters, got {text!r}")
+        return QuditOneShot() if head == "qudit" else RandomWalk()
     if head == "table":
         kv = _parse_kv(rest, "table")
         actions: dict[tuple[int, bool], int | None] = {}
@@ -298,18 +298,20 @@ def sweep(
 ) -> list[tuple[int, SummaryStats]]:
     """Re-run the experiment along one axis with a shared base seed.
 
-    axis 'n' varies the FixedN sample count; 'D' and 'delta' rewrite the
-    path-generator spec.
+    axis 'n' varies the FixedN sample count on one graph, built once; 'D'
+    and 'delta' rewrite the path-generator spec.
     """
     if axis not in _SWEEP_AXES:
         raise ValueError(f"axis must be one of {_SWEEP_AXES}, got {axis!r}")
     if not values:
         raise ValueError("sweep needs at least one value")
+    if axis == "n":
+        if not isinstance(cfg.strategy, FixedN):
+            raise ValueError("axis 'n' requires a FixedN strategy")
+        cfg = replace(cfg, graph_source=parse_graph_source(cfg.graph_source, cfg.seed))
     out = []
     for v in values:
         if axis == "n":
-            if not isinstance(cfg.strategy, FixedN):
-                raise ValueError("axis 'n' requires a FixedN strategy")
             sub = replace(cfg, strategy=FixedN(int(v)))
         else:
             if not (isinstance(cfg.graph_source, str) and cfg.graph_source.startswith("path:")):
@@ -372,11 +374,10 @@ def sweep_table_csv(axis: str, rows: Sequence[tuple[int, SummaryStats]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# config_from_dict's type check per key, and how errors name the expected type;
-# the accepted keys are ExperimentConfig's fields
+# config_from_dict's type check per key, and how errors name the expected type (the
+# scheme is checked by its name); the accepted keys are ExperimentConfig's fields
 _CONFIG_TYPES = {
     "graph_source": ((str, PortGraph), "a generator spec or file path"),
-    "scheme": ((str, EncodingScheme), "a scheme name"),
     "strategy": ((str, *get_args(AgentStrategy)), "a strategy spec"),
     "trials": (numbers.Integral, "an integer"),
     "seed": (numbers.Integral, "an integer"),
@@ -402,7 +403,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         if value is not None and (isinstance(value, bool) or not isinstance(value, types)):
             raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
     if "scheme" in kwargs:
-        kwargs["scheme"] = EncodingScheme(kwargs["scheme"])
+        kwargs["scheme"] = _scheme_named(kwargs["scheme"], "config key 'scheme'")
     if isinstance(kwargs.get("strategy"), str):
         kwargs["strategy"] = parse_strategy(kwargs["strategy"])
     return ExperimentConfig(**kwargs)

@@ -135,8 +135,8 @@ def test_eliminate_matches_measure_node_adaptive(scheme, delta):
     rand = random.Random(f"{scheme.value}-{delta}")
     ends = set()
     for state in node_states(delta, scheme, rand):
-        table = agent._sign_table(state, delta, scheme)
-        thresholds = {t for t in table[0] if t is not None}
+        table = agent._decode_table(state, delta, scheme)
+        thresholds = {t for t in table[2] if t is not None}
         for cap in (family, family + 1, family + 3, DEFAULT_CAP):
             for at in OFFSETS:
                 seed = rand.getrandbits(64)

@@ -21,7 +21,7 @@ from qpebble import (
     run_trial,
 )
 from qpebble import agent, basis_family
-from qpebble.agent import _ROUND_DRAWS, _block_pairs, _decode_table
+from qpebble.agent import _ROUND_DRAWS, _decode_table, _u32_threshold
 from qpebble.encoding import route
 from qpebble.rng import _run_jumps
 from walks import (
@@ -132,6 +132,7 @@ def test_block_walk_matches_per_node_walk(name):
 @pytest.mark.parametrize("name", list(CASES))
 def test_small_rounds_match_per_node_walk(name, monkeypatch):
     monkeypatch.setattr(agent, "_ROUND_DRAWS", SMALL_ROUNDS)
+    monkeypatch.setattr(agent, "_MEMO", [])
     test_block_walk_matches_per_node_walk(name)
 
 
@@ -189,7 +190,7 @@ def test_plan_matches_per_node_walk(name, round_draws, monkeypatch):
     monkeypatch.setattr(agent, "_MEMO", [])
     build, n, chain_length, seeds, spread = PLAN_CASES[name]
     g, placement, budget = build()
-    assert len(agent._forced_run(g, placement, g.start, g.node_count)[2]) == chain_length
+    assert agent._fixed_block(g, placement, g.start, g.node_count, n, 0)[0] == chain_length
     size = max(1, round_draws // len(basis_family(GENERAL, placement.delta)))
     failed_blocks = set()
     for seed in range(seeds):
@@ -200,7 +201,7 @@ def test_plan_matches_per_node_walk(name, round_draws, monkeypatch):
     if spread == round_draws:
         assert 0 in failed_blocks and max(failed_blocks) > 0
     # every trial's first block: the chain's start, cut by the round size and the budget
-    first = agent._MEMO[2][(n, round_draws, g.start, 0, min(budget, size))]
+    first = agent._MEMO[2][(n, g.start, 0, min(budget, size))]
     assert first[0] == min(chain_length, budget, size)
 
 
@@ -242,8 +243,8 @@ def test_each_block_is_built_once_per_run(build, block_meas, monkeypatch):
     """A block cut short by the budget, and one past an unforced node, are
     built once and then read by every trial that reaches them."""
     built = []
-    block_pairs = agent._block_pairs
-    monkeypatch.setattr(agent, "_block_pairs", lambda rows, n, meas: built.append(meas) or block_pairs(rows, n, meas))
+    fixed_block = agent._fixed_block
+    monkeypatch.setattr(agent, "_fixed_block", lambda *args: built.append(args[-1]) or fixed_block(*args))
     monkeypatch.setattr(agent, "_MEMO", [])
     g, placement, budget = build()
     n = PLAN_CASES[build.__name__][1]
@@ -288,9 +289,27 @@ def test_u32_thresholds_match_the_float_comparison():
     for v in (1, 12345, 2**31, 2**32 - 2):
         for frac in (0.0, 0.5):
             p = (v + frac) * 2.0**-32
-            _, (thr,), *_ = _block_pairs(((1.0, p),), 1, 0)
+            thr = _u32_threshold(p)
             for u32 in (v - 1, v, v + 1):
                 assert (u32 <= thr) == (u32 * 2.0**-32 < p)
+
+
+@pytest.mark.parametrize("build", [delta_sixteen, off_family])
+def test_block_runs_read_the_decode_table(build):
+    """A block's runs, their uint32 thresholds, each node's count of certain
+    bases and the last node's sign ports are those of the nodes' decode tables,
+    from every column on."""
+    g, placement, _ = build()
+    family, n = len(basis_family(GENERAL, placement.delta)), 3
+    for i, cur in enumerate(placement.nodes.tolist()):
+        k, _, _, ports, node, thr, base, *_, certain, _ = agent._fixed_block(g, placement, cur, g.node_count, n, 0)
+        states = [placement.states[s] for s in placement.state_index[i : i + k]]
+        tables = [_decode_table(state, placement.delta, GENERAL) for state in states]
+        want = [(v, b, t) for v, table in enumerate(tables) for b, t in enumerate(table[2]) if t is not None]
+        assert thr.dtype == np.uint32
+        assert list(zip(node.tolist(), (base // n % family).tolist(), thr.tolist())) == want
+        assert certain.tolist() == [table[2].count(None) for table in tables]
+        assert ports == tables[-1][4]
 
 
 class CountingStream(RngStream):

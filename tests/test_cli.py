@@ -307,6 +307,16 @@ def test_config_errors_exit_2(capsys, tmp_path):
         assert "qpebble: error: delta must be >= " in err and f"got {delta}" in err
 
 
+def test_a_strategy_spec_and_a_scheme_errors_name_their_text_and_exit_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, ["simulate", "--gen", "path:D=3,delta=4", "--strategy", "qudit:5"])
+    assert (code, out, err) == (2, "", "qpebble: error: strategy qudit takes no parameters, got 'qudit:5'\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graph_source": "path:D=3,delta=4", "scheme": "bogus"}))
+    code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err == "qpebble: error: config key 'scheme' must be one of ['general', 'bitsign4', 'qudit', 'full_path'], got 'bogus'\n"
+
+
 def test_argparse_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["gen-graph"])  # --gen is required

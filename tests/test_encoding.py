@@ -406,6 +406,7 @@ def qudit(*rows):
         (general({**ROW, "basis_index": False}), 'pebble row 0: "basis_index" must be an integer, got False'),
         (qudit({"node": 0, "level": 1.0}), 'pebble row 0: "level" must be an integer, got 1.0'),
         (qudit({"node": 0, "level": True}), 'pebble row 0: "level" must be an integer, got True'),
+        (general(ROW, scheme="bogus"), """placement JSON "scheme" must be one of ['general', 'bitsign4', 'qudit', 'full_path'], got 'bogus'"""),
     ],
 )
 def test_placement_from_json_names_the_bad_row_or_key(doc, message):

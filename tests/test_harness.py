@@ -522,6 +522,18 @@ def test_eps_out_of_range_is_rejected_before_any_trial(strategy, eps, monkeypatc
         run_experiment(cfg)
 
 
+def test_a_sweep_over_n_builds_its_graph_once(monkeypatch):
+    made = []
+    monkeypatch.setattr(harness_module, "gen_padded_path", lambda *args: made.append(args) or gen_padded_path(*args))
+    cfg = ExperimentConfig(graph_source="path:D=6,delta=4", trials=4, seed=3)
+    rows = sweep(cfg, "n", [2, 5, 9])
+    assert made == [(6, 4, 3)]
+    assert rows == [(n, run_experiment(replace(cfg, strategy=FixedN(n))).summary) for n in (2, 5, 9)]
+    # the strategy is checked before the graph source is read
+    with pytest.raises(ValueError, match="^axis 'n' requires a FixedN strategy$"):
+        sweep(replace(cfg, graph_source="missing_file.txt", strategy=Adaptive()), "n", [2])
+
+
 def test_sweep_table_csv_shape():
     cfg = ExperimentConfig(graph_source="path:D=2,delta=4", trials=20, seed=0)
     rows = sweep(cfg, "n", [2, 8])
@@ -552,6 +564,13 @@ def test_parse_strategy_forms():
         parse_strategy("table:x=1")
     with pytest.raises(ValueError, match=r"^FixedN.n must be >= 1, got 0$"):
         parse_strategy("fixed:0")
+
+
+@pytest.mark.parametrize("spec", ["qudit:5", "qudit:", "random:xyz", "random:"])
+def test_parameterless_strategies_reject_trailing_text(spec):
+    head = spec.partition(":")[0]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'strategy {head} takes no parameters, got {spec!r}')}$"):
+        parse_strategy(spec)
 
 
 def test_repeated_spec_keys_are_rejected():
@@ -638,6 +657,12 @@ def test_config_from_dict():
             config_from_dict({**base, key: value})
     with pytest.raises(ValueError, match="strategy 'fixed:abc'"):
         config_from_dict({**base, "strategy": "fixed:abc"})
+
+
+def test_an_unknown_scheme_names_its_key_and_the_schemes():
+    message = "config key 'scheme' must be one of ['general', 'bitsign4', 'qudit', 'full_path'], got 'bogus'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        config_from_dict({"graph_source": "path:D=4,delta=4", "scheme": "bogus"})
 
 
 def test_env_seed_default(monkeypatch):
