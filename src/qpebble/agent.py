@@ -19,14 +19,15 @@ Decoding rules:
   at most the budget or ``_ROUND_DRAWS // F`` nodes), one round and step per
   node, ending at the first node whose count of uniform bases is not one.
   Draws are sparse: an uncertain basis's run is uniform only while each draw
-  falls on its first draw's side, so only runs still uniform draw on; a round
-  reads that from each run's draw-major extremes (plus iff the largest u32 is
-  at most the threshold, minus iff the least is above it). A block
-  depends only on where its round starts (n, node, stream offset, node
-  limit), so the run's memo builds each block once, with the stream jumps
-  of its runs' first draws, which a trial's first round there passes to
-  ``RngStream.runs``. No record depends on where blocks begin, because a
-  node's draws sit at a fixed stream offset.
+  falls on its first draw's side, so only runs still uniform draw on, in
+  rounds of doubling width; a round reads that from each run's draw-major
+  extremes (plus iff the largest u32 is at most the threshold, minus iff the
+  least is above it), and the next reads on from the LCG states it carried
+  past its draws. A block depends only on where its round starts (n, node,
+  stream offset, node limit), so the run's memo builds each block once, with
+  its first round's stream jumps, which every trial there passes to
+  ``RngStream.run_states``. No record depends on where blocks or rounds
+  begin, because a node's draws sit at a fixed stream offset.
 * adaptive: round-robin over the bases still alive, killing a basis the
   first time it contradicts its own previous outcome; decode once a single
   basis survives, give up at the measurement cap. A trial reads its
@@ -35,15 +36,15 @@ Decoding rules:
   and threshold of the placement's states (``_Signs``). ``_eliminate``
   steps a node from one elimination to the next: a basis's samples
   between two are a strided slice of those bytes, and its first
-  contradiction one find.
-  ``measure_node_adaptive`` keeps the per-draw loop on scalar draws, the
-  reference the walk is tested against.
+  contradiction one find. ``measure_node_adaptive`` keeps the per-draw loop
+  on scalar draws, the reference the walk is tested against.
 * qudit one-shot: read the level in one computational-basis measurement.
 
 Both qubit rules compare each uniform draw with the Born probability as
 snapped by ``quantum.snap_certain``, the rule ``sample_measurement`` uses,
-so a correct-basis run is always uniform. Both read a state's bases, and the
-ports (``encoding.decode_outcome``) they decode to, from one ``_decode_table``.
+so a correct-basis run is always uniform. Both read a state's bases from one
+``_decode_table``, and the ports (``encoding.decode_outcome``) they decode to
+from ``_sign_ports``.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from .encoding import (
 )
 from .graph import PortGraph, neighbor_via_port
 from .quantum import MINUS, PLUS, Outcome, QubitState, born_probability, snap_certain
-from .rng import RngStream, _run_jumps
+from .rng import _BLOCK, RngStream, _run_jumps
 
 __all__ = [
     "FailureKind",
@@ -153,15 +154,15 @@ class RandomWalk:
 AgentStrategy = Union[FixedN, Adaptive, QuditOneShot, ClassicalTable, RandomWalk]
 
 
-# Draws per round of the sparse fixed-n test: each run still uniform gets max(8,
-# _ROUND_DRAWS // runs) more; a block has at most _ROUND_DRAWS // F nodes, so
-# no round generates more than 8 * _ROUND_DRAWS.
+# Draws per round r, from 0, of the sparse fixed-n test: each run still uniform gets max(8 << r,
+# _ROUND_DRAWS // runs) more, doubling, at most 8192 (the jump tables' length) and 8 * _ROUND_DRAWS
+# over the runs; a block has at most _ROUND_DRAWS // F nodes, so the first round's is at least 8.
 _ROUND_DRAWS = 1 << 13
 
 
-def _round_width(left: int, runs: int) -> int:
-    """Draws per run in a sparse fixed-n round: ``left`` to take, ``runs`` runs uniform so far."""
-    return min(left, max(8, _ROUND_DRAWS // runs))
+def _round_width(left: int, runs: int, r: int) -> int:
+    """Draws per run in round ``r`` of a sparse fixed-n test: ``left`` to take, ``runs`` runs uniform so far."""
+    return min(left, _BLOCK, max(8 << r, _ROUND_DRAWS // runs), max(1, 8 * _ROUND_DRAWS // runs))
 
 
 def _u32_threshold(p: float) -> int:
@@ -171,16 +172,20 @@ def _u32_threshold(p: float) -> int:
 
 @lru_cache(maxsize=1024)
 def _decode_table(state: QubitState, delta: int, scheme: EncodingScheme) -> tuple:
-    """``state`` in each family basis, in index order, as (P(plus) snapped to
-    certainty; the forced port, the one certain basis's decode, or None unless
-    one basis is certain; u32 thresholds, None where certain; sign bytes, 1
-    where certain plus, else 0; the ports each sign byte, 0 minus or 1 plus, decodes to)."""
+    """``state`` in each family basis, in index order, as (P(plus) snapped to certainty; the forced port, the one
+    certain basis's decode, or None unless one basis is certain; u32 thresholds, None where certain; sign bytes, 1
+    where certain plus, else 0). The ports the sign bytes decode to are ``_sign_ports``."""
     p_plus = tuple(snap_certain(born_probability(state, b.plus_vec)) for b in basis_family(scheme, delta))
     thr = tuple(None if p in (0.0, 1.0) else _u32_threshold(p) for p in p_plus)
     fixed = tuple(int(p == 1.0) for p in p_plus)
-    ports = tuple(tuple(decode_outcome(Outcome(b, sign), delta) for sign in (MINUS, PLUS)) for b in range(len(thr)))
-    forced = ports[thr.index(None)][fixed[thr.index(None)]] if thr.count(None) == 1 else None
-    return p_plus, forced, thr, fixed, ports
+    forced = _sign_ports(delta, len(thr))[thr.index(None)][fixed[thr.index(None)]] if thr.count(None) == 1 else None
+    return p_plus, forced, thr, fixed
+
+
+@lru_cache(maxsize=64)
+def _sign_ports(delta: int, family: int) -> tuple:
+    """The ports the sign byte, 0 minus or 1 plus, of each of ``family`` bases decodes to, for all states."""
+    return tuple(tuple(decode_outcome(Outcome(b, sign), delta) for sign in (MINUS, PLUS)) for b in range(family))
 
 
 def measure_node_fixed(
@@ -272,16 +277,15 @@ class _Signs:
         self.base, self.read = self.read, self.read + block
 
 
-def _eliminate(table: tuple, cap: int, signs: _Signs, at: int) -> tuple[int | None, int]:
+def _eliminate(table: tuple, ports: tuple, cap: int, signs: _Signs, at: int) -> tuple[int | None, int]:
     """measure_node_adaptive's result on a checked cap for a state with
-    ``_decode_table`` ``table``, whose draws start at stream offset ``at``.
+    ``_decode_table`` ``table`` and ``_sign_ports`` ``ports``, whose draws start at stream offset ``at``.
 
-    It steps from one elimination to the next, not from draw to draw. Between
-    two, the draws go round-robin over the m live bases, so a basis's samples
-    are every m-th draw from its first, and its first contradiction is one
-    find on that slice of its sign bytes; the earliest over the live bases is
-    the next elimination. A certain basis never contradicts."""
-    _, _, thr, fixed, ports = table
+    It steps from one elimination to the next, not from draw to draw. Between two, the draws go round-robin
+    over the m live bases, so a basis's samples are every m-th draw from its first, and its first contradiction
+    is one find on that slice of its sign bytes; the earliest over the live bases, looked for in windows of 128
+    draws, is the next elimination. A certain basis never contradicts."""
+    _, _, thr, fixed = table
     of = signs.of
     lo, size = at - signs.base, signs.read - signs.base  # the next draw's byte in the block, and the block's size
     live = list(range(len(thr)))
@@ -295,8 +299,8 @@ def _eliminate(table: tuple, cap: int, signs: _Signs, at: int) -> tuple[int | No
             lo, size = 0, signs.read - signs.base
         m = len(live)
         pos %= m
-        # bytes lo + k, k < end, in the block and within the cap, until the event at k = end, if any
-        end, who = min(cap - t, size - lo), -1
+        # bytes lo + k, k < end, in the block, the window and the cap, until the event at k = end, if any
+        end, who = min(cap - t, size - lo, 128), -1
         # in draw order, so every basis looked at is sampled before the event: an
         # event found later falls on a later basis's draw
         for k, b in enumerate(live[pos:] + live[:pos]):
@@ -332,10 +336,10 @@ def _fixed_block(g: PortGraph, placement: Placement, cur: int, limit: int, n: in
     """The block a fixed-n round tests from ``cur``, which has a pebble, at stream offset ``meas``: it and
     the next nodes in the placement's columns, up to and including the first that is unforced, has an
     out-of-range forced port, is the ``limit``-th, or whose forced port leads to the treasure or off the
-    columns. As ``_walk`` unpacks it: the node count; the last node, its forced port and its sign ports;
-    the uncertain (node, basis) runs' node, u32 threshold, first draw's offset in the block and in the
-    stream, and first round's ``_run_jumps``; each node's count of certain bases; and the nodes where it
-    is not one, the ambiguous nodes once no run is uniform."""
+    columns. As ``_walk`` unpacks it: the node count; the last node and its forced port; the uncertain
+    (node, basis) runs' node, u32 threshold, first draw's offset in the block and in the stream, and first
+    round's ``_run_jumps`` with a row for the states after it; each node's count of certain bases; and the
+    nodes where it is not one, the ambiguous nodes once no run is uniform."""
     offsets, nbr = g.csr
     tables = [_decode_table(state, placement.delta, placement.scheme) for state in placement.states]
     i = int((placement.nodes == cur).argmax())  # cur's column
@@ -351,10 +355,9 @@ def _fixed_block(g: PortGraph, placement: Placement, cur: int, limit: int, n: in
     node, basis = np.nonzero(thr >= 0)
     base = (node * thr.shape[1] + basis) * n
     certain = (thr < 0).sum(axis=1)
-    jumps = _run_jumps(base + meas, _round_width(n, max(node.size, 1)))
-    last = int(nodes[k - 1]), int(forced[k - 1]) or None, tables[kinds[k - 1]][4]
+    jumps = _run_jumps(base + meas, _round_width(n, max(node.size, 1), 0) + 1)
     runs = node, thr[node, basis].astype(np.uint32), base, base + meas, jumps
-    return k, *last, *runs, certain, np.flatnonzero(certain != 1)
+    return k, int(nodes[k - 1]), int(forced[k - 1]) or None, *runs, certain, np.flatnonzero(certain != 1)
 
 
 # run_trial's memo, which a run's trials share: the last (graph, placement) pair, both
@@ -474,8 +477,8 @@ def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rn
                     tables = [_decode_table(state, delta, scheme) for state in states]
                     blocks[Adaptive] = tables, {t for table in tables for t in table[2] if t is not None}
                 tables, thresholds = blocks[Adaptive]
-                signs = _Signs(rng, thresholds)
-            port, used = _eliminate(tables[pebbled[cur]], strategy.cap, signs, meas)
+                signs, ports = _Signs(rng, thresholds), _sign_ports(delta, len(basis_family(scheme, delta)))
+            port, used = _eliminate(tables[pebbled[cur]], ports, strategy.cap, signs, meas)
             meas += used
             if port is None:
                 return _fail(FailureKind.DECLARED_FAILURE, steps, meas)
@@ -486,21 +489,20 @@ def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rn
             key = (n, cur, meas, limit)
             if key not in blocks:
                 blocks[key] = _fixed_block(g, placement, cur, limit, n, meas)
-            k, cur, forced, ports, node, thr, base, starts, jumps, certain, dead = blocks[key]
-            # draw j of a run is stream offset meas + base + j; keep the runs
-            # whose draws so far all fall on their first draw's side
-            first, done = None, 0
+            k, cur, forced, node, thr, base, starts, jumps, certain, dead = blocks[key]
+            # draw j of a run is stream offset meas + base + j; keep the runs whose draws so far all fall
+            # on their first draw's side, and their LCG states after them; w draws each in round r
+            first, states, done, r, w = None, None, 0, 0, len(jumps[0]) - 1
             while node.size and done < n:
-                w = _round_width(n - done, node.size)
-                u = rng.runs(starts, w, jumps)
+                u, states = rng.run_states(starts, w, states, jumps)
                 plus, minus = np.maximum.reduce(u, axis=1) <= thr, np.minimum.reduce(u, axis=1) > thr
                 first, keep = (plus, plus | minus) if first is None else (first, np.where(first, plus, minus))
-                if not np.count_nonzero(keep):  # no run is uniform, as is common after one round: skip the gathers
+                if not (idx := keep.nonzero()[0]).size:  # no run is uniform, common after one round: no gathers
                     node = node[:0]
                     break
-                node, thr, base, first = node[keep], thr[keep], base[keep], first[keep]
-                done += w
-                starts, jumps = base + (meas + done), None
+                node, thr, base, first, states = (x.take(idx) for x in (node, thr, base, first, states))
+                done, r = done + w, r + 1
+                starts, jumps, w = base + (meas + done), None, _round_width(n - done, idx.size, r)
             ambiguous = np.flatnonzero(certain + np.bincount(node, minlength=k) != 1) if node.size else dead
             if ambiguous.size:
                 m = int(ambiguous[0])
@@ -510,7 +512,7 @@ def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rn
             rounds += k - 1
             meas += k * n * family
             # unforced: the one run left is the last node's; base // n = node * F + basis
-            port = forced or ports[int(base[-1]) // n % family][int(first[-1])]
+            port = forced or _sign_ports(delta, family)[int(base[-1]) // n % family][int(first[-1])]
         elif isinstance(strategy, ClassicalTable):
             action = strategy.table.action(offsets.item(cur + 1) - offsets.item(cur), cur in pebbled)
             if action is None:

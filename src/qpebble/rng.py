@@ -9,14 +9,14 @@ across machines, processes, and reimplementations.
 
 Stream layout: a uniform double is ``next_u32() * 2**-32`` (one u32 per
 draw, exactly representable in float64). The LCG jumps ahead in closed
-form (state_o = A^o*s + (A^o-1)/(A-1)*inc mod 2^64), so :meth:`RngStream.runs`
-reads draws at any offsets, bit-identical to repeated scalar draws. It is the
-one array draw, XSH-RR of A^o*s + G_o*inc with (A^o, G_o) the jump of offset
-o, which depends on o alone: from the stream's state with jumps a caller
-kept, since it reads the same offsets in many streams; or else from each
-run's first state with the tables' jumps along the run. It builds the draws
-draw-major, a row per position in the runs, so its arithmetic and a caller's
-reduction along each run (the fixed-n walk's min and max) go across the runs.
+form (state_o = A^o*s + (A^o-1)/(A-1)*inc mod 2^64), so
+:meth:`RngStream.run_states`, the one array draw, reads draws at any offsets,
+bit-identical to repeated scalar draws: XSH-RR of A^o*s + G_o*inc, with the
+jumps (A^o, G_o) of the offsets kept by a caller that reads them in many
+streams, or else along each run from its first state, jumped to or carried
+from a previous read. It builds draw-major rows, one per position in the runs
+and one for the states after them, so its arithmetic and a caller's reduction
+along each run (the fixed-n walk's min and max) go across the runs.
 :meth:`RngStream.uniforms` is the run at offset 0.
 """
 
@@ -112,18 +112,24 @@ class RngStream:
         """One double in [0, 1), exactly next_u32() * 2**-32."""
         return self.next_u32() * 2.0**-32
 
-    def runs(self, starts: np.ndarray, length: int, jumps: tuple | None = None) -> np.ndarray:
-        """The u32 draws at offsets ``starts[i] + j`` >= 0, j < ``length`` <= 8192, past the
-        current position, as the transposed view of a draw-major (length, len(starts))
-        array; the stream does not move. ``jumps``, if given, is ``_run_jumps(starts,
-        length)``, which a caller reading the same offsets in many streams keeps."""
+    def runs(self, starts: np.ndarray, length: int) -> np.ndarray:
+        """The draws of ``run_states(starts, length)``."""
+        return self.run_states(starts, length)[0]
+
+    def run_states(self, starts: np.ndarray, length: int, states=None, jumps: tuple | None = None) -> tuple:
+        """The u32 draws at ``starts[i] + j`` >= 0 past the current position, j < ``length`` <= 8192 (a transposed
+        draw-major array), and the LCG states after them, which a call reading on passes as ``states``; a caller reading
+        these offsets in many streams keeps ``jumps = _run_jumps(starts, length + 1)``. The stream does not move."""
         if length > _BLOCK:
             raise ValueError(f"run length must be <= {_BLOCK}, got {length}")
         state, inc = np.uint64(self._state), np.uint64(self._inc)
-        if jumps is None:  # jump to each run's first state, then along the run from there
-            a, c = _jump(starts)
-            state, jumps = a * state + c * inc, (_POW[:length, None], _GEO[:length, None])
-        return _output_vec(jumps[0] * state + jumps[1] * inc).T  # uint64 wraparound; a fresh array
+        if jumps is None:  # jump to each run's first state unless carried, then along the run from there
+            if states is None:
+                a, c = _jump(starts)
+                states = a * state + c * inc
+            state, jumps = states, (_POW[: length + 1, None], _GEO[: length + 1, None])
+        rows = jumps[0] * state + jumps[1] * inc  # uint64 wraparound; a fresh array, with a row for the states
+        return _output_vec(rows[:length]).T, rows[length]
 
     def uniforms(self, n: int) -> np.ndarray:
         """``n`` uniform doubles, bit-identical to ``n`` scalar draws."""

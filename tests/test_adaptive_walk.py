@@ -135,7 +135,7 @@ def test_eliminate_matches_measure_node_adaptive(scheme, delta):
     rand = random.Random(f"{scheme.value}-{delta}")
     ends = set()
     for state in node_states(delta, scheme, rand):
-        table = agent._decode_table(state, delta, scheme)
+        table, ports = agent._decode_table(state, delta, scheme), agent._sign_ports(delta, family)
         thresholds = {t for t in table[2] if t is not None}
         for cap in (family, family + 1, family + 3, DEFAULT_CAP):
             for at in OFFSETS:
@@ -146,7 +146,7 @@ def test_eliminate_matches_measure_node_adaptive(scheme, delta):
                 rng = RngStream(seed, 2)
                 rng.uniforms(at)
                 want = measure_node_adaptive(state, delta, cap, rng, scheme)
-                assert agent._eliminate(table, cap, signs, at) == want, (state, cap, at)
+                assert agent._eliminate(table, ports, cap, signs, at) == want, (state, cap, at)
                 ends.add(want[0] is None)
     assert ends == ({False} if family == 1 else {False, True})  # some nodes end at the cap
 

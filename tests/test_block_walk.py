@@ -22,8 +22,9 @@ from qpebble import (
 )
 from qpebble import agent, basis_family
 from qpebble.agent import _ROUND_DRAWS, _decode_table, _u32_threshold
-from qpebble.encoding import route
-from qpebble.rng import _run_jumps
+from qpebble.encoding import decode_outcome, route
+from qpebble.quantum import MINUS, PLUS, Outcome
+from qpebble.rng import _BLOCK, _run_jumps
 from walks import (
     GENERAL,
     bitsign4,
@@ -296,20 +297,22 @@ def test_u32_thresholds_match_the_float_comparison():
 
 @pytest.mark.parametrize("build", [delta_sixteen, off_family])
 def test_block_runs_read_the_decode_table(build):
-    """A block's runs, their uint32 thresholds, each node's count of certain
-    bases and the last node's sign ports are those of the nodes' decode tables,
-    from every column on."""
+    """A block's runs, their uint32 thresholds and each node's count of certain
+    bases are those of the nodes' decode tables, from every column on; the
+    ports a sign decodes to are one table for the family, shared by all."""
     g, placement, _ = build()
     family, n = len(basis_family(GENERAL, placement.delta)), 3
+    ports = agent._sign_ports(placement.delta, family)
+    assert ports == tuple(tuple(decode_outcome(Outcome(b, s), placement.delta) for s in (MINUS, PLUS)) for b in range(family))
     for i, cur in enumerate(placement.nodes.tolist()):
-        k, _, _, ports, node, thr, base, *_, certain, _ = agent._fixed_block(g, placement, cur, g.node_count, n, 0)
+        k, _, _, node, thr, base, *_, certain, _ = agent._fixed_block(g, placement, cur, g.node_count, n, 0)
         states = [placement.states[s] for s in placement.state_index[i : i + k]]
         tables = [_decode_table(state, placement.delta, GENERAL) for state in states]
         want = [(v, b, t) for v, table in enumerate(tables) for b, t in enumerate(table[2]) if t is not None]
         assert thr.dtype == np.uint32
         assert list(zip(node.tolist(), (base // n % family).tolist(), thr.tolist())) == want
         assert certain.tolist() == [table[2].count(None) for table in tables]
-        assert ports == tables[-1][4]
+        assert all(len(table) == 4 for table in tables)  # no copy of the sign ports
 
 
 class CountingStream(RngStream):
@@ -317,12 +320,15 @@ class CountingStream(RngStream):
         super().__init__(seed, stream_id)
         self.offsets = []
 
-    def runs(self, starts, length, jumps=None):
-        # jumps kept by the memo must be those of the offsets counted here
+    def run_states(self, starts, length, states=None, jumps=None):
+        # jumps kept by the memo, and states carried from the round before, must be
+        # those of the offsets counted here
         if jumps is not None:
-            assert all(np.array_equal(kept, fresh) for kept, fresh in zip(jumps, _run_jumps(starts, length)))
+            assert all(np.array_equal(kept, fresh) for kept, fresh in zip(jumps, _run_jumps(starts, length + 1)))
+        if states is not None:
+            assert np.array_equal(states, super().run_states(starts, 0)[1])
         self.offsets.append((starts[:, None] + np.arange(length)).ravel())
-        return super().runs(starts, length, jumps)
+        return super().run_states(starts, length, states, jumps)
 
 
 @pytest.mark.parametrize(
@@ -356,16 +362,19 @@ class CraftedStream(RngStream):
     """Draw j of basis b's run at the start node is ``thr[b] + step(b, j)``:
     a step of 0 sits on the basis's u32 threshold, so reads as plus, and a
     step of 1 just above it, so reads as minus. ``uniforms`` reads through
-    ``runs``, so the per-node walk reads the same draws."""
+    ``runs`` and it through ``run_states``, so the per-node walk reads the same
+    draws. ``widths`` keeps each call's run length; the states it returns are
+    zeros, as it reads by offset alone."""
 
     def __init__(self, thr, n, step):
         super().__init__(0)
-        self.thr, self.n, self.step = thr, n, step
+        self.thr, self.n, self.step, self.widths = thr, n, step, []
 
-    def runs(self, starts, length, jumps=None):
+    def run_states(self, starts, length, states=None, jumps=None):
+        self.widths.append(length)
         offsets = starts[:, None] + np.arange(length)
-        b, j = offsets // self.n, offsets % self.n
-        return (self.thr[b] + self.step(b, j)).astype(np.uint32)
+        b, j = offsets // self.n, offsets % self.n  # uniforms reads whole blocks, past the last basis
+        return (self.thr.take(b, mode="clip") + self.step(b, j)).astype(np.uint32), np.zeros(len(starts), np.uint64)
 
 
 def mixed_but(basis, step):
@@ -373,16 +382,18 @@ def mixed_but(basis, step):
     return lambda b, j: np.where(b == basis, step(j), j % 2)
 
 
-def one_round(placement, step):
+def one_round(placement, step, n=16):
     """The record of a one-round trial at the start node of ``placement``'s
     D=2 path, n = 16 in two rounds of 8 draws, which must equal the per-node
-    walk's; the port-1 exit leads on to node 1, so a decode ends the budget."""
+    walk's, and the widths of its rounds; the port-1 exit leads on to node 1,
+    so a decode ends the budget."""
     g = gen_padded_path(2, placement.delta, 3)
     p = np.array(_decode_table(placement.pebbles[g.start].emitted_state, placement.delta, GENERAL)[0])
     thr = np.where(p < 1, np.ceil(p * 2.0**32) - 1, 0).astype(np.int64)
-    got = run_trial(g, placement, FixedN(16), 1, CraftedStream(thr, 16, step))
-    assert got == reference_walk(g, placement, FixedN(16), 1, CraftedStream(thr, 16, step))
-    return p, got
+    rng = CraftedStream(thr, n, step)
+    got = run_trial(g, placement, FixedN(n), 1, rng)
+    assert got == reference_walk(g, placement, FixedN(n), 1, CraftedStream(thr, n, step))
+    return p, got, rng.widths
 
 
 ROUND = 8
@@ -410,7 +421,7 @@ def test_uniform_runs_at_the_threshold(name, monkeypatch):
     step, kind = THRESHOLD_CASES[name]
     monkeypatch.setattr(agent, "_ROUND_DRAWS", ROUND)
     monkeypatch.setattr(agent, "_MEMO", [])
-    p, got = one_round(place_pebbles(gen_padded_path(2, 8, 3), GENERAL), step)
+    p, got, _ = one_round(place_pebbles(gen_padded_path(2, 8, 3), GENERAL), step)
     assert p[0] == 1.0 and ((p[1:] > 0) & (p[1:] < 1)).all()
     assert got.failure_kind == kind
 
@@ -423,6 +434,19 @@ def test_an_unforced_node_decodes_its_one_uniform_run_by_its_sign(sign, kind, mo
     monkeypatch.setattr(agent, "_MEMO", [])
     state = turned(place_pebbles(gen_padded_path(2, 4, 3), GENERAL).states[0], 0.01)  # as in near_certain
     placement = Placement(GENERAL, 4, {0: QuantumPebble(0, state, 1)})
-    p, got = one_round(placement, mixed_but(0, lambda j: sign))
+    p, got, _ = one_round(placement, mixed_but(0, lambda j: sign))
     assert ((p > 0) & (p < 1)).all()
     assert got.failure_kind == kind
+
+
+def test_a_run_uniform_past_the_jump_tables_reads_on_from_carried_states():
+    """A run that stays uniform through n = 12 * 8192 draws: after a first
+    round of 8192 // 3 draws over the three uncertain bases it is the one run
+    left, so later rounds take 8192 draws, the jump tables' length, also once
+    the doubling width passes it. Each reads on from the state the round before
+    carried; the record is the per-node walk's, which is ambiguous, as the
+    certain basis 0 is uniform too."""
+    p, got, widths = one_round(place_pebbles(gen_padded_path(2, 8, 3), GENERAL), mixed_but(2, lambda j: 0), 12 * _BLOCK)
+    assert got.failure_kind == FailureKind.AMBIGUOUS_DECODE
+    assert widths[0] == _ROUND_DRAWS // 3 and sum(widths) == 12 * _BLOCK
+    assert widths[1:-1] == [_BLOCK] * 11  # rounds 1 to 11: 8 << 11 is past the cap

@@ -29,6 +29,7 @@ from qpebble import (
     delta_bound,
     sample_measurement,
 )
+from qpebble.rng import _run_jumps
 
 # fmt: off
 PCG_REF = {
@@ -154,6 +155,35 @@ def test_runs_match_the_pcg_definition_at_far_offsets(seed, stream_id, starts, l
     got = RngStream(seed, stream_id).runs(np.array(starts), length)
     for row, start in zip(got.tolist(), starts):
         assert row == [ref_draw(seed, stream_id, start + j) for j in range(length)]
+
+
+# offsets on both sides of the table edges at 2^13 and 2^26, from which runs
+# of up to 8192 draws cross them
+EDGES = st.one_of(st.integers(0, 2**13 + 40), st.integers(2**26 - 2**13 - 40, 2**26 + 40))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=SEEDS,
+    stream_id=STREAMS,
+    starts=st.lists(EDGES, min_size=1, max_size=4),
+    width=st.integers(1, 2**13),
+    more=st.integers(0, 2**13),
+)
+def test_carried_states_read_on_as_fresh_jumps(seed, stream_id, starts, width, more):
+    """run_states() gives runs()' draws and each run's state after them, the
+    fresh jump to its offset + width; read on from those carried states, it
+    gives runs() at the offsets there, as it does from kept jumps, and the
+    stream does not move."""
+    s, starts = RngStream(seed, stream_id), np.array(starts)
+    u, carried = s.run_states(starts, width)
+    assert np.array_equal(u, s.runs(starts, width))
+    assert np.array_equal(carried, s.run_states(starts + width, 0)[1])
+    on, after = s.run_states(starts + width, more, carried)
+    assert np.array_equal(on, s.runs(starts + width, more))
+    kept, kept_after = s.run_states(starts + width, more, jumps=_run_jumps(starts + width, more + 1))
+    assert np.array_equal(kept, on) and np.array_equal(kept_after, after)
+    assert s.next_u32() == ref_draw(seed, stream_id, 0)
 
 
 def test_runs_reject_negative_offsets():
