@@ -25,9 +25,11 @@ Decoding rules:
   least is above it), and the next reads on from the LCG states it carried
   past its draws. A block depends only on where its round starts (n, node,
   stream offset, node limit), so the run's memo builds each block once, with
-  its first round's stream jumps, which every trial there passes to
-  ``RngStream.run_states``. No record depends on where blocks or rounds
-  begin, because a node's draws sit at a fixed stream offset.
+  its first round's stream jumps, through which one ``Streams`` call draws
+  that round for a batch of a harness chunk's trials (``_first_round``); a
+  trial with no uniform run there reads the block's ambiguous nodes with no
+  numpy call. No record depends on where blocks, batches or rounds begin,
+  because a node's draws sit at a fixed stream offset.
 * adaptive: round-robin over the bases still alive, killing a basis the
   first time it contradicts its own previous outcome; decode once a single
   basis survives, give up at the measurement cap. A trial reads its
@@ -67,7 +69,7 @@ from .encoding import (
 )
 from .graph import PortGraph, neighbor_via_port
 from .quantum import MINUS, PLUS, Outcome, QubitState, born_probability, snap_certain
-from .rng import _BLOCK, RngStream, _run_jumps
+from .rng import _BLOCK, RngStream, Streams, _run_jumps
 
 __all__ = [
     "FailureKind",
@@ -360,13 +362,42 @@ def _fixed_block(g: PortGraph, placement: Placement, cur: int, limit: int, n: in
     return k, int(nodes[k - 1]), int(forced[k - 1]) or None, *runs, certain, np.flatnonzero(certain != 1)
 
 
-# run_trial's memo, which a run's trials share: the last (graph, placement) pair, both
-# compared by identity; the fixed-n blocks built for it, by where their round starts
-# (module docstring), and under the key Adaptive the placement's decode tables and their
-# thresholds; and the last strategy and budget that passed run_trial's checks, with
-# their record if they draw nothing. Keeping one pair bounds what it holds alive to one
-# graph, and a run clears it.
+# run_trial's memo, which a run's trials share: the last (graph, placement) pair, both compared
+# by identity; the fixed-n blocks built for it, by where their round starts (module docstring),
+# each with its last batch, and under the key Adaptive the placement's decode tables and their
+# thresholds; the last strategy and budget that passed run_trial's checks, with their record if
+# they draw nothing; and the seed and end of the chunk of trials a harness runs, or None. Keeping
+# one pair bounds what it holds alive to one graph, and a run clears it.
 _MEMO: list = []
+_BATCH_DRAWS = 1 << 14  # the most words, draws and carried states, of one batch's Streams call
+
+
+def _first_round(block: list, rng: RngStream, chunk: tuple | None) -> tuple | None:
+    """Which of ``block``'s runs are plus and which uniform after its first round in ``rng``, and their states
+    after it, or None if no run is uniform. In a chunk (``chunk``: its seed and end) that round is drawn for the next
+    trials at once, kept as the block's last item; a trial reads its row while its stream is the fresh
+    RngStream(seed, i) the row was drawn for. Else, or where one trial fills a batch, it draws alone."""
+    thr, starts, jumps, batch, i = block[4], block[6], block[7], block[-1], rng.stream_id
+    if chunk is not None and type(rng) is RngStream:
+        if batch is None or not 0 <= i - batch[0] < len(batch[1]):
+            batch = block[-1] = None
+            if (hi := min(chunk[1], i + _BATCH_DRAWS // jumps[0].size)) > i + 1:
+                streams = Streams(chunk[0], i, hi)
+                u, states = streams.run_states(starts, len(jumps[0]) - 1, None, jumps)
+                plus, minus = _uniform_signs(u, thr)
+                keep = plus | minus
+                batch = block[-1] = (i, streams.state.tolist(), keep.any(axis=1).tolist(), plus, keep, states.copy())
+        if batch is not None and rng._state == batch[1][i - batch[0]]:
+            lo, _, live, plus, keep, states = batch
+            return (plus[i - lo], keep[i - lo], states[i - lo]) if live[i - lo] else None
+    u, states = rng.run_states(starts, len(jumps[0]) - 1, None, jumps)
+    plus, minus = _uniform_signs(u, thr)
+    return plus, plus | minus, states
+
+
+def _uniform_signs(u: np.ndarray, thr: np.ndarray) -> tuple:
+    """Which runs of draws ``u``, along its last axis, are all at most their u32 threshold, plus, and all above it."""
+    return np.maximum.reduce(u, axis=-1) <= thr, np.minimum.reduce(u, axis=-1) > thr
 
 
 def _memo(g: PortGraph, placement) -> list:
@@ -376,7 +407,7 @@ def _memo(g: PortGraph, placement) -> list:
             bad = placement.nodes[(placement.nodes < 0) | (placement.nodes >= g.node_count)].tolist()
             if bad:
                 raise ValueError(f"placement references nodes outside the graph: {bad}")
-        _MEMO[:] = g, placement, {}, None, None, None
+        _MEMO[:] = g, placement, {}, None, None, None, None
     return _MEMO
 
 
@@ -445,7 +476,7 @@ def run_trial(
             raise ValueError("FixedN.n must be resolved to a positive sample count")
         walks = not isinstance(strategy, _DRAWS_NOTHING)
         memo = _memo(g, placement)
-        memo[3:] = strategy, step_budget, None if walks else _walk(g, placement, strategy, step_budget, None)
+        memo[3:6] = strategy, step_budget, None if walks else _walk(g, placement, strategy, step_budget, None)
     if memo[5] is not None:
         return memo[5]
     if rng is None:
@@ -488,22 +519,23 @@ def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rn
             limit = min(step_budget - rounds + 1, max(1, _ROUND_DRAWS // family))
             key = (n, cur, meas, limit)
             if key not in blocks:
-                blocks[key] = _fixed_block(g, placement, cur, limit, n, meas)
-            k, cur, forced, node, thr, base, starts, jumps, certain, dead = blocks[key]
+                blocks[key] = [*_fixed_block(g, placement, cur, limit, n, meas), None]
+            k, cur, forced, node, thr, base, _, jumps, certain, dead, _ = block = blocks[key]
             # draw j of a run is stream offset meas + base + j; keep the runs whose draws so far all fall
             # on their first draw's side, and their LCG states after them; w draws each in round r
-            first, states, done, r, w = None, None, 0, 0, len(jumps[0]) - 1
-            while node.size and done < n:
-                u, states = rng.run_states(starts, w, states, jumps)
-                plus, minus = np.maximum.reduce(u, axis=1) <= thr, np.minimum.reduce(u, axis=1) > thr
-                first, keep = (plus, plus | minus) if first is None else (first, np.where(first, plus, minus))
-                if not (idx := keep.nonzero()[0]).size:  # no run is uniform, common after one round: no gathers
-                    node = node[:0]
-                    break
-                node, thr, base, first, states = (x.take(idx) for x in (node, thr, base, first, states))
-                done, r = done + w, r + 1
-                starts, jumps, w = base + (meas + done), None, _round_width(n - done, idx.size, r)
-            ambiguous = np.flatnonzero(certain + np.bincount(node, minlength=k) != 1) if node.size else dead
+            row = _first_round(block, rng, _MEMO[6]) if node.size else None  # _MEMO[6]: the chunk, if any
+            ambiguous = dead  # unless a run is uniform after the first round; rare, so no gathers before
+            if row is not None:
+                (first, keep, states), done, r = row, len(jumps[0]) - 1, 0
+                while (idx := keep.nonzero()[0]).size:
+                    node, thr, base, first, states = (x.take(idx) for x in (node, thr, base, first, states))
+                    if done == n:
+                        ambiguous = np.flatnonzero(certain + np.bincount(node, minlength=k) != 1)
+                        break
+                    r, w = r + 1, _round_width(n - done, idx.size, r + 1)
+                    u, states = rng.run_states(base + (meas + done), w, states)
+                    keep = np.where(first, *_uniform_signs(u, thr))
+                    done += w
             if ambiguous.size:
                 m = int(ambiguous[0])
                 return _fail(FailureKind.AMBIGUOUS_DECODE, steps + m, meas + (m + 1) * n * family)

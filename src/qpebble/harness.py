@@ -34,12 +34,13 @@ from .agent import (
     _DRAWS_NOTHING,
     _MEMO,
     _check_args,
+    _memo,
     run_trial,
 )
 from .analysis import BoundReport, bound_report, required_n
 from .encoding import EncodingScheme, Placement, _scheme_named, family_delta, place_pebbles, route
 # shortest_path is not called here, but bench/spans.py wraps this name
-from .graph import PortGraph, GadgetSpec, gen_gpqr, gen_padded_path, parse_graph, shortest_path, validate
+from .graph import _GEN_STREAM, PortGraph, GadgetSpec, gen_gpqr, gen_padded_path, parse_graph, shortest_path, validate
 from .rng import RngStream
 
 __all__ = [
@@ -216,9 +217,18 @@ def _trial_range(args) -> list[TrialResult]:
     # run_trial is looked up per trial, as this module's global, so it can be replaced
     draws = not isinstance(strategy, _DRAWS_NOTHING)
     try:
+        _memo(g, placement)[6] = seed, hi  # the chunk: fixed-n trials read a block's first round from its batches
         return [run_trial(g, placement, strategy, budget, RngStream(seed, i) if draws else None) for i in range(lo, hi)]
     finally:
         _MEMO.clear()  # run_trial's memo holds the run's graph alive
+
+
+def _check_trials(cfg: ExperimentConfig) -> None:
+    """Trial i draws from stream i: on a path: graph, trial _GEN_STREAM would redraw the graph's ports."""
+    if cfg.trials < 1:
+        raise ValueError("trials must be >= 1")
+    if isinstance(cfg.graph_source, str) and cfg.graph_source.startswith("path:") and cfg.trials > _GEN_STREAM:
+        raise ValueError(f"trials must be <= {_GEN_STREAM}, the stream drawing a path: graph's ports, got {cfg.trials}")
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
@@ -227,8 +237,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     Results are identical for any worker count: trial i depends only on
     (cfg, i).
     """
-    if cfg.trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(cfg)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if not 0.0 < cfg.eps < 1.0:
@@ -308,6 +317,7 @@ def sweep(
     if axis == "n":
         if not isinstance(cfg.strategy, FixedN):
             raise ValueError("axis 'n' requires a FixedN strategy")
+        _check_trials(cfg)  # before the path: spec becomes a graph
         cfg = replace(cfg, graph_source=parse_graph_source(cfg.graph_source, cfg.seed))
     out = []
     for v in values:

@@ -10,14 +10,14 @@ across machines, processes, and reimplementations.
 Stream layout: a uniform double is ``next_u32() * 2**-32`` (one u32 per
 draw, exactly representable in float64). The LCG jumps ahead in closed
 form (state_o = A^o*s + (A^o-1)/(A-1)*inc mod 2^64), so
-:meth:`RngStream.run_states`, the one array draw, reads draws at any offsets,
-bit-identical to repeated scalar draws: XSH-RR of A^o*s + G_o*inc, with the
-jumps (A^o, G_o) of the offsets kept by a caller that reads them in many
-streams, or else along each run from its first state, jumped to or carried
-from a previous read. It builds draw-major rows, one per position in the runs
-and one for the states after them, so its arithmetic and a caller's reduction
-along each run (the fixed-n walk's min and max) go across the runs.
-:meth:`RngStream.uniforms` is the run at offset 0.
+:meth:`Streams.run_states`, the one array draw, reads draws at any offsets in
+many streams at once, bit-identical to scalar draws: XSH-RR of A^o*s + G_o*inc
+(each stream's s and inc), with the jumps (A^o, G_o) kept by a caller reading
+the offsets again, or else along each run from its first state, jumped to or
+carried. Its draw-major rows, one per position in the runs and one for the
+states after them, hold streams * runs words, so its arithmetic and the fixed-n
+walk's min and max along each run go across both; a caller bounds their memory.
+``RngStream.run_states`` is a Streams of one, and ``uniforms`` its run at 0.
 """
 
 from __future__ import annotations
@@ -60,9 +60,9 @@ def _jump(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _run_jumps(starts: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """(A^o, G_o) for the offsets o = starts[i] + j, j < length, as two draw-major (length, len(starts)) arrays."""
+    """(A^o, G_o) for the offsets o = starts[i] + j, j < length, as two draw-major (length, 1, runs) arrays."""
     a, c = _jump(starts)
-    return _POW[:length, None] * a, _POW[:length, None] * c + _GEO[:length, None]
+    return _POW[:length, None, None] * a, _POW[:length, None, None] * c + _GEO[:length, None, None]
 
 
 def _output(state: int) -> int:
@@ -72,8 +72,8 @@ def _output(state: int) -> int:
     return ((xorshifted >> rot) | (xorshifted << ((-rot) & 31))) & _MASK32
 
 
-# _output_vec's operands as uint64 scalars: numpy converts a Python int operand per call
-_U18, _U27, _U59, _UMASK32, _UTWICE = map(np.uint64, (18, 27, 59, _MASK32, 0x100000001))
+# _output_vec's and Streams's operands as uint64 scalars: numpy converts a Python int operand per call
+_U1, _U18, _U27, _U59, _UMASK32, _UTWICE, _UMULT = map(np.uint64, (1, 18, 27, 59, _MASK32, 0x100000001, MULTIPLIER))
 
 
 def _output_vec(states: np.ndarray) -> np.ndarray:
@@ -86,6 +86,34 @@ def _output_vec(states: np.ndarray) -> np.ndarray:
     states *= _UTWICE
     states >>= rot
     return states.astype(np.uint32)
+
+
+def _draw(state, inc, starts: np.ndarray, length: int, states=None, jumps: tuple | None = None) -> tuple:
+    """:meth:`Streams.run_states` for LCG states and increments ``state`` and ``inc``, uint64 columns or scalars."""
+    if length > _BLOCK:
+        raise ValueError(f"run length must be <= {_BLOCK}, got {length}")
+    if jumps is None:  # jump to each run's first state unless carried, then along the run from there
+        if states is None:
+            a, c = _jump(starts)
+            states = a * state + c * inc
+        state, jumps = states, (_POW[: length + 1, None, None], _GEO[: length + 1, None, None])
+    rows = jumps[0] * state + jumps[1] * inc  # uint64 wraparound; (length + 1, streams, runs), a row for the states
+    return _output_vec(rows[:length]).transpose(1, 2, 0), rows[length]
+
+
+class Streams:
+    """PCG32 streams ``lo`` to ``hi - 1`` of one seed, as uint64 arrays of their states and increments, each
+    seeded as ``RngStream(seed, i)`` is (ids wrap at 2^64, as a stream id is masked)."""
+
+    def __init__(self, seed: int, lo: int, hi: int):
+        self.inc = ((np.arange(hi - lo, dtype=np.uint64) + np.uint64(lo & _MASK64)) << _U1) | _U1
+        self.state = (self.inc + np.uint64(seed & _MASK64)) * _UMULT + self.inc
+
+    def run_states(self, starts: np.ndarray, length: int, states=None, jumps: tuple | None = None) -> tuple:
+        """The u32 draws at ``starts[i] + j`` >= 0 past each stream's position, j < ``length`` <= 8192, a (streams,
+        runs, length) view, and the (streams, runs) LCG states after them, which a call reading on passes as ``states``;
+        a caller reading the offsets again keeps ``jumps = _run_jumps(starts, length + 1)``. The streams do not move."""
+        return _draw(self.state[:, None], self.inc[:, None], starts, length, states, jumps)
 
 
 class RngStream:
@@ -117,19 +145,9 @@ class RngStream:
         return self.run_states(starts, length)[0]
 
     def run_states(self, starts: np.ndarray, length: int, states=None, jumps: tuple | None = None) -> tuple:
-        """The u32 draws at ``starts[i] + j`` >= 0 past the current position, j < ``length`` <= 8192 (a transposed
-        draw-major array), and the LCG states after them, which a call reading on passes as ``states``; a caller reading
-        these offsets in many streams keeps ``jumps = _run_jumps(starts, length + 1)``. The stream does not move."""
-        if length > _BLOCK:
-            raise ValueError(f"run length must be <= {_BLOCK}, got {length}")
-        state, inc = np.uint64(self._state), np.uint64(self._inc)
-        if jumps is None:  # jump to each run's first state unless carried, then along the run from there
-            if states is None:
-                a, c = _jump(starts)
-                states = a * state + c * inc
-            state, jumps = states, (_POW[: length + 1, None], _GEO[: length + 1, None])
-        rows = jumps[0] * state + jumps[1] * inc  # uint64 wraparound; a fresh array, with a row for the states
-        return _output_vec(rows[:length]).T, rows[length]
+        """:meth:`Streams.run_states` in a Streams of one: (runs, length) draws and (runs,) states; it does not move."""
+        u, after = _draw(np.uint64(self._state), np.uint64(self._inc), starts, length, states, jumps)
+        return u[0], after[0]
 
     def uniforms(self, n: int) -> np.ndarray:
         """``n`` uniform doubles, bit-identical to ``n`` scalar draws."""

@@ -274,6 +274,25 @@ def test_arguments_are_checked_before_set_up(monkeypatch):
     assert made == {"parse_graph_source": 3, "place_pebbles": 1}
 
 
+def test_trial_streams_stop_below_the_generators_stream(monkeypatch):
+    """Trial i draws from stream i, and gen_padded_path from stream
+    _GEN_STREAM: a path: run or n sweep of more trials than that is refused
+    before its graph is parsed. Other sources are not checked."""
+    parsed = []
+    monkeypatch.setattr(harness_module, "parse_graph_source", lambda *args: parsed.append(args) or 1 / 0)
+    many = graph_module._GEN_STREAM + 1
+    message = f"trials must be <= 1735549296, the stream drawing a path: graph's ports, got {many}"
+    assert graph_module._GEN_STREAM == 1735549296
+    cfg = ExperimentConfig(graph_source="path:D=10,delta=4", trials=many)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_experiment(cfg)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sweep(cfg, "n", [4, 5])
+    assert parsed == []
+    with pytest.raises(ZeroDivisionError):  # a file is parsed: its trial count is not checked here
+        run_experiment(replace(cfg, graph_source="graph.txt"))
+
+
 def test_shared_records_aggregate_and_print_like_distinct_ones():
     """A qudit run's trials share one record object; the summary, CSV and
     JSON count and print it once per trial, as for equal distinct records."""
