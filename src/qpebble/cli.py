@@ -16,6 +16,7 @@ environment variable is used, else 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -55,14 +56,15 @@ def _print_json(doc, path=None) -> None:
     _write_text(path, json.dumps(_finite(doc), indent=2, sort_keys=True) + "\n")
 
 
-def _write_text(path, text: str) -> None:
-    """Write text to a file path or an open stream; None and '-' mean stdout."""
+def _opened(path):
+    """A context giving an open text stream for a file path, or the stream given; None and '-' mean stdout."""
     if path is None or path == "-":
         path = sys.stdout
-    if not isinstance(path, str):
-        path.write(text)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    return open(path, "w", encoding="utf-8", newline="") if isinstance(path, str) else contextlib.nullcontext(path)
+
+
+def _write_text(path, text: str) -> None:
+    with _opened(path) as fh:
         fh.write(text)
 
 
@@ -96,10 +98,11 @@ def _experiment_config(args):
 
 def _cmd_simulate(args) -> int:
     cfg = _experiment_config(args)
-    result = run_experiment(cfg, workers=args.workers)
-    if args.out:
-        text = records_to_csv(result) if args.format == "csv" else records_to_json(result)
-        _write_text(args.out, text)
+    # --out opens before the run, as a shell redirect does, so a bad path fails before any trial
+    with _opened(args.out) if args.out else contextlib.nullcontext() as out:
+        result = run_experiment(cfg, workers=args.workers)
+        if out is not None:
+            (records_to_csv if args.format == "csv" else records_to_json)(result, out)
     # with the records on stdout, the summary goes to stderr so each stream parses on its own
     _print_json(result.summary.as_json_dict(), sys.stderr if args.out == "-" else None)
     return 0

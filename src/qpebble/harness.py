@@ -13,11 +13,12 @@ import json
 import math
 import numbers
 import os
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import chain, compress, islice, repeat
 from operator import attrgetter, is_not, itemgetter, ne
-from typing import Sequence, Union, get_args
+from typing import IO, Iterable, Iterator, Sequence, Union, get_args
 
 import numpy as np
 
@@ -89,12 +90,41 @@ class SummaryStats:
         return doc | {"wilson_ci_95": list(self.wilson_ci_95), "bound": self.bound.as_json_dict()}
 
 
+@dataclass(frozen=True, eq=False)
+class _Records(Sequence):
+    """A run's records, a read-only Sequence over its runs (row, lo, hi) of equal rows, as ``Placement.pebbles`` is
+    over its columns: a lookup makes a TrialResult, iteration one per run. Equal to a tuple of the same records."""
+
+    runs: tuple
+
+    def __len__(self) -> int:
+        return self.runs[-1][2] if self.runs else 0
+
+    def __getitem__(self, i):
+        k = range(len(self))[i]  # a negative index counts from the end; a slice gives a range
+        if isinstance(k, range):
+            return tuple(map(self.__getitem__, k))
+        return _record(self.runs[bisect_right(self.runs, k, key=itemgetter(2))][0])
+
+    def __iter__(self) -> Iterator[TrialResult]:
+        return chain.from_iterable(repeat(_record(row), hi - lo) for row, lo, hi in self.runs)
+
+    def __eq__(self, other) -> bool:
+        return self.runs == other.runs if isinstance(other, _Records) else tuple(self) == other
+
+
 @dataclass(frozen=True)
 class ExperimentResult:
+    """A run's config and summary, and its records stored only as ``runs``, (row, lo, hi) for each run of trials
+    lo..hi-1 with equal rows, which the summary and the writers read; ``records`` is a view over them."""
+
     config: ExperimentConfig
     summary: SummaryStats
-    records: tuple[TrialResult, ...]
-    runs: tuple[tuple[tuple, int, int], ...]  # _record_runs(records), found once for the summary and the writers
+    runs: tuple[tuple[tuple, int, int], ...]
+
+    @property
+    def records(self) -> Sequence[TrialResult]:
+        return _Records(self.runs)
 
 
 def wilson_ci(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -198,6 +228,12 @@ def parse_strategy(text: str) -> AgentStrategy:
 # kind's _value_ skips Enum.value, a Python-level property)
 _ROW = attrgetter("success", "steps_taken", "measurements_total", "failure_kind._value_")
 _JSON_ROW = json.JSONEncoder(separators=(",\n    ", ": ")).encode  # see records_to_json
+# trials per slice of _trial_range and per piece of the writers: what a run holds per trial at once
+_PIECE = 1 << 14
+
+
+def _record(row: tuple) -> TrialResult:
+    return TrialResult(*row[:3], FailureKind(row[3]))
 
 
 def _record_runs(records: Sequence[TrialResult]) -> tuple[tuple[tuple, int, int], ...]:
@@ -212,13 +248,28 @@ def _record_runs(records: Sequence[TrialResult]) -> tuple[tuple[tuple, int, int]
     return tuple(zip(map(rows.__getitem__, keep), bounds, bounds[1:]))
 
 
-def _trial_range(args) -> list[TrialResult]:
+def _extend_runs(runs: list, part: Iterable[tuple[tuple, int, int]], start: int = 0) -> None:
+    """Append part's runs, counted from trial start, to runs, merging at the seam where the rows are equal."""
+    for row, lo, hi in part:
+        if runs and runs[-1][0] == row:
+            runs[-1] = (row, runs[-1][1], start + hi)
+        else:
+            runs.append((row, start + lo, start + hi))
+
+
+def _trial_range(args) -> list[tuple[tuple, int, int]]:
+    """The runs of trials lo..hi-1, run in slices of at most _PIECE trials, each folded into runs and then dropped:
+    a chunk holds one slice of records, and returns (and pickles) O(runs)."""
     g, placement, strategy, budget, seed, lo, hi = args
     # run_trial is looked up per trial, as this module's global, so it can be replaced
-    draws = not isinstance(strategy, _DRAWS_NOTHING)
+    draws, runs = not isinstance(strategy, _DRAWS_NOTHING), []
     try:
         _memo(g, placement)[6] = seed, hi  # the chunk: fixed-n trials read a block's first round from its batches
-        return [run_trial(g, placement, strategy, budget, RngStream(seed, i) if draws else None) for i in range(lo, hi)]
+        for start in range(lo, hi, _PIECE):
+            trials = range(start, min(start + _PIECE, hi))
+            part = [run_trial(g, placement, strategy, budget, RngStream(seed, i) if draws else None) for i in trials]
+            _extend_runs(runs, _record_runs(part), start)
+        return runs
     finally:
         _MEMO.clear()  # run_trial's memo holds the run's graph alive
 
@@ -268,12 +319,12 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
         for lo in range(0, cfg.trials, chunk)
     ]
     if len(payloads) == 1:
-        blocks = [_trial_range(payloads[0])]
+        parts = [_trial_range(payloads[0])]
     else:
         with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            blocks = list(pool.map(_trial_range, payloads))
-    done = tuple(chain.from_iterable(blocks))
-    runs = _record_runs(done)
+            parts = list(pool.map(_trial_range, payloads))
+    runs: list = []
+    _extend_runs(runs, chain.from_iterable(parts))  # the chunks' runs, merged where a seam falls inside a run
     successes = steps_sum = meas_sum = 0
     breakdown: dict[str, int] = {kind.value: 0 for kind in FailureKind}
     for (success, steps_taken, meas, kind), lo, hi in runs:
@@ -293,7 +344,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
         failure_breakdown=breakdown,
         bound=bound_report(dist, eff_delta, n=n_for_bound, eps=cfg.eps),
     )
-    return ExperimentResult(config=cfg, summary=summary, records=done, runs=runs)
+    return ExperimentResult(config=cfg, summary=summary, runs=tuple(runs))
 
 
 _SWEEP_AXES = ("n", "D", "delta")
@@ -333,42 +384,62 @@ def sweep(
     return out
 
 
-def _run_indices(records: Union[ExperimentResult, Sequence[TrialResult]]) -> tuple[list[tuple], list[str]]:
-    """Each run's row (a result's kept runs) and its trial indices "lo\\n...{hi-1}\\n", split from one index column
-    built in numpy: per digit width a uint8 matrix of digits and "\\n", then "\\0" after each run. Trial i's text
-    starts at 2i + the sum of max(0, i - edge) over the width edges 10, 100, ...: a digit more per edge passed."""
-    runs = records.runs if isinstance(records, ExperimentResult) else _record_runs(records)
-    n = runs[-1][2] if runs else 0
-    edges, parts = [0, *(10**k for k in range(1, len(str(n)))), n], []  # the first index of each width, then n
-    for width, (lo, hi) in enumerate(zip(edges, edges[1:]), 1):
+def _run_indices(runs: Sequence[tuple[tuple, int, int]]) -> tuple[list[tuple], list[str]]:
+    """Each run's row and its trial indices "lo\\n...{hi-1}\\n", for runs that cover trials first..end-1, split from
+    one index column built in numpy: per digit width a uint8 matrix of digits and "\\n", then "\\0" after each run.
+    Trial i's text starts at (w + 1)(i - first), w the width of first, plus the sum of max(0, i - edge) over the width
+    edges 10, 100, ... above first: a digit more per edge passed."""
+    first, end, w = runs[0][1], runs[-1][2], len(str(runs[0][1]))
+    edges, parts = [first, *(10**k for k in range(w, len(str(end)))), end], []  # the first index of each width
+    for width, (lo, hi) in enumerate(zip(edges, edges[1:]), w):
         v, digits = np.arange(lo, hi), np.full((hi - lo, width + 1), 10, np.uint8)
         for j in range(width - 1, -1, -1):
             digits[:, j] = v % 10 + 48
             v //= 10
         parts.append(digits.reshape(-1))
     ends = np.fromiter(map(itemgetter(2), runs), np.int64, len(runs))
-    column = np.insert(np.concatenate(parts), 2 * ends + sum(np.maximum(ends - e, 0) for e in edges[1:-1]), 0)
+    at = (w + 1) * (ends - first) + sum(np.maximum(ends - e, 0) for e in edges[1:-1])
+    column = np.insert(np.concatenate(parts), at, 0)
     return [*map(itemgetter(0), runs)], column.tobytes().decode("ascii").split("\0")[:-1]
 
 
-def records_to_csv(records: Union[ExperimentResult, Sequence[TrialResult]]) -> str:
-    """Per-trial table. Fixed columns, LF newlines, byte-stable."""
-    rows, indices = _run_indices(records)  # a run's lines share all but the index; "%d" writes success as 0 or 1
-    lines = map(str.replace, indices, repeat("\n"), map(",%d,%s,%s,%s\n".__mod__, rows))
-    return "".join(chain(["trial,success,steps,measurements,failure_kind\n"], lines))
+def _pieces(records: ExperimentResult | Sequence[TrialResult]) -> Iterator[tuple[list[tuple], list[str]]]:
+    """_run_indices of the records' runs (a result's or a view's kept runs) cut into pieces of trials k * _PIECE to
+    (k + 1) * _PIECE - 1: a long run is split, and each piece's index column starts at its first index."""
+    runs = records.runs if isinstance(records, (ExperimentResult, _Records)) else _record_runs(records)
+    for cut in range(0, runs[-1][2] if runs else 0, _PIECE):
+        i, j = bisect_right(runs, cut, key=itemgetter(2)), bisect_left(runs, cut + _PIECE, key=itemgetter(2))
+        yield _run_indices([(row, max(lo, cut), min(hi, cut + _PIECE)) for row, lo, hi in runs[i : j + 1]])
 
 
-def records_to_json(records: Union[ExperimentResult, Sequence[TrialResult]]) -> str:
-    """``json.dumps(rows, indent=2)`` and a newline, each row a trial's index and record. A run's row is encoded
-    once, by the C encoder (indent picks the pure-Python one), whose _JSON_ROW separators give indent=2's layout."""
-    head, (rows, indices) = '\n  {\n    "trial": ', _run_indices(records)  # a run's rows share all but the index
-    if not rows:
-        return "[]\n"
-    rows = [",\n    " + _JSON_ROW({"success": s, "steps": n, "measurements": m, "failure_kind": k})[1:-1] + "\n  }"
-            for s, n, m, k in rows]
-    indices[-1] = indices[-1][:-1]  # the last trial closes the list: no comma and head after it
-    runs = map(str.replace, indices, repeat("\n"), [f"{row},{head}" for row in rows])
-    return "".join(chain(["[", head], runs, [rows[-1], "\n]\n"]))
+def records_to_csv(records: ExperimentResult | Sequence[TrialResult], out: IO[str] | None = None) -> str | None:
+    """Per-trial table. Fixed columns, LF newlines, byte-stable. Given an open text file, written to it as the
+    header and then one piece of _pieces at a time; else returned, the same bytes in one str."""
+    # a run's lines share all but the index; "%d" writes success as 0 or 1
+    lines = ("".join(map(str.replace, indices, repeat("\n"), map(",%d,%s,%s,%s\n".__mod__, rows)))
+             for rows, indices in _pieces(records))
+    texts = chain(["trial,success,steps,measurements,failure_kind\n"], lines)
+    return "".join(texts) if out is None else out.writelines(texts)
+
+
+def records_to_json(records: ExperimentResult | Sequence[TrialResult], out: IO[str] | None = None) -> str | None:
+    """``json.dumps(rows, indent=2)`` and a newline, each row a trial's index and record, written or returned as
+    records_to_csv's text is. A run's row is encoded once per piece, by the C encoder (indent picks the pure-Python
+    one), whose _JSON_ROW separators give indent=2's layout."""
+    return "".join(_json_pieces(records)) if out is None else out.writelines(_json_pieces(records))
+
+
+def _json_pieces(records: ExperimentResult | Sequence[TrialResult]) -> Iterator[str]:
+    """records_to_json's text: "[", then per trial head, index and row, "," between trials, and "\\n]\\n"."""
+    head, sep = '\n  {\n    "trial": ', "["
+    for rows, indices in _pieces(records):
+        rows = [",\n    " + _JSON_ROW({"success": s, "steps": n, "measurements": m, "failure_kind": k})[1:-1] + "\n  }"
+                for s, n, m, k in rows]
+        indices[-1] = indices[-1][:-1]  # the piece's last trial: its row, with no "," and head after it
+        yield sep + head
+        yield "".join(chain(map(str.replace, indices, repeat("\n"), [f"{row},{head}" for row in rows]), rows[-1:]))
+        sep = ","
+    yield "[]\n" if sep == "[" else "\n]\n"
 
 
 def sweep_table_csv(axis: str, rows: Sequence[tuple[int, SummaryStats]]) -> str:

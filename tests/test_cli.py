@@ -8,7 +8,7 @@ from dataclasses import fields
 
 import pytest
 
-from qpebble import cli, parse_graph, run_experiment
+from qpebble import cli, harness, parse_graph, run_experiment
 from qpebble.cli import main
 from qpebble.agent import classical_trajectory
 from qpebble.harness import SummaryStats, config_from_dict, parse_graph_source, parse_strategy
@@ -115,6 +115,21 @@ def test_simulate_out_dash_keeps_stdout_to_the_records(fmt, tmp_path, capsys):
     else:
         assert [r["trial"] for r in json.loads(out)] == [0, 1, 2, 3, 4]
     assert err == summary
+
+
+def test_a_bad_out_path_fails_before_any_trial(tmp_path, capsys, monkeypatch):
+    """simulate opens --out before its run, so a path it cannot write ends the command with no trial run."""
+    calls = []
+    run_trial = harness.run_trial
+    monkeypatch.setattr(harness, "run_trial", lambda *args: calls.append(args) or run_trial(*args))
+    target = tmp_path / "missing" / "x.csv"
+    argv = ["simulate", "--gen", "path:D=3,delta=4", "--trials", "3", "--out", str(target)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"qpebble: error: [Errno 2] No such file or directory: '{target}'\n"
+    assert calls == []
+    assert run_cli(capsys, argv[:-1] + [str(tmp_path / "x.csv")])[0] == 0
+    assert len(calls) == 3
 
 
 def test_simulate_config_file_with_flag_override(tmp_path, capsys):

@@ -3,7 +3,12 @@
 import gc
 import json
 import math
+import os
+import pickle
 import re
+import subprocess
+import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import fields, replace
@@ -435,6 +440,132 @@ def test_a_simulate_finds_the_runs_of_equal_rows_once(fmt, tmp_path, monkeypatch
     assert cli_module.main(argv) == 0
     assert calls == [300]
     assert out.read_text().count("true" if fmt == "json" else ",1,10,") == 300
+
+
+def test_records_are_a_read_only_view_over_the_runs(monkeypatch):
+    """ExperimentResult keeps runs only; its records make a TrialResult on lookup, one per run when iterated."""
+    records = _record_cases()["runs at both ends"]
+    view = _result_of(records, monkeypatch).records
+    assert len(view) == len(records) and list(view) == records and view == tuple(records)
+    assert [view[i] for i in range(-len(records), len(records))] == records + records
+    assert view[3:11:2] == tuple(records[3:11:2]) and view[::-1] == tuple(records[::-1])
+    assert len({id(r) for r in list(view)}) == len(view.runs) == 6  # one object per run
+    for i in (len(records), -len(records) - 1):
+        with pytest.raises(IndexError):
+            view[i]
+    with pytest.raises(TypeError):
+        view[0] = records[0]
+
+
+_A, _B = TrialResult(True, 10, 530, FailureKind.NONE), TrialResult(False, 3, 212, FailureKind.AMBIGUOUS_DECODE)
+_PIECE = 2**14
+
+
+class _Writes(list):
+    """A text stream that keeps each write."""
+
+    write = list.append
+
+    def writelines(self, texts):
+        self.extend(texts)
+
+
+@pytest.mark.parametrize("trials", [9, 10, 11, 99, 100, 101, _PIECE - 1, _PIECE, _PIECE + 1, 3 * _PIECE + 5])
+@pytest.mark.parametrize("shape", ["one run", "alternating"])
+def test_writers_in_pieces_match_a_per_row_reference(trials, shape, tmp_path, capsys, monkeypatch):
+    """The writers go out in pieces of at most 2**14 trials, a long run split and each piece's index column
+    built from its first index. At every digit-width edge and piece seam their bytes must be the per-row
+    reference's: returned, written to a file, and on stdout (--out -, with the summary on stderr)."""
+    records = [_A] * trials if shape == "one run" else [(_A, _B)[i % 2] for i in range(trials)]
+    res = _result_of(records, monkeypatch)
+    argv = ["simulate", "--gen", "path:D=4,delta=4", "--strategy", "random", "--trials", str(trials), "--seed", "1",
+            "--out", "-"]
+    for fmt, write, plain in [("csv", records_to_csv, _plain_csv(records)), ("json", records_to_json, _plain_json(records))]:
+        assert write(res) == write(records) == plain
+        with open(tmp_path / "records", "w", encoding="utf-8", newline="") as fh:
+            assert write(res, fh) is None
+        assert (tmp_path / "records").read_bytes() == plain.encode()
+        pieces = _Writes()
+        write(res, pieces)
+        assert "".join(pieces) == plain and len(pieces) <= 2 * -(-trials // _PIECE) + 1
+        assert max(piece.count("\n" if fmt == "csv" else '"trial": ') for piece in pieces) <= _PIECE
+        assert cli_module.main(argv + ["--format", fmt]) == 0
+        out, err = capsys.readouterr()
+        assert out == plain
+        assert json.loads(err)["trials"] == trials
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("strategy", ["qudit", "fixed:auto"])
+def test_chunks_merge_their_runs_at_the_seams(strategy, workers):
+    """Each chunk returns its runs, and run_experiment merges them where a seam falls inside a run of equal
+    rows: on a trial count the workers do not divide, runs, records and CSV bytes equal those of one chunk."""
+    scheme = EncodingScheme.QUDIT if strategy == "qudit" else EncodingScheme.GENERAL
+    cfg = ExperimentConfig(
+        graph_source="path:D=10,delta=4", scheme=scheme, strategy=parse_strategy(strategy), trials=1001, seed=3
+    )
+    solo, pooled = run_experiment(cfg), run_experiment(cfg, workers=workers)
+    chunk = -(-1001 // workers)
+    assert any(lo < seam < hi for _, lo, hi in solo.runs for seam in range(chunk, 1001, chunk))
+    assert pooled.runs == solo.runs and pooled.records == solo.records
+    assert records_to_csv(pooled) == records_to_csv(solo)
+
+
+def test_a_chunk_returns_its_runs_not_its_records():
+    """A chunk folds each slice of its trials into runs, so what it returns (and pickles) is O(runs)."""
+    g = parse_graph_source("path:D=10,delta=4", 7)
+    runs = harness_module._trial_range((g, place_pebbles(g, EncodingScheme.QUDIT), QuditOneShot(), 10, 7, 5, 10**5 + 5))
+    assert runs == [((True, 10, 10, "none"), 5, 10**5 + 5)]
+    assert len(pickle.dumps(runs)) < 4096
+
+
+def _traced_peak(cfg, path) -> int:
+    """tracemalloc's peak bytes over run_experiment and a CSV write of its records to a file."""
+    tracemalloc.start()
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            records_to_csv(run_experiment(cfg), fh)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("strategy, small, large", [("qudit", 10**4, 10**6), ("fixed:auto", 10**4, 5 * 10**4)])
+def test_a_run_and_its_csv_write_hold_memory_bounded_in_the_trials(strategy, small, large, tmp_path):
+    """Records are kept as runs and written in pieces, so the peak grows by at most one slice of records (about
+    2.6 MB of fixed-n TrialResults) between a run within one slice and one of many slices."""
+    scheme = EncodingScheme.QUDIT if strategy == "qudit" else EncodingScheme.GENERAL
+    cfg = ExperimentConfig("path:D=10,delta=4", scheme, parse_strategy(strategy), small, seed=7)
+    run_experiment(cfg)  # lazily built tables are not counted
+    peaks = [_traced_peak(replace(cfg, trials=n), tmp_path / "records.csv") for n in (small, large)]
+    assert peaks[1] - peaks[0] < 4 * 2**20
+
+
+_PEAK_RSS = """import sys
+from qpebble import cli
+code = cli.main(sys.argv[1:])
+with open("/proc/self/status", encoding="ascii") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status")
+def test_a_simulate_process_peak_rss_does_not_grow_with_the_trials(tmp_path):
+    """A simulate of 2e6 qudit trials to a file peaks within 10 MB of one of 1e4 (it grew by about 150 MB
+    with a record per trial and the whole text built before the write)."""
+    src = os.path.dirname(os.path.dirname(harness_module.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out, peaks = tmp_path / "records.csv", []
+    for trials in (10**4, 2 * 10**6):
+        argv = ["simulate", "--gen", "path:D=10,delta=4", "--scheme", "qudit", "--strategy", "qudit", "--trials",
+                str(trials), "--seed", "7", "--out", str(out)]
+        done = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        peaks.append(int(done.stderr.split()[-1]))
+        assert out.stat().st_size > 17 * trials
+    out.unlink()
+    assert peaks[1] - peaks[0] < 10 * 1024
 
 
 @pytest.mark.parametrize("strategy", ["fixed:auto", "adaptive", "qudit", "random", "table:1p=0,1n=0,4p=0,4n=s"])
