@@ -14,22 +14,20 @@ Decoding rules:
   Node r of a trial owns draws [r*n*F, (r+1)*n*F), F the family size. A
   pebble's decode is *forced* when exactly one basis is certain: that basis
   always runs uniform, so the node decodes to its port or fails as
-  ambiguous. So a fixed-n round of ``run_trial`` tests a block of the forced
-  nodes ahead together (``_fixed_block``: a run of the placement's columns,
-  at most the budget or ``_ROUND_DRAWS // F`` nodes), one round and step per
-  node, ending at the first node whose count of uniform bases is not one.
-  Draws are sparse: an uncertain basis's run is uniform only while each draw
-  falls on its first draw's side, so only runs still uniform draw on, in
-  rounds of doubling width; a round reads that from each run's draw-major
+  ambiguous. So trials test a block of the forced nodes ahead together
+  (``_fixed_block``: a run of the placement's columns, at most the budget or
+  ``_ROUND_DRAWS // F`` nodes, built once a run where its round starts), a
+  round and step per node, up to the first node whose count of uniform bases
+  is not one. Draws are sparse: a run is uniform only while each draw falls
+  on its first draw's side, so only (trial, run) pairs still uniform draw
+  on, in rounds of 8 draws and then doubling, read from each run's draw-major
   extremes (plus iff the largest u32 is at most the threshold, minus iff the
-  least is above it), and the next reads on from the LCG states it carried
-  past its draws. A block depends only on where its round starts (n, node,
-  stream offset, node limit), so the run's memo builds each block once, with
-  its first round's stream jumps, through which one ``Streams`` call draws
-  that round for a batch of a harness chunk's trials (``_first_round``); a
-  trial with no uniform run there reads the block's ambiguous nodes with no
-  numpy call. No record depends on where blocks, batches or rounds begin,
-  because a node's draws sit at a fixed stream offset.
+  least is above it) and on from the LCG states the last round carried.
+  ``_lockstep`` walks a group of trials at one node, round and stream offset
+  through each block together, and splits it by port at an unforced node;
+  a harness chunk's fresh streams walk in batches (``_fixed_trial``), any
+  other stream as a batch of one. No record depends on where blocks,
+  batches or rounds begin, since a node's draws sit at a fixed stream offset.
 * adaptive: round-robin over the bases still alive, killing a basis the
   first time it contradicts its own previous outcome; decode once a single
   basis survives, give up at the measurement cap. A trial reads its
@@ -69,7 +67,7 @@ from .encoding import (
 )
 from .graph import PortGraph, neighbor_via_port
 from .quantum import MINUS, PLUS, Outcome, QubitState, born_probability, snap_certain
-from .rng import _BLOCK, RngStream, Streams, _run_jumps
+from .rng import _BLOCK, RngStream, Streams, _jump
 
 __all__ = [
     "FailureKind",
@@ -156,9 +154,8 @@ class RandomWalk:
 AgentStrategy = Union[FixedN, Adaptive, QuditOneShot, ClassicalTable, RandomWalk]
 
 
-# Draws per round r, from 0, of the sparse fixed-n test: each run still uniform gets max(8 << r,
-# _ROUND_DRAWS // runs) more, doubling, at most 8192 (the jump tables' length) and 8 * _ROUND_DRAWS
-# over the runs; a block has at most _ROUND_DRAWS // F nodes, so the first round's is at least 8.
+# Draws per round r of the sparse fixed-n test: min(n, 8) per (trial, run) pair at r = 0, then max(8 << r, _ROUND_DRAWS
+# // pairs) per pair still uniform, at most 8192 (the jump tables' length) and 8 * _ROUND_DRAWS over the pairs.
 _ROUND_DRAWS = 1 << 13
 
 
@@ -338,10 +335,10 @@ def _fixed_block(g: PortGraph, placement: Placement, cur: int, limit: int, n: in
     """The block a fixed-n round tests from ``cur``, which has a pebble, at stream offset ``meas``: it and
     the next nodes in the placement's columns, up to and including the first that is unforced, has an
     out-of-range forced port, is the ``limit``-th, or whose forced port leads to the treasure or off the
-    columns. As ``_walk`` unpacks it: the node count; the last node and its forced port; the uncertain
-    (node, basis) runs' node, u32 threshold, first draw's offset in the block and in the stream, and first
-    round's ``_run_jumps`` with a row for the states after it; each node's count of certain bases; and the
-    nodes where it is not one, the ambiguous nodes once no run is uniform."""
+    columns. As ``_lockstep`` unpacks it: the node count; the last node and its forced port; the uncertain
+    (node, basis) runs' node, u32 threshold, first draw's offset in the block, and ``_jump`` to their first
+    draw in the stream; each node's count of certain bases; and the nodes where it is not one, the ambiguous
+    nodes once no run is uniform."""
     offsets, nbr = g.csr
     tables = [_decode_table(state, placement.delta, placement.scheme) for state in placement.states]
     i = int((placement.nodes == cur).argmax())  # cur's column
@@ -357,47 +354,123 @@ def _fixed_block(g: PortGraph, placement: Placement, cur: int, limit: int, n: in
     node, basis = np.nonzero(thr >= 0)
     base = (node * thr.shape[1] + basis) * n
     certain = (thr < 0).sum(axis=1)
-    jumps = _run_jumps(base + meas, _round_width(n, max(node.size, 1), 0) + 1)
-    runs = node, thr[node, basis].astype(np.uint32), base, base + meas, jumps
+    runs = node, thr[node, basis].astype(np.uint32), base, _jump(base + meas)
     return k, int(nodes[k - 1]), int(forced[k - 1]) or None, *runs, certain, np.flatnonzero(certain != 1)
 
 
-# run_trial's memo, which a run's trials share: the last (graph, placement) pair, both compared
-# by identity; the fixed-n blocks built for it, by where their round starts (module docstring),
-# each with its last batch, and under the key Adaptive the placement's decode tables and their
-# thresholds; the last strategy and budget that passed run_trial's checks, with their record if
-# they draw nothing; and the seed and end of the chunk of trials a harness runs, or None. Keeping
-# one pair bounds what it holds alive to one graph, and a run clears it.
+# run_trial's memo, which a run's trials share: the last (graph, placement) pair, both compared by identity; the
+# fixed-n blocks built for it, by where their round starts (module docstring), and under the key Adaptive the
+# placement's decode tables and their thresholds; the last strategy and budget that passed run_trial's checks, with
+# their record if they draw nothing; the seed and end of the chunk of trials a harness runs, or None; and the
+# chunk's last fixed-n batch. Keeping one pair bounds what it holds alive to one graph, and a run clears it.
 _MEMO: list = []
-_BATCH_DRAWS = 1 << 14  # the most words, draws and carried states, of one batch's Streams call
-
-
-def _first_round(block: list, rng: RngStream, chunk: tuple | None) -> tuple | None:
-    """Which of ``block``'s runs are plus and which uniform after its first round in ``rng``, and their states
-    after it, or None if no run is uniform. In a chunk (``chunk``: its seed and end) that round is drawn for the next
-    trials at once, kept as the block's last item; a trial reads its row while its stream is the fresh
-    RngStream(seed, i) the row was drawn for. Else, or where one trial fills a batch, it draws alone."""
-    thr, starts, jumps, batch, i = block[4], block[6], block[7], block[-1], rng.stream_id
-    if chunk is not None and type(rng) is RngStream:
-        if batch is None or not 0 <= i - batch[0] < len(batch[1]):
-            batch = block[-1] = None
-            if (hi := min(chunk[1], i + _BATCH_DRAWS // jumps[0].size)) > i + 1:
-                streams = Streams(chunk[0], i, hi)
-                u, states = streams.run_states(starts, len(jumps[0]) - 1, None, jumps)
-                plus, minus = _uniform_signs(u, thr)
-                keep = plus | minus
-                batch = block[-1] = (i, streams.state.tolist(), keep.any(axis=1).tolist(), plus, keep, states.copy())
-        if batch is not None and rng._state == batch[1][i - batch[0]]:
-            lo, _, live, plus, keep, states = batch
-            return (plus[i - lo], keep[i - lo], states[i - lo]) if live[i - lo] else None
-    u, states = rng.run_states(starts, len(jumps[0]) - 1, None, jumps)
-    plus, minus = _uniform_signs(u, thr)
-    return plus, plus | minus, states
+_BATCH_DRAWS = 1 << 14  # the most words, draws and carried states, of a first round's Streams call
 
 
 def _uniform_signs(u: np.ndarray, thr: np.ndarray) -> tuple:
     """Which runs of draws ``u``, along its last axis, are all at most their u32 threshold, plus, and all above it."""
     return np.maximum.reduce(u, axis=-1) <= thr, np.minimum.reduce(u, axis=-1) > thr
+
+
+@lru_cache(maxsize=1 << 12)
+def _result(success: bool, steps: int, meas: int, kind: FailureKind) -> TrialResult:
+    """One kept record per row, so equal neighbouring records are one object."""
+    return TrialResult(success, steps, meas, kind)
+
+
+def _block(g: PortGraph, placement: Placement, n: int, budget: int, cur: int, rounds: int, meas: int) -> tuple:
+    """The memo's block a fixed-n round tests from ``cur`` after ``rounds`` rounds, ``meas`` draws in, built once."""
+    limit = min(budget - rounds, max(1, _ROUND_DRAWS // len(basis_family(placement.scheme, placement.delta))))
+    blocks, key = _MEMO[2], (n, cur, meas, limit)
+    if key not in blocks:
+        blocks[key] = _fixed_block(g, placement, cur, limit, n, meas)
+    return blocks[key]
+
+
+def _uniform_runs(block: tuple, n: int, meas: int, t: np.ndarray, state, inc, draw) -> tuple:
+    """The (trial, run) pairs of ``block``'s runs, for trials ``t`` of LCG states ``state`` and increments ``inc``,
+    whose n draws from offset ``meas`` on are uniform: each one's place in ``t``, run and first sign (True: plus).
+    Slices of ``t`` whose first round fits in _BATCH_DRAWS words go through the rounds one after another."""
+    (node, thr, base, (a, c)), parts = block[3:7], []
+    step = max(1, _BATCH_DRAWS // ((min(n, 8) + 1) * node.size))
+    for lo in range(0, t.size, step):
+        ts, done, r = t[lo : lo + step, None], min(n, 8), 0  # a row of runs per trial
+        u, states = draw(base + meas, done, a * state[ts] + c * inc[ts], ts)
+        plus, minus = (x.ravel() for x in _uniform_signs(u, thr))
+        idx = (plus | minus).nonzero()[0]
+        who, run, first, states = idx // node.size, idx % node.size, plus.take(idx), states.ravel().take(idx)
+        while who.size and done < n:
+            r, w = r + 1, _round_width(n - done, who.size, r + 1)
+            u, states = draw(base.take(run) + (meas + done), w, states, ts.take(who))
+            idx = np.where(first, *_uniform_signs(u, thr.take(run))).nonzero()[0]
+            who, run, first, states = (x.take(idx) for x in (who, run, first, states))
+            done += w
+        parts.append((who + lo, run, first))
+    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+
+
+def _lockstep(g: PortGraph, placement: Placement, strategy: FixedN, budget: int, state, inc, draw) -> list:
+    """The fixed-n records of trials whose streams have LCG states ``state`` and increments ``inc``, uint64 arrays,
+    walked in lockstep: a group of trials at one node, round and stream offset tests a block together, each trial
+    failing at its first node whose count of uniform bases is not one; the rest go on, split by port if unforced.
+    ``draw(starts, width, states, trials)`` is ``Streams.run_states`` with each run's stream."""
+    n, offsets, nbr = strategy.n, *g.csr
+    family = len(basis_family(placement.scheme, placement.delta))
+    out = np.empty(state.size, object)
+    groups = [(np.arange(state.size), g.start, 0, 0, 0)]  # trials, node, steps, rounds, stream offset
+    while groups:
+        t, cur, steps, rounds, meas = groups.pop()
+        if rounds == budget or cur not in placement.index_of:
+            kind = FailureKind.MISSING_PEBBLE if rounds < budget else FailureKind.STEP_BUDGET_EXHAUSTED
+            out[t] = _result(False, steps, meas, kind)
+            continue
+        k, last, forced, node, *_, base, _, certain, dead = block = _block(g, placement, n, budget, cur, rounds, meas)
+        who, run, first = _uniform_runs(block, n, meas, t, state, inc, draw) if node.size else ((),) * 3
+        if len(who):  # each trial's count of uniform bases per node
+            bad = np.bincount(who * k + node.take(run), minlength=t.size * k).reshape(t.size, k) + certain != 1
+            m = np.where(bad.any(axis=1), bad.argmax(axis=1), k)
+        else:
+            m = np.full(t.size, dead[0] if dead.size else k)
+        for at in set(m[m < k].tolist()):
+            out[t[m == at]] = _result(False, steps + at, meas + (at + 1) * n * family, FailureKind.AMBIGUOUS_DECODE)
+        if not (ok := m == k).any():
+            continue
+        # every node before the last decoded to its forced port
+        steps, rounds, meas = steps + k - 1, rounds + k, meas + k * n * family
+        if forced:
+            moves = [(t[ok], forced)]
+        else:  # each decoding trial's one uniform run at the last node; base // n = node * F + basis
+            one = ok.take(who) & (node.take(run) == k - 1)
+            port = np.array(_sign_ports(placement.delta, family))[base.take(run[one]) // n % family, first[one] * 1]
+            moves = [(t.take(who[one][port == p]), p) for p in set(port.tolist())]
+        lo, degree = offsets.item(last), offsets.item(last + 1) - offsets.item(last)
+        for movers, port in moves:
+            if not 1 <= port <= degree:
+                out[movers] = _result(False, steps, meas, FailureKind.WRONG_PORT_RANGE)
+            elif (nxt := nbr.item(lo + port - 1)) == g.treasure:
+                out[movers] = _result(True, steps + 1, meas, FailureKind.NONE)
+            else:
+                groups.append((movers, nxt, steps + 1, rounds, meas))
+    return out.tolist()
+
+
+def _fixed_trial(g: PortGraph, placement: Placement, strategy: FixedN, budget: int, rng: RngStream) -> TrialResult:
+    """A fixed-n trial's record. Inside a chunk (``_MEMO[6]``: its seed and end), a fresh RngStream(seed, i) reads it
+    from the chunk's batch holding i, which the first trial in range walked for as many of the next trials as fit
+    the first block's first round in _BATCH_DRAWS words; any other stream walks alone, a batch of one."""
+    memo, i = _MEMO, rng.stream_id
+    if memo[6] is not None and type(rng) is RngStream:
+        if memo[7] is None or not 0 <= i - memo[7][1] < len(memo[7][2]):
+            runs = g.start in placement.index_of and _block(g, placement, strategy.n, budget, g.start, 0, 0)[3].size
+            memo[7], (seed, end) = None, memo[6]
+            if (hi := min(end, i + _BATCH_DRAWS // ((min(strategy.n, 8) + 1) * max(runs, 1)))) > i + 1:
+                streams = Streams(seed, i, hi)
+                records = _lockstep(g, placement, strategy, budget, streams.state, streams.inc, streams.run_states)
+                memo[7] = (strategy, budget), i, streams.state.tolist(), records
+        if memo[7] is not None and rng._state == memo[7][2][i - memo[7][1]]:
+            return memo[7][3][i - memo[7][1]]
+    alone = np.array([rng._state], np.uint64), np.array([rng._inc], np.uint64)
+    return _lockstep(g, placement, strategy, budget, *alone, lambda at, w, st, _: rng.run_states(at, w, st.ravel()))[0]
 
 
 def _memo(g: PortGraph, placement) -> list:
@@ -407,12 +480,8 @@ def _memo(g: PortGraph, placement) -> list:
             bad = placement.nodes[(placement.nodes < 0) | (placement.nodes >= g.node_count)].tolist()
             if bad:
                 raise ValueError(f"placement references nodes outside the graph: {bad}")
-        _MEMO[:] = g, placement, {}, None, None, None, None
+        _MEMO[:] = g, placement, {}, None, None, None, None, None
     return _MEMO
-
-
-def _fail(kind: FailureKind, steps: int, meas: int) -> TrialResult:
-    return TrialResult(False, steps, meas, kind)
 
 
 # The schemes each walking strategy decodes; classical strategies read no pebble.
@@ -455,9 +524,10 @@ def run_trial(
     move, which keeps stay-forever tables finite). Classical strategies may
     receive a bare set of pebbled nodes instead of a full Placement.
 
-    One loop serves every strategy: each round yields a 1-based exit port,
-    which one shared tail range-checks and follows. A fixed-n round walks
-    ``cur`` through a block of forced nodes first (module docstring).
+    One loop serves every other strategy: each round yields a 1-based exit
+    port, which one shared tail range-checks and follows. A fixed-n trial
+    walks in lockstep as a batch of one, or reads its record from its
+    harness chunk's batch (module docstring); each trial is still one call.
 
     A fixed-n or adaptive trial reads its draws by offset and leaves ``rng``
     where it was; a random walk takes one scalar draw per round. Qudit and
@@ -477,16 +547,20 @@ def run_trial(
         walks = not isinstance(strategy, _DRAWS_NOTHING)
         memo = _memo(g, placement)
         memo[3:6] = strategy, step_budget, None if walks else _walk(g, placement, strategy, step_budget, None)
+        if memo[7] is not None and memo[7][0] != (strategy, step_budget):
+            memo[7] = None  # a batch walked for other arguments
     if memo[5] is not None:
         return memo[5]
     if rng is None:
         raise ValueError(f"{type(strategy).__name__} trials draw from a stream; got None")
+    if isinstance(strategy, FixedN):
+        return _fixed_trial(g, placement, strategy, step_budget, rng)
     return _walk(g, placement, strategy, step_budget, rng)
 
 
 def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rng: RngStream | None) -> TrialResult:
-    """run_trial's round loop, on checked arguments."""
-    quantum = isinstance(strategy, (FixedN, Adaptive, QuditOneShot))
+    """run_trial's round loop for all but fixed-n trials, on checked arguments."""
+    quantum = isinstance(strategy, (Adaptive, QuditOneShot))
     if quantum:
         delta, scheme, states, blocks = placement.delta, placement.scheme, placement.states, _memo(g, placement)[2]
     pebbled = placement.index_of if isinstance(placement, Placement) else placement  # node -> state index, or a set
@@ -498,7 +572,7 @@ def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rn
     while rounds < step_budget:
         rounds += 1
         if quantum and cur not in pebbled:
-            return _fail(FailureKind.MISSING_PEBBLE, steps, meas)
+            return _result(False, steps, meas, FailureKind.MISSING_PEBBLE)
         if isinstance(strategy, QuditOneShot):
             meas += 1
             port = decode_qudit(states[pebbled[cur]])
@@ -512,39 +586,7 @@ def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rn
             port, used = _eliminate(tables[pebbled[cur]], ports, strategy.cap, signs, meas)
             meas += used
             if port is None:
-                return _fail(FailureKind.DECLARED_FAILURE, steps, meas)
-        elif isinstance(strategy, FixedN):
-            # this round and one per forced node ahead, tested together
-            n, family = strategy.n, len(basis_family(scheme, delta))
-            limit = min(step_budget - rounds + 1, max(1, _ROUND_DRAWS // family))
-            key = (n, cur, meas, limit)
-            if key not in blocks:
-                blocks[key] = [*_fixed_block(g, placement, cur, limit, n, meas), None]
-            k, cur, forced, node, thr, base, _, jumps, certain, dead, _ = block = blocks[key]
-            # draw j of a run is stream offset meas + base + j; keep the runs whose draws so far all fall
-            # on their first draw's side, and their LCG states after them; w draws each in round r
-            row = _first_round(block, rng, _MEMO[6]) if node.size else None  # _MEMO[6]: the chunk, if any
-            ambiguous = dead  # unless a run is uniform after the first round; rare, so no gathers before
-            if row is not None:
-                (first, keep, states), done, r = row, len(jumps[0]) - 1, 0
-                while (idx := keep.nonzero()[0]).size:
-                    node, thr, base, first, states = (x.take(idx) for x in (node, thr, base, first, states))
-                    if done == n:
-                        ambiguous = np.flatnonzero(certain + np.bincount(node, minlength=k) != 1)
-                        break
-                    r, w = r + 1, _round_width(n - done, idx.size, r + 1)
-                    u, states = rng.run_states(base + (meas + done), w, states)
-                    keep = np.where(first, *_uniform_signs(u, thr))
-                    done += w
-            if ambiguous.size:
-                m = int(ambiguous[0])
-                return _fail(FailureKind.AMBIGUOUS_DECODE, steps + m, meas + (m + 1) * n * family)
-            # every node before the last decoded to its forced port
-            steps += k - 1
-            rounds += k - 1
-            meas += k * n * family
-            # unforced: the one run left is the last node's; base // n = node * F + basis
-            port = forced or _sign_ports(delta, family)[int(base[-1]) // n % family][int(first[-1])]
+                return _result(False, steps, meas, FailureKind.DECLARED_FAILURE)
         elif isinstance(strategy, ClassicalTable):
             action = strategy.table.action(offsets.item(cur + 1) - offsets.item(cur), cur in pebbled)
             if action is None:
@@ -556,12 +598,12 @@ def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rn
             raise ValueError(f"unknown strategy {strategy!r}")
         lo = offsets.item(cur)
         if not 1 <= port <= offsets.item(cur + 1) - lo:
-            return _fail(FailureKind.WRONG_PORT_RANGE, steps, meas)
+            return _result(False, steps, meas, FailureKind.WRONG_PORT_RANGE)
         cur = nbr.item(lo + port - 1)
         steps += 1
         if cur == g.treasure:
-            return TrialResult(True, steps, meas, FailureKind.NONE)
-    return _fail(FailureKind.STEP_BUDGET_EXHAUSTED, steps, meas)
+            return _result(True, steps, meas, FailureKind.NONE)
+    return _result(False, steps, meas, FailureKind.STEP_BUDGET_EXHAUSTED)
 
 
 def classical_trajectory(

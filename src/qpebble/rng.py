@@ -12,12 +12,14 @@ draw, exactly representable in float64). The LCG jumps ahead in closed
 form (state_o = A^o*s + (A^o-1)/(A-1)*inc mod 2^64), so
 :meth:`Streams.run_states`, the one array draw, reads draws at any offsets in
 many streams at once, bit-identical to scalar draws: XSH-RR of A^o*s + G_o*inc
-(each stream's s and inc), with the jumps (A^o, G_o) kept by a caller reading
-the offsets again, or else along each run from its first state, jumped to or
-carried. Its draw-major rows, one per position in the runs and one for the
-states after them, hold streams * runs words, so its arithmetic and the fixed-n
-walk's min and max along each run go across both; a caller bounds their memory.
-``RngStream.run_states`` is a Streams of one, and ``uniforms`` its run at 0.
+(each stream's s and inc), with the jumps (A^o, G_o) from ``_jump``, or else
+along each run from its first state, jumped to or carried. Its draw-major rows,
+one per position in the runs and one for the states after them, hold a word per
+run and stream, so its arithmetic and the fixed-n walk's min and max along each
+run go across both; a caller bounds their memory. Given each run's stream, it
+reads runs of many streams as one flat array, as the fixed-n walk's lockstep
+rounds do. ``RngStream.run_states`` is the same draw in one stream, and
+``uniforms`` its run at 0.
 """
 
 from __future__ import annotations
@@ -59,12 +61,6 @@ def _jump(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, c
 
 
-def _run_jumps(starts: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """(A^o, G_o) for the offsets o = starts[i] + j, j < length, as two draw-major (length, 1, runs) arrays."""
-    a, c = _jump(starts)
-    return _POW[:length, None, None] * a, _POW[:length, None, None] * c + _GEO[:length, None, None]
-
-
 def _output(state: int) -> int:
     """XSH-RR permutation of one 64-bit state word to a u32."""
     xorshifted = (((state >> 18) ^ state) >> 27) & _MASK32
@@ -88,17 +84,17 @@ def _output_vec(states: np.ndarray) -> np.ndarray:
     return states.astype(np.uint32)
 
 
-def _draw(state, inc, starts: np.ndarray, length: int, states=None, jumps: tuple | None = None) -> tuple:
-    """:meth:`Streams.run_states` for LCG states and increments ``state`` and ``inc``, uint64 columns or scalars."""
+def _draw(state, inc, starts: np.ndarray, length: int, states=None) -> tuple:
+    """:meth:`Streams.run_states` for LCG states and increments ``state`` and ``inc``, which broadcast against the
+    runs: the draws along a new last axis, a view of one draw-major array, and the states after them."""
     if length > _BLOCK:
         raise ValueError(f"run length must be <= {_BLOCK}, got {length}")
-    if jumps is None:  # jump to each run's first state unless carried, then along the run from there
-        if states is None:
-            a, c = _jump(starts)
-            states = a * state + c * inc
-        state, jumps = states, (_POW[: length + 1, None, None], _GEO[: length + 1, None, None])
-    rows = jumps[0] * state + jumps[1] * inc  # uint64 wraparound; (length + 1, streams, runs), a row for the states
-    return _output_vec(rows[:length]).transpose(1, 2, 0), rows[length]
+    if states is None:  # jump to each run's first state unless carried, then along the run from there
+        a, c = _jump(starts)
+        states = a * state + c * inc
+    along = (slice(length + 1),) + (None,) * states.ndim
+    rows = _POW[along] * states + _GEO[along] * inc  # uint64 wraparound; a row per draw and one for the states
+    return _output_vec(rows[:length]).transpose(*range(1, states.ndim + 1), 0), rows[length]
 
 
 class Streams:
@@ -109,11 +105,13 @@ class Streams:
         self.inc = ((np.arange(hi - lo, dtype=np.uint64) + np.uint64(lo & _MASK64)) << _U1) | _U1
         self.state = (self.inc + np.uint64(seed & _MASK64)) * _UMULT + self.inc
 
-    def run_states(self, starts: np.ndarray, length: int, states=None, jumps: tuple | None = None) -> tuple:
+    def run_states(self, starts: np.ndarray, length: int, states=None, of=None) -> tuple:
         """The u32 draws at ``starts[i] + j`` >= 0 past each stream's position, j < ``length`` <= 8192, a (streams,
-        runs, length) view, and the (streams, runs) LCG states after them, which a call reading on passes as ``states``;
-        a caller reading the offsets again keeps ``jumps = _run_jumps(starts, length + 1)``. The streams do not move."""
-        return _draw(self.state[:, None], self.inc[:, None], starts, length, states, jumps)
+        runs, length) view, and the (streams, runs) LCG states after them, which a call reading on passes as
+        ``states``. Given ``of``, run i is read in stream ``of[i]`` alone: (runs, length) draws and (runs,) states, as
+        ``RngStream(seed, lo + of[i]).run_states`` gives them. The streams do not move."""
+        pick = (slice(None), None) if of is None else of
+        return _draw(self.state[pick], self.inc[pick], starts, length, states)
 
 
 class RngStream:
@@ -144,10 +142,9 @@ class RngStream:
         """The draws of ``run_states(starts, length)``."""
         return self.run_states(starts, length)[0]
 
-    def run_states(self, starts: np.ndarray, length: int, states=None, jumps: tuple | None = None) -> tuple:
-        """:meth:`Streams.run_states` in a Streams of one: (runs, length) draws and (runs,) states; it does not move."""
-        u, after = _draw(np.uint64(self._state), np.uint64(self._inc), starts, length, states, jumps)
-        return u[0], after[0]
+    def run_states(self, starts: np.ndarray, length: int, states=None) -> tuple:
+        """:meth:`Streams.run_states` in this stream: (runs, length) draws and (runs,) states; it does not move."""
+        return _draw(np.uint64(self._state), np.uint64(self._inc), starts, length, states)
 
     def uniforms(self, n: int) -> np.ndarray:
         """``n`` uniform doubles, bit-identical to ``n`` scalar draws."""

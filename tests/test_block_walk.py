@@ -24,7 +24,7 @@ from qpebble import agent, basis_family
 from qpebble.agent import _ROUND_DRAWS, _decode_table, _u32_threshold
 from qpebble.encoding import decode_outcome, route
 from qpebble.quantum import MINUS, PLUS, Outcome
-from qpebble.rng import _BLOCK, _run_jumps
+from qpebble.rng import _BLOCK
 from walks import (
     GENERAL,
     bitsign4,
@@ -320,15 +320,13 @@ class CountingStream(RngStream):
         super().__init__(seed, stream_id)
         self.offsets = []
 
-    def run_states(self, starts, length, states=None, jumps=None):
-        # jumps kept by the memo, and states carried from the round before, must be
-        # those of the offsets counted here
-        if jumps is not None:
-            assert all(np.array_equal(kept, fresh) for kept, fresh in zip(jumps, _run_jumps(starts, length + 1)))
+    def run_states(self, starts, length, states=None):
+        # states made from the jumps a block keeps, and states carried from the round
+        # before, must be those of the offsets counted here
         if states is not None:
             assert np.array_equal(states, super().run_states(starts, 0)[1])
         self.offsets.append((starts[:, None] + np.arange(length)).ravel())
-        return super().run_states(starts, length, states, jumps)
+        return super().run_states(starts, length, states)
 
 
 @pytest.mark.parametrize(
@@ -370,7 +368,7 @@ class CraftedStream(RngStream):
         super().__init__(0)
         self.thr, self.n, self.step, self.widths = thr, n, step, []
 
-    def run_states(self, starts, length, states=None, jumps=None):
+    def run_states(self, starts, length, states=None):
         self.widths.append(length)
         offsets = starts[:, None] + np.arange(length)
         b, j = offsets // self.n, offsets % self.n  # uniforms reads whole blocks, past the last basis
@@ -441,12 +439,12 @@ def test_an_unforced_node_decodes_its_one_uniform_run_by_its_sign(sign, kind, mo
 
 def test_a_run_uniform_past_the_jump_tables_reads_on_from_carried_states():
     """A run that stays uniform through n = 12 * 8192 draws: after a first
-    round of 8192 // 3 draws over the three uncertain bases it is the one run
+    round of 8 draws over the three uncertain bases it is the one run
     left, so later rounds take 8192 draws, the jump tables' length, also once
     the doubling width passes it. Each reads on from the state the round before
     carried; the record is the per-node walk's, which is ambiguous, as the
     certain basis 0 is uniform too."""
     p, got, widths = one_round(place_pebbles(gen_padded_path(2, 8, 3), GENERAL), mixed_but(2, lambda j: 0), 12 * _BLOCK)
     assert got.failure_kind == FailureKind.AMBIGUOUS_DECODE
-    assert widths[0] == _ROUND_DRAWS // 3 and sum(widths) == 12 * _BLOCK
+    assert widths[0] == 8 and sum(widths) == 12 * _BLOCK
     assert widths[1:-1] == [_BLOCK] * 11  # rounds 1 to 11: 8 << 11 is past the cap

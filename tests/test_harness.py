@@ -530,10 +530,11 @@ def _traced_peak(cfg, path) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("strategy, small, large", [("qudit", 10**4, 10**6), ("fixed:auto", 10**4, 5 * 10**4)])
+@pytest.mark.parametrize("strategy, small, large", [("qudit", 10**4, 10**6), ("fixed:auto", 10**4, 2 * 10**5)])
 def test_a_run_and_its_csv_write_hold_memory_bounded_in_the_trials(strategy, small, large, tmp_path):
-    """Records are kept as runs and written in pieces, so the peak grows by at most one slice of records (about
-    2.6 MB of fixed-n TrialResults) between a run within one slice and one of many slices."""
+    """Records are kept as runs and written in pieces, so the peak grows by at most one slice of records between a
+    run within one slice and one of many slices (fixed-n trials return one kept record per row, so a slice holds
+    references, not 2.6 MB of TrialResults)."""
     scheme = EncodingScheme.QUDIT if strategy == "qudit" else EncodingScheme.GENERAL
     cfg = ExperimentConfig("path:D=10,delta=4", scheme, parse_strategy(strategy), small, seed=7)
     run_experiment(cfg)  # lazily built tables are not counted

@@ -29,7 +29,7 @@ from qpebble import (
     delta_bound,
     sample_measurement,
 )
-from qpebble.rng import _run_jumps
+from qpebble.rng import _jump
 
 # fmt: off
 PCG_REF = {
@@ -173,15 +173,16 @@ EDGES = st.one_of(st.integers(0, 2**13 + 40), st.integers(2**26 - 2**13 - 40, 2*
 def test_carried_states_read_on_as_fresh_jumps(seed, stream_id, starts, width, more):
     """run_states() gives runs()' draws and each run's state after them, the
     fresh jump to its offset + width; read on from those carried states, it
-    gives runs() at the offsets there, as it does from kept jumps, and the
-    stream does not move."""
+    gives runs() at the offsets there, as it does from states made of kept
+    jumps, and the stream does not move."""
     s, starts = RngStream(seed, stream_id), np.array(starts)
     u, carried = s.run_states(starts, width)
     assert np.array_equal(u, s.runs(starts, width))
     assert np.array_equal(carried, s.run_states(starts + width, 0)[1])
     on, after = s.run_states(starts + width, more, carried)
     assert np.array_equal(on, s.runs(starts + width, more))
-    kept, kept_after = s.run_states(starts + width, more, jumps=_run_jumps(starts + width, more + 1))
+    a, c = _jump(starts + width)  # the kept jumps (A^o, G_o) a fixed-n block reads its first round from
+    kept, kept_after = s.run_states(starts + width, more, a * np.uint64(s._state) + c * np.uint64(s._inc))
     assert np.array_equal(kept, on) and np.array_equal(kept_after, after)
     assert s.next_u32() == ref_draw(seed, stream_id, 0)
 

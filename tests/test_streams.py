@@ -1,19 +1,32 @@
 """Many PCG32 streams in one array draw (rng.Streams), against one
-RngStream per stream, and the fixed-n walk's first rounds drawn for a
-chunk of trials at once, against trials drawn one by one."""
+RngStream per stream, and fixed-n trials walked in lockstep for a chunk
+of trials at once, against trials walked one by one."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpebble import EncodingScheme, ExperimentConfig, FixedN, RngStream, place_pebbles, run_experiment, run_trial
-from qpebble import agent
+from qpebble import (
+    EncodingScheme,
+    ExperimentConfig,
+    FixedN,
+    Placement,
+    QuantumPebble,
+    RngStream,
+    encode_port,
+    gen_padded_path,
+    place_pebbles,
+    run_experiment,
+    run_trial,
+)
+from qpebble import agent, harness
 from qpebble.harness import parse_graph_source
-from qpebble.rng import Streams, _run_jumps
-from walks import reference_walk
+from qpebble.rng import Streams, _jump
+from walks import reference_walk, turned
 
 MASK64 = (1 << 64) - 1
 # negative seeds and seeds past 2^64 are masked as RngStream masks them
@@ -35,13 +48,22 @@ EDGES = st.one_of(st.integers(0, 2**13 + 40), st.integers(2**26 - 2**13 - 40, 2*
 )
 def test_streams_match_one_rngstream_per_stream(seed, lo, count, starts, width, more):
     """Row t of a Streams call is RngStream(seed, lo + t)'s run_states: the
-    draws and carried states from jumps to the offsets, from the kept jumps,
-    and read on from the carried states."""
+    draws and carried states from jumps to the offsets, from states made of
+    the kept jumps (each row naming its stream, as a lockstep first round
+    does), and read on from the carried states; and so is each run of a flat
+    call that names its stream, as a lockstep later round does."""
     streams, starts = Streams(seed, lo, lo + count), np.array(starts)
     u, carried = streams.run_states(starts, width)
-    kept, kept_carried = streams.run_states(starts, width, None, _run_jumps(starts, width + 1))
+    a, c = _jump(starts)
+    rows = np.arange(count)[:, None]
+    kept, kept_carried = streams.run_states(starts, width, a * streams.state[rows] + c * streams.inc[rows], rows)
     on, after = streams.run_states(starts + width, more, carried)
     assert u.shape == (count, len(starts), width) and carried.shape == (count, len(starts))
+    of, flat = np.arange(count).repeat(len(starts)), np.tile(starts, count)
+    flat_u, flat_carried = streams.run_states(flat, width, None, of)
+    flat_on, flat_after = streams.run_states(flat + width, more, carried.ravel(), of)
+    assert np.array_equal(flat_u, u.reshape(-1, width)) and np.array_equal(flat_carried, carried.ravel())
+    assert np.array_equal(flat_on, on.reshape(flat.size, more)) and np.array_equal(flat_after, after.ravel())
     for t in range(count):
         one = RngStream(seed, lo + t)
         want, want_carried = one.run_states(starts, width)
@@ -69,15 +91,19 @@ def test_pcg32_demo_as_a_streams_of_one():
 
 def test_a_batched_call_at_the_walks_bound_stays_small():
     """One Streams call of the walk's largest batch, short_fixed's first round
-    (10 runs of 53 draws), peaks below 32 bytes a word, draws and states."""
-    runs, width = 10, 53
-    words = (width + 1) * runs * (agent._BATCH_DRAWS // ((width + 1) * runs))
-    streams, starts = Streams(7, 0, words // ((width + 1) * runs)), np.arange(runs) * 106
-    jumps = _run_jumps(starts, width + 1)
-    streams.run_states(starts, width, None, jumps)
+    (10 runs of 8 draws in each of 182 trials, a row of runs per trial naming
+    its stream, from the block's kept jumps), peaks below 32 bytes a word,
+    draws and states."""
+    runs, width = 10, 8
+    trials = agent._BATCH_DRAWS // ((width + 1) * runs)
+    words = (width + 1) * runs * trials
+    streams, starts, rows = Streams(7, 0, trials), np.arange(runs) * 106, np.arange(trials)[:, None]
+    a, c = _jump(starts)
+    states = a * streams.state[rows] + c * streams.inc[rows]
+    streams.run_states(starts, width, states, rows)
     tracemalloc.start()
     try:
-        streams.run_states(starts, width, None, jumps)
+        streams.run_states(starts, width, states, rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -93,10 +119,10 @@ class CountedStreams(Streams):
         self.made.append((lo, hi))
 
 
-# spec, n, trials, workers, round size: D=10 at delta=4 batches 30 trials at n=53, and
-# at n=4, where runs often stay uniform, up to the chunk's end; D=2000 at delta=8 fills
-# a batch with one trial; at a round size of 32 the first round is 8 draws, so rows of
-# 182 trials read on from their batch's carried states
+# spec, n, trials, workers, round size: D=10 at delta=4 batches 182 trials at n=53, cut
+# by the chunk's end, and at n=4, where runs often stay uniform; D=2000 at delta=8 fills
+# a batch with one trial; at a round size of 32 the blocks are cut short, and the later
+# rounds of a batch's 182 trials read on from their carried states
 ENGINE_CASES = {
     "D10_n53": ("path:D=10,delta=4", 53, 77, 1, None),
     "D10_n4_workers2": ("path:D=10,delta=4", 4, 151, 2, None),
@@ -108,9 +134,9 @@ ENGINE_CASES = {
 
 @pytest.mark.parametrize("name", list(ENGINE_CASES))
 def test_batched_first_rounds_match_batches_of_one(name, monkeypatch):
-    """run_experiment's records, whose trials read a block's first round from
-    a batch drawn for the chunk, equal direct run_trial calls, each a batch of
-    one, and the per-node walk's where it is quick."""
+    """run_experiment's records, whose trials read their records from a batch
+    walked in lockstep for the chunk, equal direct run_trial calls, each a
+    batch of one, and the per-node walk's where it is quick."""
     spec, n, trials, workers, round_draws = ENGINE_CASES[name]
     if round_draws is not None:
         monkeypatch.setattr(agent, "_ROUND_DRAWS", round_draws)
@@ -130,13 +156,13 @@ def test_batched_first_rounds_match_batches_of_one(name, monkeypatch):
 
 
 def test_a_moved_or_crafted_stream_in_a_chunk_draws_alone():
-    """Inside a chunk, a trial reads a batch row only while its stream is the
-    fresh RngStream(seed, i) the row was drawn for: a moved stream, or one of
-    a subclass that draws otherwise, draws its own first round."""
+    """Inside a chunk, a trial reads a batch's record only while its stream is
+    the fresh RngStream(seed, i) the record was walked for: a moved stream, or
+    one of a subclass that draws otherwise, walks alone."""
 
     class Inverted(RngStream):
-        def run_states(self, starts, length, states=None, jumps=None):
-            u, after = super().run_states(starts, length, states, jumps)
+        def run_states(self, starts, length, states=None):
+            u, after = super().run_states(starts, length, states)
             return ~u, after  # each draw on the other side of its threshold, mostly
 
     g = parse_graph_source("path:D=10,delta=4", 3)
@@ -155,6 +181,114 @@ def test_a_moved_or_crafted_stream_in_a_chunk_draws_alone():
             moved.next_u32()
             assert run_trial(g, placement, FixedN(4), 10, moved) == want[2 * i], i
             assert run_trial(g, placement, FixedN(4), 10, Inverted(3, i)) == want[2 * i + 1], i
-        assert agent._MEMO[2][(4, g.start, 0, 10)][-1] is not None  # a batch was drawn, and not read
+        assert agent._MEMO[7] is not None  # a batch was walked, and not read
     finally:
         agent._MEMO.clear()
+
+
+def test_equal_neighbouring_fixed_n_records_are_one_object():
+    """A fixed-n trial returns the one kept record of its row, read from a
+    chunk's batch or walked alone, as qudit and table trials do: so equal
+    neighbouring records are one object, and a run of them is found by
+    identity."""
+    g = parse_graph_source("path:D=10,delta=4", 7)
+    placement, strategy = place_pebbles(g, EncodingScheme.GENERAL), FixedN(12)
+    agent._MEMO.clear()
+    try:
+        alone = [run_trial(g, placement, strategy, 10, RngStream(7, i)) for i in range(400)]
+        agent._memo(g, placement)[6] = 7, 400
+        batched = [run_trial(g, placement, strategy, 10, RngStream(7, i)) for i in range(400)]
+    finally:
+        agent._MEMO.clear()
+    assert batched == alone and len(set(alone)) > 2
+    for records in (alone, batched):
+        assert all(a is b for a, b in zip(records, records[1:]) if a == b)
+    assert all(a is b for a, b in zip(alone, batched))
+
+
+class WordCounting(Streams):
+    words: list = []
+
+    def run_states(self, starts, length, states=None, of=None):
+        u, after = super().run_states(starts, length, states, of)
+        self.words.append(u.size + after.size)
+        return u, after
+
+
+def test_a_later_block_wider_than_the_first_is_walked_in_slices(monkeypatch):
+    """A turned start node makes the first block one node of four runs, so a
+    batch holds 455 trials; the next block's 897 runs are drawn for slices of
+    two trials, each taken through its later rounds alone, so no call reads
+    more than 8 * _ROUND_DRAWS words beyond a first round's _BATCH_DRAWS.
+    The records are those of the trials walked alone."""
+    monkeypatch.setattr(agent, "Streams", WordCounting)
+    monkeypatch.setattr(WordCounting, "words", [])
+    g = gen_padded_path(300, 8, 4)
+    placed = place_pebbles(g, EncodingScheme.GENERAL)
+    placement = changed(placed, g.start, "turned", 0.15)
+    agent._MEMO.clear()
+    try:
+        alone = [run_trial(g, placement, FixedN(20), 300, RngStream(5, i)) for i in range(455)]
+        agent._memo(g, placement)[6] = 5, 455
+        batched = [run_trial(g, placement, FixedN(20), 300, RngStream(5, i)) for i in range(455)]
+    finally:
+        agent._MEMO.clear()
+    assert batched == alone and sum(r.steps_taken > 0 for r in alone) > 100
+    assert len(WordCounting.words) > 100 and max(WordCounting.words) <= 8 * agent._ROUND_DRAWS + agent._BATCH_DRAWS
+
+
+def changed(placement, node, change, angle):
+    """``placement`` with ``node``'s pebble dropped (a hole), its port's sign
+    flipped (the other port of its basis), or its state turned ``angle`` rad
+    off the family, so that its decode is not forced."""
+    pebbles = dict(placement.pebbles)
+    pebble = pebbles.pop(node)
+    if change == "flipped":
+        j = pebble.exit_port + (1 if pebble.exit_port % 2 else -1)
+        pebbles[node] = QuantumPebble(node, encode_port(j, placement.delta, placement.scheme), pebble.exit_port)
+    elif change == "turned":
+        pebbles[node] = QuantumPebble(node, turned(pebble.emitted_state, angle), pebble.exit_port)
+    elif change != "hole":
+        pebbles[node] = pebble
+    return Placement(placement.scheme, placement.delta, pebbles)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    scheme_delta=st.sampled_from([(EncodingScheme.GENERAL, 4), (EncodingScheme.GENERAL, 8),
+                                  (EncodingScheme.GENERAL, 16), (EncodingScheme.BITSIGN4, 4)]),
+    dist=st.integers(2, 12),
+    n=st.integers(1, 60),
+    change=st.sampled_from(["none", "hole", "flipped", "turned"]),
+    where=st.integers(0, 11),
+    angle=st.floats(0.05, 1.2),
+    short=st.integers(0, 12),
+    trials=st.integers(1, 90),
+    batch_draws=st.sampled_from([2**14, 2**10, 600]),
+    seed=st.integers(0, 2**32),
+)
+# a turned start node: one-node first blocks whose trials split by port, then a block whose first round
+# is drawn in slices of 2 trials; a turned node mid-route under a budget below D; a hole; a flipped sign
+@example((EncodingScheme.GENERAL, 8), 12, 12, "turned", 0, 0.15, 0, 90, 600, 5)
+@example((EncodingScheme.BITSIGN4, 4), 10, 2, "turned", 4, 0.5, 3, 70, 2**10, 9)
+@example((EncodingScheme.GENERAL, 16), 8, 40, "hole", 3, 0.1, 0, 50, 2**14, 2)
+@example((EncodingScheme.GENERAL, 4), 12, 6, "flipped", 5, 0.1, 0, 90, 600, 3)
+def test_lockstep_records_match_the_per_node_walk(scheme_delta, dist, n, change, where, angle, short, trials,
+                                                  batch_draws, seed):
+    """run_experiment's fixed-n records, at 1 and 2 workers, equal the per-node
+    walk's for every trial: holes, flipped signs and turned states on the
+    route (groups split by port at an unforced node), budgets below D, and
+    trial counts across batch and chunk edges (batches of a few trials at the
+    smaller batch sizes)."""
+    scheme, delta = scheme_delta
+    g = gen_padded_path(dist, delta, seed % 1000)
+    placed = place_pebbles(g, scheme)
+    placement = changed(placed, placed.nodes[where % dist].item(), change, angle)
+    budget = dist - short % dist if short else None  # None: the harness's default, the pebble count
+    cfg = ExperimentConfig(g, scheme, FixedN(n), trials, seed, budget)
+    with mock.patch.object(harness, "place_pebbles", lambda *_: placement), \
+            mock.patch.object(agent, "_BATCH_DRAWS", batch_draws):
+        got = [run_experiment(cfg, workers).records for workers in (1, 2)]
+    budget = budget or len(placement.nodes)
+    want = [reference_walk(g, placement, FixedN(n), budget, RngStream(seed, i)) for i in range(trials)]
+    assert list(got[0]) == want and list(got[1]) == want
