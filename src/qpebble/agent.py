@@ -337,8 +337,7 @@ def _fixed_block(g: PortGraph, placement: Placement, cur: int, limit: int, n: in
     out-of-range forced port, is the ``limit``-th, or whose forced port leads to the treasure or off the
     columns. As ``_lockstep`` unpacks it: the node count; the last node and its forced port; the uncertain
     (node, basis) runs' node, u32 threshold, first draw's offset in the block, and ``_jump`` to their first
-    draw in the stream; each node's count of certain bases; and the nodes where it is not one, the ambiguous
-    nodes once no run is uniform."""
+    draw in the stream; and each node's count of certain bases, which is one at every node but the last."""
     offsets, nbr = g.csr
     tables = [_decode_table(state, placement.delta, placement.scheme) for state in placement.states]
     i = int((placement.nodes == cur).argmax())  # cur's column
@@ -355,14 +354,14 @@ def _fixed_block(g: PortGraph, placement: Placement, cur: int, limit: int, n: in
     base = (node * thr.shape[1] + basis) * n
     certain = (thr < 0).sum(axis=1)
     runs = node, thr[node, basis].astype(np.uint32), base, _jump(base + meas)
-    return k, int(nodes[k - 1]), int(forced[k - 1]) or None, *runs, certain, np.flatnonzero(certain != 1)
+    return k, int(nodes[k - 1]), int(forced[k - 1]) or None, *runs, certain
 
 
 # run_trial's memo, which a run's trials share: the last (graph, placement) pair, both compared by identity; the
-# fixed-n blocks built for it, by where their round starts (module docstring), and under the key Adaptive the
-# placement's decode tables and their thresholds; the last strategy and budget that passed run_trial's checks, with
-# their record if they draw nothing; the seed and end of the chunk of trials a harness runs, or None; and the
-# chunk's last fixed-n batch. Keeping one pair bounds what it holds alive to one graph, and a run clears it.
+# fixed-n blocks built for it, by where their round starts (module docstring); the last strategy and budget that
+# passed run_trial's checks, with their record if they draw nothing; the end of the chunk of trials a harness runs,
+# or None; the chunk's last fixed-n batch; and the placement's adaptive decode tables and their thresholds. Keeping
+# one pair bounds what it holds alive to one graph, and a run clears it.
 _MEMO: list = []
 _BATCH_DRAWS = 1 << 14  # the most words, draws and carried states, of a first round's Streams call
 
@@ -372,10 +371,8 @@ def _uniform_signs(u: np.ndarray, thr: np.ndarray) -> tuple:
     return np.maximum.reduce(u, axis=-1) <= thr, np.minimum.reduce(u, axis=-1) > thr
 
 
-@lru_cache(maxsize=1 << 12)
-def _result(success: bool, steps: int, meas: int, kind: FailureKind) -> TrialResult:
-    """One kept record per row, so equal neighbouring records are one object."""
-    return TrialResult(success, steps, meas, kind)
+# one kept record per row, so equal neighbouring records are one object
+_result = lru_cache(maxsize=1 << 12)(TrialResult)
 
 
 def _block(g: PortGraph, placement: Placement, n: int, budget: int, cur: int, rounds: int, meas: int) -> tuple:
@@ -424,13 +421,13 @@ def _lockstep(g: PortGraph, placement: Placement, strategy: FixedN, budget: int,
             kind = FailureKind.MISSING_PEBBLE if rounds < budget else FailureKind.STEP_BUDGET_EXHAUSTED
             out[t] = _result(False, steps, meas, kind)
             continue
-        k, last, forced, node, *_, base, _, certain, dead = block = _block(g, placement, n, budget, cur, rounds, meas)
+        k, last, forced, node, *_, base, _, certain = block = _block(g, placement, n, budget, cur, rounds, meas)
         who, run, first = _uniform_runs(block, n, meas, t, state, inc, draw) if node.size else ((),) * 3
         if len(who):  # each trial's count of uniform bases per node
             bad = np.bincount(who * k + node.take(run), minlength=t.size * k).reshape(t.size, k) + certain != 1
             m = np.where(bad.any(axis=1), bad.argmax(axis=1), k)
-        else:
-            m = np.full(t.size, dead[0] if dead.size else k)
+        else:  # only the last node can be unforced
+            m = np.full(t.size, k - (certain[-1] != 1))
         for at in set(m[m < k].tolist()):
             out[t[m == at]] = _result(False, steps + at, meas + (at + 1) * n * family, FailureKind.AMBIGUOUS_DECODE)
         if not (ok := m == k).any():
@@ -455,16 +452,16 @@ def _lockstep(g: PortGraph, placement: Placement, strategy: FixedN, budget: int,
 
 
 def _fixed_trial(g: PortGraph, placement: Placement, strategy: FixedN, budget: int, rng: RngStream) -> TrialResult:
-    """A fixed-n trial's record. Inside a chunk (``_MEMO[6]``: its seed and end), a fresh RngStream(seed, i) reads it
-    from the chunk's batch holding i, which the first trial in range walked for as many of the next trials as fit
-    the first block's first round in _BATCH_DRAWS words; any other stream walks alone, a batch of one."""
+    """A fixed-n trial's record. Inside a chunk (``_MEMO[6]``: its end), a fresh RngStream(seed, i) reads it from the
+    chunk's batch holding i, which the first trial in range walked for as many of its seed's next streams as fit the
+    first block's first round in _BATCH_DRAWS words; any other stream walks alone, a batch of one."""
     memo, i = _MEMO, rng.stream_id
     if memo[6] is not None and type(rng) is RngStream:
         if memo[7] is None or not 0 <= i - memo[7][1] < len(memo[7][2]):
             runs = g.start in placement.index_of and _block(g, placement, strategy.n, budget, g.start, 0, 0)[3].size
-            memo[7], (seed, end) = None, memo[6]
-            if (hi := min(end, i + _BATCH_DRAWS // ((min(strategy.n, 8) + 1) * max(runs, 1)))) > i + 1:
-                streams = Streams(seed, i, hi)
+            memo[7] = None
+            if (hi := min(memo[6], i + _BATCH_DRAWS // ((min(strategy.n, 8) + 1) * max(runs, 1)))) > i + 1:
+                streams = Streams(rng.seed, i, hi)
                 records = _lockstep(g, placement, strategy, budget, streams.state, streams.inc, streams.run_states)
                 memo[7] = (strategy, budget), i, streams.state.tolist(), records
         if memo[7] is not None and rng._state == memo[7][2][i - memo[7][1]]:
@@ -473,14 +470,15 @@ def _fixed_trial(g: PortGraph, placement: Placement, strategy: FixedN, budget: i
     return _lockstep(g, placement, strategy, budget, *alone, lambda at, w, st, _: rng.run_states(at, w, st.ravel()))[0]
 
 
-def _memo(g: PortGraph, placement) -> list:
-    """_MEMO for this pair: kept, or made anew once the pebbles are checked to lie in the graph."""
-    if not (_MEMO and _MEMO[0] is g and _MEMO[1] is placement):
+def _memo(g: PortGraph, placement, end: int | None = None) -> list:
+    """_MEMO for this pair: kept, or made anew once the pebbles are checked to lie in the graph. An ``end`` always
+    makes it anew, opening a harness chunk of trials up to ``end`` whose fresh fixed-n streams walk in batches."""
+    if end is not None or not (_MEMO and _MEMO[0] is g and _MEMO[1] is placement):
         if isinstance(placement, Placement):  # a classical strategy's bare set is not checked
             bad = placement.nodes[(placement.nodes < 0) | (placement.nodes >= g.node_count)].tolist()
             if bad:
                 raise ValueError(f"placement references nodes outside the graph: {bad}")
-        _MEMO[:] = g, placement, {}, None, None, None, None, None
+        _MEMO[:] = g, placement, {}, None, None, None, end, None, None
     return _MEMO
 
 
@@ -562,7 +560,7 @@ def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rn
     """run_trial's round loop for all but fixed-n trials, on checked arguments."""
     quantum = isinstance(strategy, (Adaptive, QuditOneShot))
     if quantum:
-        delta, scheme, states, blocks = placement.delta, placement.scheme, placement.states, _memo(g, placement)[2]
+        delta, scheme, states, memo = placement.delta, placement.scheme, placement.states, _memo(g, placement)
     pebbled = placement.index_of if isinstance(placement, Placement) else placement  # node -> state index, or a set
     offsets, nbr = g.csr  # read through ndarray.item, so cur stays a Python int
     signs = None  # an adaptive trial's sign bytes, made at its first round
@@ -578,10 +576,10 @@ def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rn
             port = decode_qudit(states[pebbled[cur]])
         elif isinstance(strategy, Adaptive):
             if signs is None:
-                if Adaptive not in blocks:  # the placement's decode tables, and their distinct thresholds
+                if memo[8] is None:  # the placement's decode tables, and their distinct thresholds
                     tables = [_decode_table(state, delta, scheme) for state in states]
-                    blocks[Adaptive] = tables, {t for table in tables for t in table[2] if t is not None}
-                tables, thresholds = blocks[Adaptive]
+                    memo[8] = tables, {t for table in tables for t in table[2] if t is not None}
+                tables, thresholds = memo[8]
                 signs, ports = _Signs(rng, thresholds), _sign_ports(delta, len(basis_family(scheme, delta)))
             port, used = _eliminate(tables[pebbled[cur]], ports, strategy.cap, signs, meas)
             meas += used

@@ -114,8 +114,7 @@ def bound_report(dist: int, delta: int, n: int | None = None, eps: float = 0.01)
     ``n`` defaults to required_n(dist, delta, eps).
     """
     need = required_n(dist, delta, eps)
-    if n is None:
-        n = need
+    n = need if n is None else n
     # log_fail <= ln(delta), so exp never overflows even when the bound is vacuous
     per_node = math.exp(_log_node_failure(delta, n))
     return BoundReport(

@@ -85,7 +85,10 @@ def _experiment_config(args):
     doc: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except RecursionError:  # nested past the interpreter's recursion limit
+                raise ValueError(f"config file {args.config!r} holds JSON nested too deeply") from None
         if not isinstance(doc, dict):
             raise ValueError("config file must hold a JSON object")
     for f in fields(ExperimentConfig):  # each flag's dest is the field it overrides
@@ -120,14 +123,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    rep = bound_report(args.D, family_delta(args.delta), n=args.n, eps=args.eps)
-    _print_json(rep.as_json_dict())
+    _print_json(bound_report(args.D, family_delta(args.delta), n=args.n, eps=args.eps).as_json_dict())
     return 0
 
 
 def _cmd_compare(args) -> int:
-    rep = compare_single_vs_per_node(args.D, family_delta(args.delta), eps=args.eps)
-    _print_json(rep.as_json_dict())
+    _print_json(compare_single_vs_per_node(args.D, family_delta(args.delta), eps=args.eps).as_json_dict())
     return 0
 
 

@@ -315,8 +315,11 @@ def placement_from_json(text: str) -> Placement:
     object, a missing key, a scheme, delta, node, level or basis index of the
     wrong type, a missing pebble list, a repeated node, a sign other than
     ``+`` or ``-`` and a level or port outside the degree raise ValueError,
-    naming the row or key."""
-    doc = json.loads(text)
+    naming the row or key, as does JSON nested past the recursion limit."""
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("placement JSON is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError(f"placement JSON must be an object, got {type(doc).__name__}")
     if "scheme" not in doc:

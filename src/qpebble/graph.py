@@ -359,12 +359,8 @@ def gen_gpqr(spec: GadgetSpec) -> PortGraph:
 
 def gpqr_family() -> list[tuple[GadgetSpec, PortGraph]]:
     """All 216 gadget labelings, in lexicographic spec order."""
-    out = []
-    for p, q, r in product(range(3), repeat=3):
-        for swaps in product((False, True), repeat=3):
-            spec = GadgetSpec((p, q, r), swaps)
-            out.append((spec, gen_gpqr(spec)))
-    return out
+    specs = [GadgetSpec(pqr, s) for pqr in product(range(3), repeat=3) for s in product((False, True), repeat=3)]
+    return [(spec, gen_gpqr(spec)) for spec in specs]
 
 
 def parse_graph(text: str) -> PortGraph:
@@ -407,6 +403,8 @@ def parse_graph(text: str) -> PortGraph:
     for ln, fields in rows[2:]:
         if len(fields) != 4:
             raise GraphFormatError(f"line {ln}: edge lines are 'u port_at_u v port_at_v'")
+        if not all(-(2**63) <= x < 2**63 for x in fields):  # checked here to name the line, not in PortGraph
+            raise GraphFormatError(f"line {ln}: edge entries must fit in 64-bit integers")
         edges.append(tuple(fields))
     g = PortGraph(node_count=n, edges=tuple(edges), start=start, treasure=treasure)
     violation = validate(g)

@@ -264,7 +264,7 @@ def _trial_range(args) -> list[tuple[tuple, int, int]]:
     # run_trial is looked up per trial, as this module's global, so it can be replaced
     draws, runs = not isinstance(strategy, _DRAWS_NOTHING), []
     try:
-        _memo(g, placement)[6] = seed, hi  # the chunk: fixed-n trials read a block's first round from its batches
+        _memo(g, placement, hi)  # the chunk: its fresh fixed-n streams walk in batches
         for start in range(lo, hi, _PIECE):
             trials = range(start, min(start + _PIECE, hi))
             part = [run_trial(g, placement, strategy, budget, RngStream(seed, i) if draws else None) for i in trials]

@@ -141,6 +141,63 @@ def test_fixed_n_success_rate_matches_exact_expectation(n):
     assert abs(z) < 4, (successes, p, z)
 
 
+def chi2_sf(x, dof):
+    """P(chi-square with ``dof`` degrees of freedom > x): one minus the regularized lower incomplete gamma
+    function P(dof/2, x/2), from its series y^a e^-y / Gamma(a) * sum_j y^j / (a (a+1) ... (a+j))."""
+    a, y = dof / 2, x / 2
+    term = total = 1 / a
+    j = 0
+    while term > 1e-17 * total:
+        j += 1
+        term *= y / (a + j)
+        total += term
+    return 1 - math.exp(a * math.log(y) - y - math.lgamma(a)) * total
+
+
+def test_chi2_sf_matches_tabled_quantiles():
+    # the 0.999 quantiles of chi-square at 1, 5, 9 and 11 degrees of freedom
+    for x, dof in ((10.828, 1), (20.515, 5), (27.877, 9), (31.264, 11)):
+        assert chi2_sf(x, dof) == pytest.approx(0.001, rel=1e-3)
+    assert chi2_sf(9, 2) == pytest.approx(math.exp(-4.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("dist, delta, n", [(10, 4, 3), (10, 4, 8), (12, 8, 12)])
+def test_fixed_n_steps_follow_the_exact_law(dist, delta, n):
+    """The whole law of a fixed-n run's steps, not only its success rate.
+    Node k decodes unless one of its uncertain bases runs uniform, which a
+    basis at P(plus) p does with chance p^n + (1-p)^n, so it decodes with
+    q_k = prod (1 - p^n - (1-p)^n) over them, p snapped as the agent snaps
+    it; steps = k with chance q_0 ... q_(k-1) (1 - q_k), and steps = D is
+    success. The simulated histogram, over cells pooled to an expected count
+    of at least 5, must pass a chi-square test at the 0.999 quantile."""
+    trials = 20_000
+    cfg = ExperimentConfig(graph_source=f"path:D={dist},delta={delta}", strategy=FixedN(n), trials=trials, seed=11)
+    g = parse_graph_source(cfg.graph_source, cfg.seed)
+    placement = place_pebbles(g, cfg.scheme)
+    family = basis_family(cfg.scheme, placement.delta)
+    law, reach = [], 1.0  # reach: the chance of decoding every node before k
+    for node in placement.nodes.tolist():
+        ps = [snap_certain(born_probability(placement.pebbles[node].emitted_state, b.plus_vec)) for b in family]
+        q = math.prod(1 - p**n - (1 - p) ** n for p in ps if 0 < p < 1)
+        law.append(reach * (1 - q))
+        reach *= q
+    law.append(reach)
+    assert len(law) == dist + 1 and sum(law) == pytest.approx(1, abs=1e-12)
+    seen = [0] * (dist + 1)
+    for row, lo, hi in run_experiment(cfg).runs:
+        seen[row[1]] += hi - lo
+    cells, want, got = [], 0.0, 0  # adjacent steps pooled until the expected count reaches 5
+    for k in range(dist + 1):
+        want, got = want + trials * law[k], got + seen[k]
+        if want >= 5:
+            cells.append((want, got))
+            want, got = 0.0, 0
+    if want:
+        cells[-1] = (cells[-1][0] + want, cells[-1][1] + got)
+    chi2 = sum((o - e) ** 2 / e for e, o in cells)
+    assert len(cells) >= 5 and chi2_sf(chi2, len(cells) - 1) > 0.001, (chi2, cells)
+
+
 def test_bitsign4_wrong_run_prob():
     assert bitsign4_wrong_run_prob(5) == pytest.approx(0.0625)
     assert bitsign4_wrong_run_prob(11) == pytest.approx(0.0009765625)

@@ -305,7 +305,7 @@ def test_block_runs_read_the_decode_table(build):
     ports = agent._sign_ports(placement.delta, family)
     assert ports == tuple(tuple(decode_outcome(Outcome(b, s), placement.delta) for s in (MINUS, PLUS)) for b in range(family))
     for i, cur in enumerate(placement.nodes.tolist()):
-        k, _, _, node, thr, base, *_, certain, _ = agent._fixed_block(g, placement, cur, g.node_count, n, 0)
+        k, _, _, node, thr, base, *_, certain = agent._fixed_block(g, placement, cur, g.node_count, n, 0)
         states = [placement.states[s] for s in placement.state_index[i : i + k]]
         tables = [_decode_table(state, placement.delta, GENERAL) for state in states]
         want = [(v, b, t) for v, table in enumerate(tables) for b, t in enumerate(table[2]) if t is not None]

@@ -275,6 +275,19 @@ def test_a_fixed_n_whose_stream_offsets_pass_int64_exits_2(n, capsys):
     assert err == f"qpebble: error: FixedN.n {n} too large: 3 rounds read {6 * n} draws, over 2**63-1\n"
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"trials": ' * 16_000 + "1" + "}" * 16_000],
+                         ids=["open_brackets", "nested_objects"])
+def test_config_json_nested_too_deeply_exits_2_naming_the_file(text, capsys, tmp_path):
+    """JSON nested past the interpreter's recursion limit, about 10**5 bytes of
+    it, is a config error that names the file, not a traceback."""
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(text)
+    for command in (["simulate"], ["sweep", "--axis", "n", "--values", "3"]):
+        code, out, err = run_cli(capsys, [*command, "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err == f"qpebble: error: config file {str(cfg)!r} holds JSON nested too deeply\n"
+
+
 def test_config_errors_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["simulate", "--gen", "path:D=x,delta=4", "--trials", "2"])
     assert code == 2

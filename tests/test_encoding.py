@@ -414,6 +414,16 @@ def test_placement_from_json_names_the_bad_row_or_key(doc, message):
         placement_from_json(json.dumps(doc))
 
 
+# about 10**5 bytes each, nested past the interpreter's recursion limit: a bare run of "[", and a valid document
+DEEP_JSON = ["[" * 100_000, '{"a": ' * 16_000 + "1" + "}" * 16_000]
+
+
+@pytest.mark.parametrize("text", DEEP_JSON, ids=["open_brackets", "nested_objects"])
+def test_placement_json_nested_too_deeply_is_a_named_value_error(text):
+    with pytest.raises(ValueError, match="^placement JSON is nested too deeply$"):
+        placement_from_json(text)
+
+
 def test_placement_from_json_needs_a_pebble_list():
     for doc in ({"scheme": "general", "delta": 4}, {"scheme": "general", "delta": 4, "pebbles": {"0": 1}}):
         with pytest.raises(ValueError, match=r'^placement JSON needs a "pebbles" list$'):

@@ -1,6 +1,7 @@
 """Port-labeled graphs: invariants, generators, text format, BFS."""
 
 import pickle
+import re
 from unittest import mock
 
 import pytest
@@ -311,6 +312,72 @@ def test_parse_rejects_a_header_with_too_few_edges_before_building_the_graph():
     # n = m + 1 passes the header check
     with pytest.raises(GraphFormatError, match="^invalid graph: not connected: node 3 unreachable$"):
         parse_graph("4 3\n0 2\n0 0 1 0\n1 1 2 0\n0 1 2 1\n")
+
+
+def test_parse_names_the_line_of_an_edge_entry_past_64_bits():
+    for big in ("99999999999999999999999", str(2**63), str(-(2**63) - 1)):
+        with pytest.raises(GraphFormatError, match="^line 3: edge entries must fit in 64-bit integers$"):
+            parse_graph(f"2 1\n0 1\n0 0 {big} 0\n")
+    # the int64 ends themselves are read, and named by validate
+    with pytest.raises(GraphFormatError, match="^invalid graph: edge 0 references invalid node 9223372036854775807$"):
+        parse_graph(f"2 1\n0 1\n0 0 {2**63 - 1} 0\n")
+
+
+# small tokens, the int64 edges, and junk that int() refuses
+TOKENS = st.one_of(
+    st.integers(-2, 6).map(str),
+    st.sampled_from(["x", "1.5", "0x1", "--1", str(2**63 - 1), str(2**63), str(-(2**63)), "9" * 30]),
+)
+LINES = st.one_of(
+    st.lists(st.integers(-1, 6), min_size=2, max_size=2).map(lambda row: " ".join(map(str, row))),
+    st.lists(st.integers(-1, 6), min_size=4, max_size=4).map(lambda row: " ".join(map(str, row))),
+    st.lists(TOKENS, max_size=5).map(" ".join),
+    st.lists(TOKENS, min_size=4, max_size=4).map(" ".join),
+    st.sampled_from(["", "   ", "# a comment", "1 2 # trailing", "#"]),
+)
+
+
+@st.composite
+def graph_texts(draw):
+    """A small graph's text with a few lines replaced (most often, so the edge count holds), inserted,
+    dropped or given a comment, or lines drawn from scratch."""
+    if draw(st.booleans()):
+        return "\n".join(draw(st.lists(LINES, max_size=9)))
+    g = draw(st.sampled_from([gen_padded_path(2, 4, 1), gen_padded_path(3, 2, 0), gen_gpqr(GadgetSpec((0, 1, 2)))]))
+    lines = serialize_graph(g).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        at, how = draw(st.integers(0, len(lines))), draw(st.sampled_from(["replace"] * 3 + ["insert", "drop", "note"]))
+        if how == "insert" or at == len(lines):
+            lines.insert(at, draw(LINES))
+        elif how == "replace":
+            lines[at] = draw(LINES)
+        elif how == "note":
+            lines[at] += " # note"
+        else:
+            del lines[at]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n# end"]))
+
+
+# every message parse_graph may give: a line's, the header's, the edge count's, or validate's
+PARSE_MESSAGES = r"^(line \d+: |need at least a header line |expected -?\d+ edge lines, found \d+$|invalid graph: )"
+
+
+@given(graph_texts())
+@example("2 1\n0 1\n0 0 99999999999999999999999 0\n")
+@example("2 1\n0 1\n0 0 1 0\n")
+@example("")
+@settings(max_examples=300, deadline=None)
+def test_graph_text_parses_to_a_valid_graph_or_a_named_format_error(text):
+    """Each text either parses to a graph that validate passes, or raises a
+    GraphFormatError naming a line, the header, the edge count, or the
+    invariant broken; nothing else escapes. Texts stay a few lines long, so
+    no graph is large."""
+    try:
+        g = parse_graph(text)
+    except GraphFormatError as exc:
+        assert re.match(PARSE_MESSAGES, str(exc)), str(exc)
+    else:
+        assert validate(g) is None
 
 
 def test_parse_rejects_invariant_violations():

@@ -175,7 +175,7 @@ def test_a_moved_or_crafted_stream_in_a_chunk_draws_alone():
         want.append(run_trial(g, placement, FixedN(4), 10, moved))
         want.append(run_trial(g, placement, FixedN(4), 10, Inverted(3, i)))
     try:
-        agent._memo(g, placement)[6] = 3, 20
+        agent._memo(g, placement, 20)
         for i in range(20):
             moved = RngStream(3, i)
             moved.next_u32()
@@ -196,7 +196,7 @@ def test_equal_neighbouring_fixed_n_records_are_one_object():
     agent._MEMO.clear()
     try:
         alone = [run_trial(g, placement, strategy, 10, RngStream(7, i)) for i in range(400)]
-        agent._memo(g, placement)[6] = 7, 400
+        agent._memo(g, placement, 400)
         batched = [run_trial(g, placement, strategy, 10, RngStream(7, i)) for i in range(400)]
     finally:
         agent._MEMO.clear()
@@ -229,7 +229,7 @@ def test_a_later_block_wider_than_the_first_is_walked_in_slices(monkeypatch):
     agent._MEMO.clear()
     try:
         alone = [run_trial(g, placement, FixedN(20), 300, RngStream(5, i)) for i in range(455)]
-        agent._memo(g, placement)[6] = 5, 455
+        agent._memo(g, placement, 455)
         batched = [run_trial(g, placement, FixedN(20), 300, RngStream(5, i)) for i in range(455)]
     finally:
         agent._MEMO.clear()
@@ -251,6 +251,25 @@ def changed(placement, node, change, angle):
     elif change != "hole":
         pebbles[node] = pebble
     return Placement(placement.scheme, placement.delta, pebbles)
+
+
+@pytest.mark.parametrize("change", ["none", "hole", "flipped", "turned"])
+def test_only_a_blocks_last_node_can_be_unforced(change):
+    """Every node of a block but its last has a forced port, so exactly one
+    certain basis: a trial none of whose runs is uniform fails at the last
+    node if its count of certain bases is not one, and nowhere else."""
+    ends = set()
+    for scheme, delta in [(EncodingScheme.GENERAL, 4), (EncodingScheme.GENERAL, 16), (EncodingScheme.BITSIGN4, 4)]:
+        g = gen_padded_path(12, delta, 3)
+        placed = place_pebbles(g, scheme)
+        for where in (0, 5, 11):
+            placement = changed(placed, placed.nodes[where].item(), change, 0.3)
+            for cur in placement.nodes.tolist():
+                for limit in (1, 4, g.node_count):
+                    k, *_, certain = agent._fixed_block(g, placement, cur, limit, 5, 0)
+                    assert certain.shape == (k,) and (certain[:-1] == 1).all(), (scheme, delta, where, cur, limit)
+                    ends.add(certain[-1].item())
+    assert ends == ({0, 1} if change == "turned" else {1})
 
 
 @settings(max_examples=30, deadline=None)
