@@ -257,10 +257,10 @@ def measure_node_adaptive(
 class _Signs:
     """An adaptive trial's draws as sign bytes, one bytes object per threshold
     in ``of``: byte k is 1 iff draw ``base + k``'s u32 is at most the
-    threshold. It holds the last block read, draws ``base`` to ``read``: a
-    block is read only once every draw before it is used. Blocks of 64
-    doubling to 4096 draws are read by offset through :meth:`RngStream.runs`,
-    so ``rng`` does not move."""
+    threshold. It holds the last block read, draws ``base`` to ``read``: block
+    j is draws 4096j to 4096j + 4095, read by offset through
+    :meth:`RngStream.runs` only once every draw before it is used, so ``rng``
+    does not move."""
 
     __slots__ = ("rng", "of", "base", "read")
 
@@ -268,12 +268,11 @@ class _Signs:
         self.rng, self.of, self.base, self.read = rng, dict.fromkeys(thresholds, b""), 0, 0
 
     def more(self) -> None:
-        """Read the next block: as many draws as read so far plus 64, at most 4096."""
-        block = min(self.read + 64, 4096)
-        u32 = self.rng.runs(np.array([self.read]), block)[0]
+        """Read the next block of 4096 draws."""
+        u32 = self.rng.runs(np.array([self.read]), 4096)[0]
         for t in self.of:
             self.of[t] = (u32 <= t).tobytes()
-        self.base, self.read = self.read, self.read + block
+        self.base, self.read = self.read, self.read + 4096
 
 
 def _eliminate(table: tuple, ports: tuple, cap: int, signs: _Signs, at: int) -> tuple[int | None, int]:
@@ -360,8 +359,9 @@ def _fixed_block(g: PortGraph, placement: Placement, cur: int, limit: int, n: in
 # run_trial's memo, which a run's trials share: the last (graph, placement) pair, both compared by identity; the
 # fixed-n blocks built for it, by where their round starts (module docstring); the last strategy and budget that
 # passed run_trial's checks, with their record if they draw nothing; the end of the chunk of trials a harness runs,
-# or None; the chunk's last fixed-n batch; and the placement's adaptive decode tables and their thresholds. Keeping
-# one pair bounds what it holds alive to one graph, and a run clears it.
+# or None; and the chunk's last fixed-n batch. An adaptive trial keeps nothing here: it reads the cached
+# _decode_table of each of the placement's states. Keeping one pair bounds what the memo holds alive to one graph,
+# and a run clears it.
 _MEMO: list = []
 _BATCH_DRAWS = 1 << 14  # the most words, draws and carried states, of a first round's Streams call
 
@@ -478,7 +478,7 @@ def _memo(g: PortGraph, placement, end: int | None = None) -> list:
             bad = placement.nodes[(placement.nodes < 0) | (placement.nodes >= g.node_count)].tolist()
             if bad:
                 raise ValueError(f"placement references nodes outside the graph: {bad}")
-        _MEMO[:] = g, placement, {}, None, None, None, end, None, None
+        _MEMO[:] = g, placement, {}, None, None, None, end, None
     return _MEMO
 
 
@@ -560,7 +560,7 @@ def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rn
     """run_trial's round loop for all but fixed-n trials, on checked arguments."""
     quantum = isinstance(strategy, (Adaptive, QuditOneShot))
     if quantum:
-        delta, scheme, states, memo = placement.delta, placement.scheme, placement.states, _memo(g, placement)
+        delta, scheme, states = placement.delta, placement.scheme, placement.states
     pebbled = placement.index_of if isinstance(placement, Placement) else placement  # node -> state index, or a set
     offsets, nbr = g.csr  # read through ndarray.item, so cur stays a Python int
     signs = None  # an adaptive trial's sign bytes, made at its first round
@@ -575,12 +575,10 @@ def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rn
             meas += 1
             port = decode_qudit(states[pebbled[cur]])
         elif isinstance(strategy, Adaptive):
-            if signs is None:
-                if memo[8] is None:  # the placement's decode tables, and their distinct thresholds
-                    tables = [_decode_table(state, delta, scheme) for state in states]
-                    memo[8] = tables, {t for table in tables for t in table[2] if t is not None}
-                tables, thresholds = memo[8]
-                signs, ports = _Signs(rng, thresholds), _sign_ports(delta, len(basis_family(scheme, delta)))
+            if signs is None:  # the placement's decode tables, and their distinct thresholds
+                tables = [_decode_table(state, delta, scheme) for state in states]
+                signs = _Signs(rng, {t for table in tables for t in table[2] if t is not None})
+                ports = _sign_ports(delta, len(basis_family(scheme, delta)))
             port, used = _eliminate(tables[pebbled[cur]], ports, strategy.cap, signs, meas)
             meas += used
             if port is None:

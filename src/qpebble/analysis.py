@@ -65,6 +65,14 @@ class BoundReport:
         return doc
 
 
+def _as_float(name: str, value: int) -> float:
+    """An integer argument as a float, which the bounds' math needs; past float's range a ValueError names it."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large to convert to a float") from None
+
+
 def _log_node_failure(delta: int, n: int) -> float:
     """ln of the union bound delta * delta_bound(delta)^n on one node's
     chance that some wrong basis mimics a uniform n-run."""
@@ -87,14 +95,20 @@ def required_n(dist: int, delta: int, eps: float = 0.01) -> int:
 
     The comparison carries a 1e-9 relative slack so thresholds the math
     hits exactly resolve to the mathematical answer despite float rounding
-    of the bound itself.
+    of the bound itself. A delta whose bound rounds to 1, from about 1.49e8
+    on, has no such n and raises ValueError.
     """
     if dist < 1:
         raise ValueError(f"dist must be >= 1, got {dist}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    db = delta_bound(delta)
-    target = eps / dist
+    try:
+        db = delta_bound(delta)
+    except OverflowError:  # delta past float's range, where the bound is 1 as well
+        db = 1.0
+    if db == 1.0:
+        raise ValueError("delta is too large: cos^2(pi / (2 delta)) rounds to 1, so no n meets the bound")
+    target = eps / _as_float("dist", dist)
 
     def ok(n: int) -> bool:
         return _log_node_failure(delta, n) <= math.log(target * (1.0 + _THRESHOLD_SLACK))
@@ -116,7 +130,7 @@ def bound_report(dist: int, delta: int, n: int | None = None, eps: float = 0.01)
     need = required_n(dist, delta, eps)
     n = need if n is None else n
     # log_fail <= ln(delta), so exp never overflows even when the bound is vacuous
-    per_node = math.exp(_log_node_failure(delta, n))
+    per_node = math.exp(_log_node_failure(delta, _as_float("n", n)))
     return BoundReport(
         delta_bound=delta_bound(delta),
         per_node_failure=per_node,
@@ -182,7 +196,7 @@ def full_path_log_bound(dist: int, delta: int, eps: float = 0.01) -> FullPathBou
         x_sq = math.exp(2.0 * ln_x)  # may underflow to 0; ln_val does not
         val = x_sq + x_sq * x_sq / 6.0
         ln_val = 2.0 * ln_x + math.log1p(x_sq / 6.0)
-    ln_budget = math.log(math.log(delta * dist / eps))
+    ln_budget = math.log(math.log(_as_float("dist * delta", delta * dist) / eps))
     return FullPathBound(
         log_inv_delta_prime=val,
         measurement_count_estimate=math.exp(ln_budget - ln_val) if ln_budget - ln_val < 700 else float("inf"),

@@ -89,6 +89,8 @@ def _experiment_config(args):
                 doc = json.load(fh)
             except RecursionError:  # nested past the interpreter's recursion limit
                 raise ValueError(f"config file {args.config!r} holds JSON nested too deeply") from None
+            except json.JSONDecodeError as exc:  # its message gives the position
+                raise ValueError(f"config file {args.config!r} is not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise ValueError("config file must hold a JSON object")
     for f in fields(ExperimentConfig):  # each flag's dest is the field it overrides

@@ -301,12 +301,14 @@ def placement_to_json(placement: Placement) -> str:
 
 
 def _int_field(doc: dict, key: str, prefix: str = "") -> int:
-    """``doc[key]``, which must be a JSON integer, not a boolean; ``prefix`` starts the messages."""
+    """``doc[key]``, which must be a JSON integer in 64 bits, not a boolean; ``prefix`` starts the messages."""
     if key not in doc:
         raise ValueError(f'{prefix}needs a "{key}"')
     value = doc[key]
     if type(value) is not int:
         raise ValueError(f'{prefix}"{key}" must be an integer, got {value!r}')
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f'{prefix}"{key}" must fit in a 64-bit integer')
     return value
 
 
@@ -314,12 +316,15 @@ def placement_from_json(text: str) -> Placement:
     """Inverse of :func:`placement_to_json`. A document or row that is not an
     object, a missing key, a scheme, delta, node, level or basis index of the
     wrong type, a missing pebble list, a repeated node, a sign other than
-    ``+`` or ``-`` and a level or port outside the degree raise ValueError,
-    naming the row or key, as does JSON nested past the recursion limit."""
+    ``+`` or ``-``, a level or port outside the degree and an integer past 64
+    bits raise ValueError, naming the row or key, as do text that is not JSON
+    and JSON nested past the recursion limit."""
     try:
         doc = json.loads(text)
     except RecursionError:
         raise ValueError("placement JSON is nested too deeply") from None
+    except json.JSONDecodeError as exc:  # its message gives the position
+        raise ValueError(f"placement JSON is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"placement JSON must be an object, got {type(doc).__name__}")
     if "scheme" not in doc:

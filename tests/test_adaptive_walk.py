@@ -103,9 +103,9 @@ def test_measure_node_adaptive_takes_exactly_its_measurements(cap):
         assert rng.next_u32() == fresh.next_u32()
 
 
-# an adaptive trial reads its stream in blocks of 64 draws doubling to 4096, which end at these offsets
-BLOCK_EDGES = (64, 192, 448, 960, 1984, 4032, 8128, 12224)
-OFFSETS = (0, 1, 4096, *(edge + d for edge in BLOCK_EDGES for d in (-1, 0, 1)))
+# an adaptive trial reads its stream in blocks of 4096 draws, which end at these offsets
+BLOCK_EDGES = (4096, 8192, 12288)
+OFFSETS = (0, 1, *(edge + d for edge in BLOCK_EDGES for d in (-1, 0, 1)))
 BITSIGN4 = EncodingScheme.BITSIGN4
 
 
@@ -157,7 +157,7 @@ def test_an_adaptive_trial_holds_one_block_of_sign_bytes():
     bytes each would take 1.4 MB."""
     g = gen_padded_path(3000, 8, 7)
     placement = place_pebbles(g, GENERAL)
-    run_trial(g, placement, Adaptive(), 3000, RngStream(7, 0))  # the memo's tables, outside the trace
+    run_trial(g, placement, Adaptive(), 3000, RngStream(7, 0))  # the cached decode tables, outside the trace
     tracemalloc.start()
     try:
         got = run_trial(g, placement, Adaptive(), 3000, RngStream(7, 1))
@@ -166,3 +166,28 @@ def test_an_adaptive_trial_holds_one_block_of_sign_bytes():
         tracemalloc.stop()
     assert got.success and got.measurements_total > 200_000
     assert peak < 500_000, peak
+
+
+class CountedStream(RngStream):
+    """An RngStream that records the (offsets, length) of each block it reads."""
+
+    def __init__(self, seed, stream_id):
+        super().__init__(seed, stream_id)
+        self.reads = []
+
+    def run_states(self, starts, length, states=None):
+        self.reads.append((starts.tolist(), length))
+        return super().run_states(starts, length, states)
+
+
+def test_an_adaptive_trial_reads_one_4096_draw_block_per_4096_measurements():
+    """A trial making M measurements reads blocks 0 to ceil(M / 4096) - 1, each
+    of 4096 draws, in order: on adaptive_wide's D=100, delta=8 path about 7800
+    measurements read two blocks."""
+    g = gen_padded_path(100, 8, 7)
+    placement = place_pebbles(g, GENERAL)
+    for i in range(20):
+        rng = CountedStream(7, i)
+        got = run_trial(g, placement, Adaptive(), 100, rng)
+        assert got.success
+        assert rng.reads == [([4096 * k], 4096) for k in range(math.ceil(got.measurements_total / 4096))], i

@@ -77,6 +77,12 @@ def test_required_n_monotone():
     assert required_n(10, 8, 0.01) > required_n(10, 4, 0.01)
 
 
+def test_compare_names_a_dist_times_delta_past_float_range():
+    """dist and delta each fit a float here, but the full-path budget's dist * delta does not."""
+    with pytest.raises(ValueError, match=r"^dist \* delta is too large to convert to a float$"):
+        compare_single_vs_per_node(10**308, 8)
+
+
 def test_bound_report_fields():
     rep = bound_report(10, 4)
     doc = rep.as_json_dict()

@@ -288,6 +288,40 @@ def test_config_json_nested_too_deeply_exits_2_naming_the_file(text, capsys, tmp
         assert err == f"qpebble: error: config file {str(cfg)!r} holds JSON nested too deeply\n"
 
 
+def test_config_json_that_does_not_parse_exits_2_naming_the_file(capsys, tmp_path):
+    cfg = tmp_path / "cut.json"
+    cfg.write_text('{"graph_source": ')
+    for command in (["simulate"], ["sweep", "--axis", "n", "--values", "3"]):
+        code, out, err = run_cli(capsys, [*command, "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err == f"qpebble: error: config file {str(cfg)!r} is not valid JSON: Expecting value: line 1 column 18 (char 17)\n"
+
+
+PAST_FLOAT = "1" + "0" * 400  # 401 digits
+DELTA_ROUNDS_TO_ONE = "delta is too large: cos^2(pi / (2 delta)) rounds to 1, so no n meets the bound"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--D", "10", "--delta", "200000000"], DELTA_ROUNDS_TO_ONE),
+        (["--D", "10", "--delta", PAST_FLOAT], DELTA_ROUNDS_TO_ONE),
+        (["--D", PAST_FLOAT, "--delta", "4"], "dist is too large to convert to a float"),
+    ],
+    ids=["delta_2e8", "delta_401_digits", "D_401_digits"],
+)
+def test_bound_and_compare_fullpath_name_an_argument_no_float_bound_holds(argv, message, capsys):
+    for command in ("bound", "compare-fullpath"):
+        code, out, err = run_cli(capsys, [command, *argv])
+        assert (code, out, err) == (2, "", f"qpebble: error: {message}\n")
+
+
+@pytest.mark.parametrize("n", [PAST_FLOAT, "-" + PAST_FLOAT], ids=["401_digits", "minus_401_digits"])
+def test_bound_names_an_n_past_float_range(n, capsys):
+    code, out, err = run_cli(capsys, ["bound", "--D", "10", "--delta", "4", "--n", n])
+    assert (code, out, err) == (2, "", "qpebble: error: n is too large to convert to a float\n")
+
+
 def test_config_errors_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["simulate", "--gen", "path:D=x,delta=4", "--trials", "2"])
     assert code == 2

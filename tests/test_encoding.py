@@ -428,3 +428,84 @@ def test_placement_from_json_needs_a_pebble_list():
     for doc in ({"scheme": "general", "delta": 4}, {"scheme": "general", "delta": 4, "pebbles": {"0": 1}}):
         with pytest.raises(ValueError, match=r'^placement JSON needs a "pebbles" list$'):
             placement_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{", "placement JSON is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ('{"scheme": ', "placement JSON is not valid JSON: Expecting value: line 1 column 12 (char 11)"),
+        ("", "placement JSON is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        (json.dumps(general({**ROW, "node": 10**30})), 'pebble row 0: "node" must fit in a 64-bit integer'),
+        (json.dumps(general(ROW, {**ROW, "node": -(2**63) - 1})), 'pebble row 1: "node" must fit in a 64-bit integer'),
+        (json.dumps(qudit({"node": 10**30, "level": 0})), 'pebble row 0: "node" must fit in a 64-bit integer'),
+        (json.dumps(qudit({"node": 0, "level": 2**63})), 'pebble row 0: "level" must fit in a 64-bit integer'),
+        (json.dumps(general({**ROW, "basis_index": 10**30})), 'pebble row 0: "basis_index" must fit in a 64-bit integer'),
+        (json.dumps(general(ROW, delta=10**400)), 'placement JSON "delta" must fit in a 64-bit integer'),
+    ],
+    ids=["open_brace", "cut_after_a_key", "empty", "node_1e30", "node_below_int64", "qudit_node_1e30", "level_2_63",
+         "basis_index_1e30", "delta_401_digits"],
+)
+def test_placement_json_that_does_not_parse_or_passes_64_bits_is_a_named_value_error(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        placement_from_json(text)
+
+
+def test_placement_json_keeps_64_bit_integers():
+    doc = {"scheme": "qudit", "delta": 2**63 - 1, "pebbles": [{"node": -(2**63), "level": 2**63 - 2}]}
+    placement = placement_from_json(json.dumps(doc))
+    assert placement.nodes.tolist() == [-(2**63)] and placement.pebbles[-(2**63)].exit_port == 2**63 - 1
+
+
+# integers from 0 to 400 digits, and values of other types
+JSON_INTS = st.one_of(st.integers(0, 9), st.integers(0, 10**400), st.sampled_from([2**63 - 1, 2**63]))
+JUNK = st.sampled_from(["", "x", None, True, 1.5, -1, [], {}])
+
+
+@st.composite
+def usually(draw, good):
+    """A value of ``good`` five times in six, else an integer or a value of another type."""
+    return draw(good if draw(st.integers(0, 5)) < 5 else st.one_of(JSON_INTS, JUNK))
+
+
+@st.composite
+def documents(draw, fields):
+    """An object holding each key of ``fields`` five times in six, valued from its strategy, and now and then an
+    extra key."""
+    doc = {k: draw(v) for k, v in fields.items() if draw(st.integers(0, 5)) < 5}
+    if draw(st.integers(0, 5)) == 5:
+        doc["extra"] = draw(st.one_of(JSON_INTS, JUNK))
+    return doc
+
+
+NODES = usually(st.integers(0, 9))
+SIGNS = usually(st.sampled_from("+-"))
+QUBIT_ROWS = documents({"node": NODES, "basis_index": usually(st.integers(0, 4)), "sign": SIGNS})
+QUDIT_ROWS = documents({"node": NODES, "level": usually(st.integers(0, 9))})
+
+
+@st.composite
+def placement_texts(draw):
+    """A small placement document as JSON, now and then cut short: keys missing or extra, values out of range or
+    of the wrong type, rows of the other scheme's kind, and now and then a row or a value in place of it."""
+    scheme = draw(st.sampled_from(["general", "bitsign4", "qudit", "full_path"]))
+    rows = QUDIT_ROWS if (scheme == "qudit") == (draw(st.integers(0, 5)) < 5) else QUBIT_ROWS
+    doc = draw(documents({"scheme": usually(st.just(scheme)), "delta": usually(st.integers(1, 9)),
+                          "pebbles": st.lists(rows, max_size=4)}))
+    if draw(st.integers(0, 9)) == 9:
+        doc = draw(st.one_of(QUBIT_ROWS, JSON_INTS, JUNK))
+    text = json.dumps(doc)
+    return text[: draw(st.integers(0, len(text)))] if draw(st.integers(0, 3)) == 3 else text
+
+
+@given(placement_texts())
+@settings(max_examples=300, deadline=None)
+def test_placement_json_gives_a_placement_or_a_named_value_error(text):
+    """Each small document gives a Placement, or a ValueError naming the
+    placement JSON or a pebble row; nothing else escapes."""
+    try:
+        placement = placement_from_json(text)
+    except ValueError as exc:
+        assert str(exc).startswith(("placement JSON", "pebble row")), str(exc)
+    else:
+        assert isinstance(placement, Placement)
