@@ -95,8 +95,9 @@ def required_n(dist: int, delta: int, eps: float = 0.01) -> int:
 
     The comparison carries a 1e-9 relative slack so thresholds the math
     hits exactly resolve to the mathematical answer despite float rounding
-    of the bound itself. A delta whose bound rounds to 1, from about 1.49e8
-    on, has no such n and raises ValueError.
+    of the bound itself. Float n times ln of the bound never grows with n, so
+    doubling, then bisection, finds n. A delta whose bound rounds to 1, from
+    about 1.49e8 on, has no such n and raises ValueError.
     """
     if dist < 1:
         raise ValueError(f"dist must be >= 1, got {dist}")
@@ -113,13 +114,13 @@ def required_n(dist: int, delta: int, eps: float = 0.01) -> int:
     def ok(n: int) -> bool:
         return _log_node_failure(delta, n) <= math.log(target * (1.0 + _THRESHOLD_SLACK))
 
-    guess = (math.log(delta) - math.log(target)) / -math.log(db)
-    n = max(1, math.ceil(guess - _THRESHOLD_SLACK))
-    while not ok(n):
-        n += 1
-    while n > 1 and ok(n - 1):
-        n -= 1
-    return n
+    lo, hi = 0, 1  # ok(lo) fails, or lo is 0; ok(hi) holds once the doubling stops
+    while not ok(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+    return hi
 
 
 def bound_report(dist: int, delta: int, n: int | None = None, eps: float = 0.01) -> BoundReport:

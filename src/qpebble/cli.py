@@ -85,12 +85,16 @@ def _experiment_config(args):
     doc: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except RecursionError:  # nested past the interpreter's recursion limit
-                raise ValueError(f"config file {args.config!r} holds JSON nested too deeply") from None
-            except json.JSONDecodeError as exc:  # its message gives the position
-                raise ValueError(f"config file {args.config!r} is not valid JSON: {exc}") from None
+            text = fh.read()  # outside the try: a file that is not UTF-8 keeps the codec's message
+        try:
+            doc = json.loads(text)
+        except RecursionError:  # nested past the interpreter's recursion limit
+            raise ValueError(f"config file {args.config!r} holds JSON nested too deeply") from None
+        except json.JSONDecodeError as exc:  # its message gives the position
+            raise ValueError(f"config file {args.config!r} is not valid JSON: {exc}") from None
+        except ValueError:  # json.loads(str) raises no other: an integer past int()'s digit limit
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"config file {args.config!r} holds an integer of more than {limit} digits") from None
         if not isinstance(doc, dict):
             raise ValueError("config file must hold a JSON object")
     for f in fields(ExperimentConfig):  # each flag's dest is the field it overrides

@@ -312,15 +312,24 @@ def _int_field(doc: dict, key: str, prefix: str = "") -> int:
     return value
 
 
+def _json_int(text: str) -> int:
+    """An integer literal's value; past int()'s digit limit, 2**64 with its sign, which fails the 64-bit rule as the
+    literal does, so _int_field names the key where int() would raise a ValueError naming none."""
+    try:
+        return int(text)
+    except ValueError:  # json hands over only well-formed literals: this is the digit limit
+        return -(2**64) if text.startswith("-") else 2**64
+
+
 def placement_from_json(text: str) -> Placement:
     """Inverse of :func:`placement_to_json`. A document or row that is not an
     object, a missing key, a scheme, delta, node, level or basis index of the
     wrong type, a missing pebble list, a repeated node, a sign other than
     ``+`` or ``-``, a level or port outside the degree and an integer past 64
-    bits raise ValueError, naming the row or key, as do text that is not JSON
-    and JSON nested past the recursion limit."""
+    bits (past int()'s digit limit too) raise ValueError, naming the row or
+    key, as do text that is not JSON and JSON nested past the recursion limit."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_json_int)
     except RecursionError:
         raise ValueError("placement JSON is nested too deeply") from None
     except json.JSONDecodeError as exc:  # its message gives the position

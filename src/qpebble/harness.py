@@ -9,7 +9,6 @@ why worker count cannot change a single output byte.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import os
@@ -227,7 +226,8 @@ def parse_strategy(text: str) -> AgentStrategy:
 # a record's row: success, steps, measurements and failure kind, read in C (the
 # kind's _value_ skips Enum.value, a Python-level property)
 _ROW = attrgetter("success", "steps_taken", "measurements_total", "failure_kind._value_")
-_JSON_ROW = json.JSONEncoder(separators=(",\n    ", ": ")).encode  # see records_to_json
+# a record's JSON text after its trial index, indent=2's layout; no failure kind needs escaping
+_JSON_ROW = ',\n    "success": %s,\n    "steps": %d,\n    "measurements": %d,\n    "failure_kind": "%s"\n  }'
 # trials per slice of _trial_range and per piece of the writers: what a run holds per trial at once
 _PIECE = 1 << 14
 
@@ -424,8 +424,7 @@ def records_to_csv(records: ExperimentResult | Sequence[TrialResult], out: IO[st
 
 def records_to_json(records: ExperimentResult | Sequence[TrialResult], out: IO[str] | None = None) -> str | None:
     """``json.dumps(rows, indent=2)`` and a newline, each row a trial's index and record, written or returned as
-    records_to_csv's text is. A run's row is encoded once per piece, by the C encoder (indent picks the pure-Python
-    one), whose _JSON_ROW separators give indent=2's layout."""
+    records_to_csv's text is. A run's row is formatted once per piece, from the _JSON_ROW template."""
     return "".join(_json_pieces(records)) if out is None else out.writelines(_json_pieces(records))
 
 
@@ -433,8 +432,7 @@ def _json_pieces(records: ExperimentResult | Sequence[TrialResult]) -> Iterator[
     """records_to_json's text: "[", then per trial head, index and row, "," between trials, and "\\n]\\n"."""
     head, sep = '\n  {\n    "trial": ', "["
     for rows, indices in _pieces(records):
-        rows = [",\n    " + _JSON_ROW({"success": s, "steps": n, "measurements": m, "failure_kind": k})[1:-1] + "\n  }"
-                for s, n, m, k in rows]
+        rows = [_JSON_ROW % ("true" if s else "false", n, m, k) for s, n, m, k in rows]
         indices[-1] = indices[-1][:-1]  # the piece's last trial: its row, with no "," and head after it
         yield sep + head
         yield "".join(chain(map(str.replace, indices, repeat("\n"), [f"{row},{head}" for row in rows]), rows[-1:]))

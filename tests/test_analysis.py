@@ -32,6 +32,7 @@ from qpebble import (
     run_experiment,
     success_lower_bound,
 )
+from qpebble import analysis
 from qpebble.encoding import Placement, QuantumPebble, basis_family
 from qpebble.quantum import QubitState, born_probability, snap_certain
 from walks import turned
@@ -75,6 +76,31 @@ def test_required_n_monotone():
     assert required_n(10, 4, 0.001) > required_n(10, 4, 0.01)
     assert required_n(20, 4, 0.01) > required_n(10, 4, 0.01)
     assert required_n(10, 8, 0.01) > required_n(10, 4, 0.01)
+
+
+def _meets(dist, delta, eps, n):
+    """required_n's test on n, with its float expression: ln of the union bound against ln of eps / dist."""
+    return analysis._log_node_failure(delta, n) <= math.log(eps / float(dist) * (1.0 + 1e-9))
+
+
+def test_required_n_is_the_least_n_meeting_its_test_over_a_grid():
+    for dist in (1, 2, 3, 5, 10, 20, 100, 10**3, 2 * 10**4, 10**5, 10**6, 10**9):
+        for delta in (2, 3, 4, 6, 8, 16, 32, 64, 100, 10**3, 2**16, 10**5, 10**6):
+            for eps in (0.5, 0.1, 0.01, 1e-6):
+                n = required_n(dist, delta, eps)
+                assert _meets(dist, delta, eps, n), (dist, delta, eps, n)
+                assert n == 1 or not _meets(dist, delta, eps, n - 1), (dist, delta, eps, n)
+
+
+@pytest.mark.parametrize("dist, delta, n", [(1, 10**8, 103699213663464824), (10, 140_000_000, 115584471269729449)])
+def test_required_n_where_the_bound_nears_1_takes_few_evaluations(dist, delta, n, monkeypatch):
+    """Near the largest delta with a bound below 1, n passes 10^17: doubling and bisection reach it in about
+    2 log2(n) evaluations of the bound, where a scan from a float guess took millions."""
+    tried = []
+    log_node_failure = analysis._log_node_failure
+    monkeypatch.setattr(analysis, "_log_node_failure", lambda d, k: tried.append(k) or log_node_failure(d, k))
+    assert required_n(dist, delta) == n
+    assert len(tried) <= 130
 
 
 def test_compare_names_a_dist_times_delta_past_float_range():

@@ -297,6 +297,20 @@ def test_config_json_that_does_not_parse_exits_2_naming_the_file(capsys, tmp_pat
         assert err == f"qpebble: error: config file {str(cfg)!r} is not valid JSON: Expecting value: line 1 column 18 (char 17)\n"
 
 
+def test_config_json_past_the_digit_limit_or_not_utf8_exits_2_with_its_message(capsys, tmp_path):
+    """An integer past int()'s 4300-digit limit names the config file; a file that is not UTF-8 keeps the codec's
+    message."""
+    long_int, not_utf8 = tmp_path / "long.json", tmp_path / "latin1.json"
+    long_int.write_text('{"trials": ' + "9" * 5000 + "}")
+    not_utf8.write_bytes(b'{"graph_source": "\xff"}')
+    for cfg, message in [
+        (long_int, f"config file {str(long_int)!r} holds an integer of more than 4300 digits"),
+        (not_utf8, "'utf-8' codec can't decode byte 0xff in position 18: invalid start byte"),
+    ]:
+        code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg)])
+        assert (code, out, err) == (2, "", f"qpebble: error: {message}\n")
+
+
 PAST_FLOAT = "1" + "0" * 400  # 401 digits
 DELTA_ROUNDS_TO_ONE = "delta is too large: cos^2(pi / (2 delta)) rounds to 1, so no n meets the bound"
 

@@ -430,6 +430,9 @@ def test_placement_from_json_needs_a_pebble_list():
             placement_from_json(json.dumps(doc))
 
 
+LONG = "9" * 5000
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -442,9 +445,18 @@ def test_placement_from_json_needs_a_pebble_list():
         (json.dumps(qudit({"node": 0, "level": 2**63})), 'pebble row 0: "level" must fit in a 64-bit integer'),
         (json.dumps(general({**ROW, "basis_index": 10**30})), 'pebble row 0: "basis_index" must fit in a 64-bit integer'),
         (json.dumps(general(ROW, delta=10**400)), 'placement JSON "delta" must fit in a 64-bit integer'),
+        # literals past int()'s 4300-digit limit
+        ('{"scheme": "general", "delta": %s, "pebbles": []}' % LONG, 'placement JSON "delta" must fit in a 64-bit integer'),
+        ('{"scheme": "general", "delta": 4, "pebbles": [{"node": -%s, "basis_index": 0, "sign": "+"}]}' % LONG,
+         'pebble row 0: "node" must fit in a 64-bit integer'),
+        ('{"scheme": "qudit", "delta": 4, "pebbles": [{"node": 0, "level": %s}]}' % LONG,
+         'pebble row 0: "level" must fit in a 64-bit integer'),
+        ('{"scheme": "general", "delta": 4, "pebbles": [{"node": 0, "basis_index": %s, "sign": "+"}]}' % LONG,
+         'pebble row 0: "basis_index" must fit in a 64-bit integer'),
     ],
     ids=["open_brace", "cut_after_a_key", "empty", "node_1e30", "node_below_int64", "qudit_node_1e30", "level_2_63",
-         "basis_index_1e30", "delta_401_digits"],
+         "basis_index_1e30", "delta_401_digits", "delta_5000_digits", "node_minus_5000_digits", "level_5000_digits",
+         "basis_index_5000_digits"],
 )
 def test_placement_json_that_does_not_parse_or_passes_64_bits_is_a_named_value_error(text, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

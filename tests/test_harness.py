@@ -26,6 +26,7 @@ from qpebble import (
     PortGraph,
     QuditOneShot,
     RandomWalk,
+    RngStream,
     SummaryStats,
     TrialResult,
     gen_padded_path,
@@ -34,6 +35,7 @@ from qpebble import (
     records_to_csv,
     records_to_json,
     run_experiment,
+    run_trial,
     sweep,
     wilson_ci,
 )
@@ -333,6 +335,12 @@ def test_records_to_json_writes_the_bytes_of_json_dumps():
             for i, r in enumerate(case)
         ]
         assert records_to_json(case) == json.dumps(rows, indent=2) + "\n"
+
+
+def test_no_failure_kind_needs_json_escaping():
+    """records_to_json writes each kind between two quotes as it is."""
+    for kind in FailureKind:
+        assert json.dumps(kind.value) == f'"{kind.value}"'
 
 
 def _plain_csv(records):
@@ -766,6 +774,35 @@ def test_parse_graph_source_forms(tmp_path):
         parse_graph_source("path:D=3,delta=4,bogus=1", seed=0)
     with pytest.raises(ValueError, match="three binary digits"):
         parse_graph_source("gpqr:p=0,q=0,r=0,swaps=2", seed=0)
+
+
+def _bogus_strategy_trial():
+    g = parse_graph_source("path:D=3,delta=4", 0)
+    return run_trial(g, place_pebbles(g, EncodingScheme.GENERAL), "bogus", 3, RngStream(0, 0))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: parse_graph_source("path:D", 0), "bad path generator parameter 'D', expected key=value"),
+        (lambda: parse_graph_source("gpqr:p=1,q=2", 0), "gpqr generator needs p, q, r, missing 'r'"),
+        (lambda: parse_graph_source("gpqr:p=1,q=2,r=0,x=1", 0), "unknown gpqr generator keys: ['x']"),
+        (lambda: parse_strategy("table:"), "table strategy needs at least one action"),
+        (lambda: run_experiment(ExperimentConfig("path:D=3,delta=4", trials=0)), "trials must be >= 1"),
+        (_bogus_strategy_trial, "unknown strategy 'bogus'"),
+    ],
+    ids=["path_item_without_value", "gpqr_missing_r", "gpqr_unknown_key", "empty_table", "zero_trials",
+         "unknown_strategy"],
+)
+def test_boundary_messages(call, message):
+    """Messages no other test reaches; a config file that is not UTF-8 is in test_cli."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_an_empty_spec_item_is_skipped():
+    assert serialize_graph(parse_graph_source("path:D=3,,delta=4", 5)) == serialize_graph(
+        parse_graph_source("path:D=3,delta=4", 5))
 
 
 def test_records_csv_and_json_shapes():

@@ -186,6 +186,22 @@ def test_a_moved_or_crafted_stream_in_a_chunk_draws_alone():
         agent._MEMO.clear()
 
 
+def test_an_open_chunk_never_reads_a_batch_walked_for_other_arguments():
+    """A chunk's batch serves only the strategy and budget it was walked for:
+    a trial with other arguments gets the record it gets with no chunk open."""
+    g = parse_graph_source("path:D=10,delta=4", 3)
+    placement = place_pebbles(g, EncodingScheme.GENERAL)
+    calls = [(FixedN(5), 10), (FixedN(6), 10), (FixedN(5), 9), (FixedN(6), 12)]
+    agent._MEMO.clear()
+    want = [run_trial(g, placement, strategy, budget, RngStream(3, i)) for i, (strategy, budget) in enumerate(calls)]
+    try:
+        agent._memo(g, placement, 40)
+        got = [run_trial(g, placement, strategy, budget, RngStream(3, i)) for i, (strategy, budget) in enumerate(calls)]
+        assert got == want
+    finally:
+        agent._MEMO.clear()
+
+
 def test_equal_neighbouring_fixed_n_records_are_one_object():
     """A fixed-n trial returns the one kept record of its row, read from a
     chunk's batch or walked alone, as qudit and table trials do: so equal
