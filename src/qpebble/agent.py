@@ -25,8 +25,8 @@ Decoding rules:
   least is above it) and on from the LCG states the last round carried.
   ``_lockstep`` walks a group of trials at one node, round and stream offset
   through each block together, and splits it by port at an unforced node;
-  a harness chunk's fresh streams walk in batches (``_fixed_trial``), any
-  other stream as a batch of one. No record depends on where blocks,
+  a harness chunk's trial indices walk in batches (``_fixed_trial``), a
+  caller's stream as a batch of one. No record depends on where blocks,
   batches or rounds begin, since a node's draws sit at a fixed stream offset.
 * adaptive: round-robin over the bases still alive, killing a basis the
   first time it contradicts its own previous outcome; decode once a single
@@ -358,10 +358,10 @@ def _fixed_block(g: PortGraph, placement: Placement, cur: int, limit: int, n: in
 
 # run_trial's memo, which a run's trials share: the last (graph, placement) pair, both compared by identity; the
 # fixed-n blocks built for it, by where their round starts (module docstring); the last strategy and budget that
-# passed run_trial's checks, with their record if they draw nothing; the end of the chunk of trials a harness runs,
-# or None; and the chunk's last fixed-n batch. An adaptive trial keeps nothing here: it reads the cached
-# _decode_table of each of the placement's states. Keeping one pair bounds what the memo holds alive to one graph,
-# and a run clears it.
+# passed run_trial's checks, with their record if they draw nothing; the seed and end of the chunk of trials a
+# harness runs, or None; and the chunk's last fixed-n batch, its first index and records, for that strategy and
+# budget. An adaptive trial keeps nothing here: it reads the cached _decode_table of each of the placement's
+# states. Keeping one pair bounds what the memo holds alive to one graph, and a run clears it.
 _MEMO: list = []
 _BATCH_DRAWS = 1 << 14  # the most words, draws and carried states, of a first round's Streams call
 
@@ -451,34 +451,31 @@ def _lockstep(g: PortGraph, placement: Placement, strategy: FixedN, budget: int,
     return out.tolist()
 
 
-def _fixed_trial(g: PortGraph, placement: Placement, strategy: FixedN, budget: int, rng: RngStream) -> TrialResult:
-    """A fixed-n trial's record. Inside a chunk (``_MEMO[6]``: its end), a fresh RngStream(seed, i) reads it from the
-    chunk's batch holding i, which the first trial in range walked for as many of its seed's next streams as fit the
-    first block's first round in _BATCH_DRAWS words; any other stream walks alone, a batch of one."""
-    memo, i = _MEMO, rng.stream_id
-    if memo[6] is not None and type(rng) is RngStream:
-        if memo[7] is None or not 0 <= i - memo[7][1] < len(memo[7][2]):
-            runs = g.start in placement.index_of and _block(g, placement, strategy.n, budget, g.start, 0, 0)[3].size
-            memo[7] = None
-            if (hi := min(memo[6], i + _BATCH_DRAWS // ((min(strategy.n, 8) + 1) * max(runs, 1)))) > i + 1:
-                streams = Streams(rng.seed, i, hi)
-                records = _lockstep(g, placement, strategy, budget, streams.state, streams.inc, streams.run_states)
-                memo[7] = (strategy, budget), i, streams.state.tolist(), records
-        if memo[7] is not None and rng._state == memo[7][2][i - memo[7][1]]:
-            return memo[7][3][i - memo[7][1]]
+def _fixed_trial(g: PortGraph, placement, strategy: FixedN, budget: int, rng: RngStream | int) -> TrialResult:
+    """A fixed-n trial's record. Trial index i of an open chunk (``_MEMO[6]``: its seed and end) walks a batch from
+    i, as many of the seed's next streams as fit the first block's first round in _BATCH_DRAWS words, which run_trial
+    reads by position; where one trial fills a batch, and on a stream a caller passes, a trial walks alone."""
+    if type(rng) is int:  # no batch holds trial i
+        i, (seed, end), _MEMO[7] = rng, _MEMO[6], None
+        runs = g.start in placement.index_of and _block(g, placement, strategy.n, budget, g.start, 0, 0)[3].size
+        if (hi := min(end, i + _BATCH_DRAWS // ((min(strategy.n, 8) + 1) * max(runs, 1)))) > i + 1:
+            streams = Streams(seed, i, hi)
+            _MEMO[7] = i, _lockstep(g, placement, strategy, budget, streams.state, streams.inc, streams.run_states)
+            return _MEMO[7][1][0]
+        rng = RngStream(seed, i)
     alone = np.array([rng._state], np.uint64), np.array([rng._inc], np.uint64)
     return _lockstep(g, placement, strategy, budget, *alone, lambda at, w, st, _: rng.run_states(at, w, st.ravel()))[0]
 
 
-def _memo(g: PortGraph, placement, end: int | None = None) -> list:
-    """_MEMO for this pair: kept, or made anew once the pebbles are checked to lie in the graph. An ``end`` always
-    makes it anew, opening a harness chunk of trials up to ``end`` whose fresh fixed-n streams walk in batches."""
-    if end is not None or not (_MEMO and _MEMO[0] is g and _MEMO[1] is placement):
+def _memo(g: PortGraph, placement, chunk: tuple[int, int] | None = None) -> list:
+    """_MEMO for this pair: kept, or made anew once the pebbles are checked to lie in the graph. A ``chunk``, (seed,
+    end), always makes it anew, opening a harness chunk whose trials up to ``end`` run_trial gets by index."""
+    if chunk is not None or not (_MEMO and _MEMO[0] is g and _MEMO[1] is placement):
         if isinstance(placement, Placement):  # a classical strategy's bare set is not checked
             bad = placement.nodes[(placement.nodes < 0) | (placement.nodes >= g.node_count)].tolist()
             if bad:
                 raise ValueError(f"placement references nodes outside the graph: {bad}")
-        _MEMO[:] = g, placement, {}, None, None, None, end, None
+        _MEMO[:] = g, placement, {}, None, None, None, chunk, None
     return _MEMO
 
 
@@ -513,7 +510,7 @@ def run_trial(
     placement: Union[Placement, AbstractSet[int]],
     strategy: AgentStrategy,
     step_budget: int,
-    rng: RngStream | None,
+    rng: RngStream | int | None,
 ) -> TrialResult:
     """Walk one agent from start until treasure, failure, or budget.
 
@@ -527,12 +524,12 @@ def run_trial(
     walks in lockstep as a batch of one, or reads its record from its
     harness chunk's batch (module docstring); each trial is still one call.
 
-    A fixed-n or adaptive trial reads its draws by offset and leaves ``rng``
-    where it was; a random walk takes one scalar draw per round. Qudit and
-    table trials never read it, so it may be None for them. A call with the
-    memo's graph, placement, strategy and budget, which passed the checks,
-    skips them: it returns the kept record of a qudit or table trial, or
-    checks ``rng`` and walks.
+    ``rng`` is the trial's stream, or in a harness chunk its index i, for
+    RngStream(seed, i) of the chunk's seed; qudit and table trials read
+    none, so it may be None for them. A fixed-n or adaptive trial leaves a
+    stream where it was; a random walk takes one scalar draw per round. A
+    call with the memo's graph, placement, strategy and budget, which passed
+    the checks, skips them: a qudit or table trial returns its kept record.
     """
     memo = _MEMO  # the memo's test inline: a call would cost a qudit trial about 5%
     if not (memo and memo[0] is g and memo[1] is placement and memo[3] is strategy and memo[4] == step_budget):
@@ -545,15 +542,29 @@ def run_trial(
         walks = not isinstance(strategy, _DRAWS_NOTHING)
         memo = _memo(g, placement)
         memo[3:6] = strategy, step_budget, None if walks else _walk(g, placement, strategy, step_budget, None)
-        if memo[7] is not None and memo[7][0] != (strategy, step_budget):
-            memo[7] = None  # a batch walked for other arguments
+        memo[7] = None  # any batch was walked for other arguments
     if memo[5] is not None:
         return memo[5]
-    if rng is None:
-        raise ValueError(f"{type(strategy).__name__} trials draw from a stream; got None")
+    if type(rng) is int and memo[6] is not None:  # a trial index of the open chunk
+        if memo[7] is not None and 0 <= rng - memo[7][0] < len(memo[7][1]):  # in the fixed-n batch walked last
+            return memo[7][1][rng - memo[7][0]]
+        if not isinstance(strategy, FixedN):
+            rng = RngStream(memo[6][0], rng)
+    elif not isinstance(rng, RngStream):
+        raise ValueError(_stream_error(strategy, rng))
     if isinstance(strategy, FixedN):
         return _fixed_trial(g, placement, strategy, step_budget, rng)
     return _walk(g, placement, strategy, step_budget, rng)
+
+
+def _stream_error(strategy: AgentStrategy, rng) -> str:
+    """run_trial's message for an ``rng`` that names no stream of a drawing strategy's trial."""
+    name = type(strategy).__name__
+    if rng is None:
+        return f"{name} trials draw from a stream; got None"
+    if isinstance(rng, (int, np.integer)) and not isinstance(rng, bool) and _MEMO[6] is None:
+        return f"{name} trial index {rng} names no stream: no harness chunk is open; pass an RngStream"
+    return f"rng must be an RngStream, an int trial index of an open harness chunk, or None; got {rng!r}"
 
 
 def _walk(g: PortGraph, placement, strategy: AgentStrategy, step_budget: int, rng: RngStream | None) -> TrialResult:

@@ -281,12 +281,15 @@ def gen_padded_path(dist: int, delta: int, seed: int) -> PortGraph:
     seed-determined permutation of their port labels, so the exit port that
     continues toward the treasure is uniform over 0..delta-1. Decoys and
     the two chain endpoints keep degree 1 with port 0. A graph of more than
-    ``MAX_PATH_NODES`` nodes is refused before anything is allocated.
+    ``MAX_PATH_NODES`` nodes is refused before anything is allocated; at
+    ``dist`` 1 no interior node is padded, so nothing is sized by ``delta``.
     """
     if dist < 1:
         raise ValueError(f"dist must be >= 1, got {dist}")
     if delta < 2 or delta % 2:
         raise ValueError(f"delta must be an even integer >= 2, got {delta}")
+    if dist == 1:  # the one edge 0 -> 1 between the endpoints, each at port 0: there is nothing to shuffle
+        return PortGraph(node_count=2, edges=np.array([[0, 0, 1, 0]], dtype=np.int64), start=0, treasure=1)
     decoys = (dist - 1) * (delta - 2)
     if dist + 1 + decoys > MAX_PATH_NODES:
         raise ValueError(f"padded path D={dist}, delta={delta} has over {MAX_PATH_NODES} nodes, the limit")

@@ -1,10 +1,11 @@
 """Experiment orchestration: many trials, stable aggregation, flat outputs.
 
 Reproducibility contract: trial ``i`` of an experiment draws from
-``RngStream(seed, stream_id=i)`` and nothing else, so the per-trial
-records are a pure function of (config, trial index). Workers only decide
-who computes which index; aggregation is always in index order, which is
-why worker count cannot change a single output byte.
+``RngStream(seed, stream_id=i)`` and nothing else (``run_trial`` gets ``i``
+and builds that stream, or walks it in a batch), so the per-trial records
+are a pure function of (config, trial index). Workers only decide who
+computes which index; aggregation is always in index order, which is why
+worker count cannot change a single output byte.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .agent import (
     QuditOneShot,
     RandomWalk,
     TrialResult,
-    _DRAWS_NOTHING,
     _MEMO,
     _check_args,
     _memo,
@@ -41,7 +41,6 @@ from .analysis import BoundReport, bound_report, required_n
 from .encoding import EncodingScheme, Placement, _scheme_named, family_delta, place_pebbles, route
 # shortest_path is not called here, but bench/spans.py wraps this name
 from .graph import _GEN_STREAM, PortGraph, GadgetSpec, gen_gpqr, gen_padded_path, parse_graph, shortest_path, validate
-from .rng import RngStream
 
 __all__ = [
     "ExperimentConfig",
@@ -261,13 +260,12 @@ def _trial_range(args) -> list[tuple[tuple, int, int]]:
     """The runs of trials lo..hi-1, run in slices of at most _PIECE trials, each folded into runs and then dropped:
     a chunk holds one slice of records, and returns (and pickles) O(runs)."""
     g, placement, strategy, budget, seed, lo, hi = args
-    # run_trial is looked up per trial, as this module's global, so it can be replaced
-    draws, runs = not isinstance(strategy, _DRAWS_NOTHING), []
+    runs = []
     try:
-        _memo(g, placement, hi)  # the chunk: its fresh fixed-n streams walk in batches
+        _memo(g, placement, (seed, hi))  # the chunk: run_trial gets trial i's index, and its stream is (seed, i)
         for start in range(lo, hi, _PIECE):
-            trials = range(start, min(start + _PIECE, hi))
-            part = [run_trial(g, placement, strategy, budget, RngStream(seed, i) if draws else None) for i in trials]
+            # run_trial is looked up per trial, as this module's global, so it can be replaced
+            part = [run_trial(g, placement, strategy, budget, i) for i in range(start, min(start + _PIECE, hi))]
             _extend_runs(runs, _record_runs(part), start)
         return runs
     finally:

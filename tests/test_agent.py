@@ -322,6 +322,42 @@ def test_only_drawing_strategies_need_a_stream():
             run_trial(g, place_pebbles(g, GENERAL), strategy, 4, None)
 
 
+INDEX_ERROR = "{} trial index 3 names no stream: no harness chunk is open; pass an RngStream"
+TYPE_ERROR = "rng must be an RngStream, an int trial index of an open harness chunk, or None; got {}"
+
+
+@pytest.mark.parametrize(
+    "rng, message, chunk_message",
+    [
+        (3, INDEX_ERROR, None),
+        (np.int64(3), INDEX_ERROR, TYPE_ERROR.format("np.int64(3)")),
+        ("x", TYPE_ERROR.format("'x'"), TYPE_ERROR.format("'x'")),
+        (2.5, TYPE_ERROR.format("2.5"), TYPE_ERROR.format("2.5")),
+        (True, TYPE_ERROR.format("True"), TYPE_ERROR.format("True")),
+    ],
+)
+def test_a_drawing_trial_names_what_its_rng_must_be(rng, message, chunk_message, monkeypatch):
+    """A trial that draws gets an RngStream, or inside a harness chunk an int
+    trial index; anything else raises a ValueError saying so, and an integer
+    index with no chunk open says that no chunk is open. Inside a chunk, the
+    int 3 is trial 3 of the chunk's seed."""
+    monkeypatch.setattr(agent, "_MEMO", [])
+    g = gen_padded_path(4, 4, 2)
+    placement = place_pebbles(g, GENERAL)
+    for strategy in (FixedN(5), Adaptive(), RandomWalk()):
+        agent._MEMO.clear()
+        with pytest.raises(ValueError) as err:
+            run_trial(g, placement, strategy, 4, rng)
+        assert str(err.value) == message.format(type(strategy).__name__)
+        agent._memo(g, placement, (9, 10))
+        if chunk_message is None:
+            assert run_trial(g, placement, strategy, 4, rng) == run_trial(g, placement, strategy, 4, fresh(9, 3))
+        else:
+            with pytest.raises(ValueError) as err:
+                run_trial(g, placement, strategy, 4, rng)
+            assert str(err.value) == chunk_message
+
+
 def test_run_trial_plans_each_graph_and_placement_once(monkeypatch):
     """The placement's nodes are checked, and its memo made, once per
     (graph, placement) pair, not once per trial."""

@@ -275,6 +275,17 @@ def test_a_fixed_n_whose_stream_offsets_pass_int64_exits_2(n, capsys):
     assert err == f"qpebble: error: FixedN.n {n} too large: 3 rounds read {6 * n} draws, over 2**63-1\n"
 
 
+@pytest.mark.parametrize("delta", ["100000000000", "100000000000000000000", str(2**62)])
+def test_a_one_edge_path_runs_at_any_delta(delta, capsys):
+    """path:D=1 pads no node, so any even delta gives the records of delta 2:
+    nothing is sized by delta (these deltas once ran out of memory or past
+    numpy's largest dimension)."""
+    argv = ["simulate", "--gen", f"path:D=1,delta={delta}", "--trials", "2", "--out", "-"]
+    code, out, _ = run_cli(capsys, argv)
+    assert (code, out) == run_cli(capsys, argv[:2] + ["path:D=1,delta=2"] + argv[3:])[:2]
+    assert out == "trial,success,steps,measurements,failure_kind\n0,1,1,8,none\n1,1,1,8,none\n" and code == 0
+
+
 @pytest.mark.parametrize("text", ["[" * 100_000, '{"trials": ' * 16_000 + "1" + "}" * 16_000],
                          ids=["open_brackets", "nested_objects"])
 def test_config_json_nested_too_deeply_exits_2_naming_the_file(text, capsys, tmp_path):

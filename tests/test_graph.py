@@ -1,6 +1,7 @@
 """Port-labeled graphs: invariants, generators, text format, BFS."""
 
 import pickle
+import tracemalloc
 import re
 from unittest import mock
 
@@ -145,6 +146,22 @@ def test_padded_path_smallest_case_is_single_edge():
     assert g.node_count == 2
     assert g.edges.tolist() == [[0, 0, 1, 0]]
     assert (g.start, g.treasure) == (0, 1)
+
+
+@pytest.mark.parametrize("delta", [10**11, 2**62, 10**20])
+def test_a_one_edge_padded_path_allocates_nothing_for_delta(delta):
+    """At D=1 there is no interior node to pad, so a delta whose port array
+    numpy could not allocate, or not even shape, gives the one-edge graph
+    of delta 2, with no array sized by delta."""
+    tracemalloc.start()
+    try:
+        g = gen_padded_path(1, delta, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert g.edges.tolist() == gen_padded_path(1, 2, 9).edges.tolist() == [[0, 0, 1, 0]]
+    assert (g.node_count, g.start, g.treasure, g.max_degree) == (2, 0, 1, 1)
 
 
 def test_padded_path_shape():

@@ -230,8 +230,7 @@ def test_run_experiment_calls_run_trial_once_per_trial(strategy, monkeypatch):
     """bench/child.py wraps harness.run_trial: its memory mode counts the
     records made per call and its trace takes the median of the per-call
     spans. So every trial stays one call, kept qudit and table records too.
-    Trial i of a drawing strategy gets stream i; qudit and table trials,
-    which draw nothing, get None."""
+    Trial i of every strategy gets its index i, which names its stream."""
     calls = []
     run_trial = harness_module.run_trial
     monkeypatch.setattr(harness_module, "run_trial", lambda *args: calls.append(args[-1]) or run_trial(*args))
@@ -240,10 +239,7 @@ def test_run_experiment_calls_run_trial_once_per_trial(strategy, monkeypatch):
         graph_source="path:D=4,delta=4", scheme=scheme, strategy=parse_strategy(strategy), trials=37, seed=3
     )
     assert len(run_experiment(cfg).records) == 37
-    if strategy == "qudit" or strategy.startswith("table:"):
-        assert calls == [None] * 37
-    else:
-        assert [rng.stream_id for rng in calls] == list(range(37))
+    assert calls == list(range(37))
 
 
 def test_arguments_are_checked_before_set_up(monkeypatch):
@@ -385,8 +381,8 @@ def _record_cases():
 
 def _result_of(records, monkeypatch):
     """run_experiment's result for a run whose trials are these records."""
-    # a random walk gets stream i at trial i, which picks the record
-    monkeypatch.setattr(harness_module, "run_trial", lambda g, placement, strategy, budget, rng: records[rng.stream_id])
+    # trial i gets its index i, which picks the record
+    monkeypatch.setattr(harness_module, "run_trial", lambda g, placement, strategy, budget, i: records[i])
     cfg = ExperimentConfig(graph_source="path:D=4,delta=4", strategy=RandomWalk(), trials=len(records), seed=1)
     return run_experiment(cfg)
 

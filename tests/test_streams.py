@@ -11,11 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpebble import (
+    Adaptive,
     EncodingScheme,
     ExperimentConfig,
     FixedN,
     Placement,
     QuantumPebble,
+    QuditOneShot,
+    RandomWalk,
     RngStream,
     encode_port,
     gen_padded_path,
@@ -24,7 +27,9 @@ from qpebble import (
     run_trial,
 )
 from qpebble import agent, harness
-from qpebble.harness import parse_graph_source
+from qpebble.encoding import route
+from qpebble.graph import _GEN_STREAM
+from qpebble.harness import parse_graph_source, parse_strategy
 from qpebble.rng import Streams, _jump
 from walks import reference_walk, turned
 
@@ -156,9 +161,9 @@ def test_batched_first_rounds_match_batches_of_one(name, monkeypatch):
 
 
 def test_a_moved_or_crafted_stream_in_a_chunk_draws_alone():
-    """Inside a chunk, a trial reads a batch's record only while its stream is
-    the fresh RngStream(seed, i) the record was walked for: a moved stream, or
-    one of a subclass that draws otherwise, walks alone."""
+    """Inside a chunk, a trial reads a batch's record only by its index: a
+    stream a caller passes, even a moved one or one of a subclass that draws
+    otherwise, walks alone."""
 
     class Inverted(RngStream):
         def run_states(self, starts, length, states=None):
@@ -168,22 +173,75 @@ def test_a_moved_or_crafted_stream_in_a_chunk_draws_alone():
     g = parse_graph_source("path:D=10,delta=4", 3)
     placement = place_pebbles(g, EncodingScheme.GENERAL)
     agent._MEMO.clear()
-    want = []
+    strategy, want, fresh = FixedN(4), [], []
     for i in range(20):
         moved = RngStream(3, i)
         moved.next_u32()
         want.append(run_trial(g, placement, FixedN(4), 10, moved))
         want.append(run_trial(g, placement, FixedN(4), 10, Inverted(3, i)))
+        fresh.append(run_trial(g, placement, strategy, 10, RngStream(3, i)))
     try:
-        agent._memo(g, placement, 20)
+        agent._memo(g, placement, (3, 20))
         for i in range(20):
+            assert run_trial(g, placement, strategy, 10, i) == fresh[i], i
             moved = RngStream(3, i)
             moved.next_u32()
             assert run_trial(g, placement, FixedN(4), 10, moved) == want[2 * i], i
             assert run_trial(g, placement, FixedN(4), 10, Inverted(3, i)) == want[2 * i + 1], i
-        assert agent._MEMO[7] is not None  # a batch was walked, and not read
+        assert agent._MEMO[7] is None  # a call with other arguments drops the batch the indices walked
+        assert run_trial(g, placement, strategy, 10, 0) == fresh[0]
+        assert run_trial(g, placement, strategy, 10, Inverted(3, 1)) == want[3]
+        assert agent._MEMO[7] is not None  # a batch holding trial 1 was walked, and the stream did not read it
     finally:
         agent._MEMO.clear()
+
+
+CHUNK_STRATEGIES = {
+    "fixed": (EncodingScheme.GENERAL, FixedN(53), 10),
+    "adaptive": (EncodingScheme.GENERAL, Adaptive(), 10),
+    "qudit": (EncodingScheme.QUDIT, QuditOneShot(), 10),
+    "random": (None, RandomWalk(), 60),
+    "table": (None, parse_strategy("table:1p=0,1n=0,4p=0,4n=s"), 10),
+}
+
+
+@pytest.mark.parametrize("name", list(CHUNK_STRATEGIES))
+def test_an_index_in_an_open_chunk_reads_what_its_fresh_stream_reads(name, monkeypatch):
+    """Inside an open chunk of seed 11 up to trial 400, run_trial(..., i)
+    returns what run_trial(..., RngStream(11, i)) returns with no chunk open.
+    At D=10, delta=4 a fixed-n batch holds 182 trials, so the indices fall in
+    order across the batch edges at 182 and 364 to the chunk's end, then past
+    it, and then back, each into a new batch from that index on."""
+    monkeypatch.setattr(agent, "Streams", CountedStreams)
+    monkeypatch.setattr(CountedStreams, "made", [])
+    scheme, strategy, budget = CHUNK_STRATEGIES[name]
+    g = parse_graph_source("path:D=10,delta=4", 11)
+    placement = frozenset(node for node, _ in route(g)) if scheme is None else place_pebbles(g, scheme)
+    indices = [*range(400), 400, 450, 5, 200, 181, 182, 0]
+    agent._MEMO.clear()
+    try:
+        want = [run_trial(g, placement, strategy, budget, RngStream(11, i)) for i in indices]
+        agent._memo(g, placement, (11, 400))
+        got = [run_trial(g, placement, strategy, budget, i) for i in indices]
+    finally:
+        agent._MEMO.clear()
+    assert got == want and (len(set(want)) > 1 or name in ("qudit", "table"))
+    batches = [(0, 182), (182, 364), (364, 400), (5, 187), (200, 382), (181, 363), (0, 182)]
+    assert CountedStreams.made == (batches if name == "fixed" else [])
+
+
+def test_a_fixed_n_run_builds_no_stream_per_trial(monkeypatch):
+    """A run's chunk passes run_trial trial indices, so 4000 fixed-n trials at
+    D=10, delta=4 build one RngStream, the one that draws the graph's ports."""
+    made, init = [], RngStream.__init__
+
+    def counted(self, seed, stream_id=0):
+        made.append(stream_id)
+        init(self, seed, stream_id)
+
+    monkeypatch.setattr(RngStream, "__init__", counted)
+    res = run_experiment(ExperimentConfig(graph_source="path:D=10,delta=4", strategy=FixedN(), trials=4000, seed=7))
+    assert len(res.records) == 4000 and made == [_GEN_STREAM]
 
 
 def test_an_open_chunk_never_reads_a_batch_walked_for_other_arguments():
@@ -195,8 +253,8 @@ def test_an_open_chunk_never_reads_a_batch_walked_for_other_arguments():
     agent._MEMO.clear()
     want = [run_trial(g, placement, strategy, budget, RngStream(3, i)) for i, (strategy, budget) in enumerate(calls)]
     try:
-        agent._memo(g, placement, 40)
-        got = [run_trial(g, placement, strategy, budget, RngStream(3, i)) for i, (strategy, budget) in enumerate(calls)]
+        agent._memo(g, placement, (3, 40))
+        got = [run_trial(g, placement, strategy, budget, i) for i, (strategy, budget) in enumerate(calls)]
         assert got == want
     finally:
         agent._MEMO.clear()
@@ -212,8 +270,8 @@ def test_equal_neighbouring_fixed_n_records_are_one_object():
     agent._MEMO.clear()
     try:
         alone = [run_trial(g, placement, strategy, 10, RngStream(7, i)) for i in range(400)]
-        agent._memo(g, placement, 400)
-        batched = [run_trial(g, placement, strategy, 10, RngStream(7, i)) for i in range(400)]
+        agent._memo(g, placement, (7, 400))
+        batched = [run_trial(g, placement, strategy, 10, i) for i in range(400)]
     finally:
         agent._MEMO.clear()
     assert batched == alone and len(set(alone)) > 2
@@ -245,8 +303,8 @@ def test_a_later_block_wider_than_the_first_is_walked_in_slices(monkeypatch):
     agent._MEMO.clear()
     try:
         alone = [run_trial(g, placement, FixedN(20), 300, RngStream(5, i)) for i in range(455)]
-        agent._memo(g, placement, 455)
-        batched = [run_trial(g, placement, FixedN(20), 300, RngStream(5, i)) for i in range(455)]
+        agent._memo(g, placement, (5, 455))
+        batched = [run_trial(g, placement, FixedN(20), 300, i) for i in range(455)]
     finally:
         agent._MEMO.clear()
     assert batched == alone and sum(r.steps_taken > 0 for r in alone) > 100
