@@ -26,8 +26,9 @@ Decoding rules:
   ``_lockstep`` walks a group of trials at one node, round and stream offset
   through each block together, and splits it by port at an unforced node;
   a harness chunk's trial indices walk in batches (``_fixed_trial``), a
-  caller's stream as a batch of one. No record depends on where blocks,
-  batches or rounds begin, since a node's draws sit at a fixed stream offset.
+  caller's stream as a batch of one, each in its ``_Run``. No record depends
+  on where blocks, batches or rounds begin, since a node's draws sit at a
+  fixed stream offset.
 * adaptive: round-robin over the bases still alive, killing a basis the
   first time it contradicts its own previous outcome; decode once a single
   basis survives, give up at the measurement cap. A trial reads its
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import enum
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import AbstractSet, Mapping, Union
@@ -356,13 +358,6 @@ def _fixed_block(g: PortGraph, placement: Placement, cur: int, limit: int, n: in
     return k, int(nodes[k - 1]), int(forced[k - 1]) or None, *runs, certain
 
 
-# run_trial's memo, which a run's trials share: the last (graph, placement) pair, both compared by identity; the
-# fixed-n blocks built for it, by where their round starts (module docstring); the last strategy and budget that
-# passed run_trial's checks, with their record if they draw nothing; the seed and end of the chunk of trials a
-# harness runs, or None; and the chunk's last fixed-n batch, its first index and records, for that strategy and
-# budget. An adaptive trial keeps nothing here: it reads the cached _decode_table of each of the placement's
-# states. Keeping one pair bounds what the memo holds alive to one graph, and a run clears it.
-_MEMO: list = []
 _BATCH_DRAWS = 1 << 14  # the most words, draws and carried states, of a first round's Streams call
 
 
@@ -375,13 +370,13 @@ def _uniform_signs(u: np.ndarray, thr: np.ndarray) -> tuple:
 _result = lru_cache(maxsize=1 << 12)(TrialResult)
 
 
-def _block(g: PortGraph, placement: Placement, n: int, budget: int, cur: int, rounds: int, meas: int) -> tuple:
-    """The memo's block a fixed-n round tests from ``cur`` after ``rounds`` rounds, ``meas`` draws in, built once."""
-    limit = min(budget - rounds, max(1, _ROUND_DRAWS // len(basis_family(placement.scheme, placement.delta))))
-    blocks, key = _MEMO[2], (n, cur, meas, limit)
-    if key not in blocks:
-        blocks[key] = _fixed_block(g, placement, cur, limit, n, meas)
-    return blocks[key]
+def _block(run: _Run, cur: int, rounds: int, meas: int) -> tuple:
+    """The run's block a fixed-n round tests from ``cur`` after ``rounds`` rounds, ``meas`` draws in, built once."""
+    placement = run.placement
+    limit = min(run.budget - rounds, max(1, _ROUND_DRAWS // len(basis_family(placement.scheme, placement.delta))))
+    if (key := (cur, meas, limit)) not in run.blocks:
+        run.blocks[key] = _fixed_block(run.g, placement, cur, limit, run.strategy.n, meas)
+    return run.blocks[key]
 
 
 def _uniform_runs(block: tuple, n: int, meas: int, t: np.ndarray, state, inc, draw) -> tuple:
@@ -406,13 +401,13 @@ def _uniform_runs(block: tuple, n: int, meas: int, t: np.ndarray, state, inc, dr
     return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
-def _lockstep(g: PortGraph, placement: Placement, strategy: FixedN, budget: int, state, inc, draw) -> list:
-    """The fixed-n records of trials whose streams have LCG states ``state`` and increments ``inc``, uint64 arrays,
-    walked in lockstep: a group of trials at one node, round and stream offset tests a block together, each trial
-    failing at its first node whose count of uniform bases is not one; the rest go on, split by port if unforced.
-    ``draw(starts, width, states, trials)`` is ``Streams.run_states`` with each run's stream."""
-    n, offsets, nbr = strategy.n, *g.csr
-    family = len(basis_family(placement.scheme, placement.delta))
+def _lockstep(walk: _Run, state, inc, draw) -> list:
+    """The fixed-n records, for run ``walk``, of trials whose streams have LCG states ``state`` and increments ``inc``,
+    uint64 arrays, walked in lockstep: a group of trials at one node, round and stream offset tests a block together,
+    each trial failing at its first node whose count of uniform bases is not one; the rest go on, split by port if
+    unforced. ``draw(starts, width, states, trials)`` is ``Streams.run_states`` with each run's stream."""
+    g, placement, n, budget = walk.g, walk.placement, walk.strategy.n, walk.budget
+    offsets, nbr, family = *g.csr, len(basis_family(placement.scheme, placement.delta))
     out = np.empty(state.size, object)
     groups = [(np.arange(state.size), g.start, 0, 0, 0)]  # trials, node, steps, rounds, stream offset
     while groups:
@@ -421,7 +416,7 @@ def _lockstep(g: PortGraph, placement: Placement, strategy: FixedN, budget: int,
             kind = FailureKind.MISSING_PEBBLE if rounds < budget else FailureKind.STEP_BUDGET_EXHAUSTED
             out[t] = _result(False, steps, meas, kind)
             continue
-        k, last, forced, node, *_, base, _, certain = block = _block(g, placement, n, budget, cur, rounds, meas)
+        k, last, forced, node, *_, base, _, certain = block = _block(walk, cur, rounds, meas)
         who, run, first = _uniform_runs(block, n, meas, t, state, inc, draw) if node.size else ((),) * 3
         if len(who):  # each trial's count of uniform bases per node
             bad = np.bincount(who * k + node.take(run), minlength=t.size * k).reshape(t.size, k) + certain != 1
@@ -451,32 +446,59 @@ def _lockstep(g: PortGraph, placement: Placement, strategy: FixedN, budget: int,
     return out.tolist()
 
 
-def _fixed_trial(g: PortGraph, placement, strategy: FixedN, budget: int, rng: RngStream | int) -> TrialResult:
-    """A fixed-n trial's record. Trial index i of an open chunk (``_MEMO[6]``: its seed and end) walks a batch from
-    i, as many of the seed's next streams as fit the first block's first round in _BATCH_DRAWS words, which run_trial
-    reads by position; where one trial fills a batch, and on a stream a caller passes, a trial walks alone."""
+def _fixed_trial(run: _Run, rng: RngStream | int) -> TrialResult:
+    """A fixed-n trial's record. Trial index i of the run's chunk walks a batch from i, as many of the chunk seed's
+    next streams as fit the first block's first round in _BATCH_DRAWS words, which run_trial reads by position; where
+    one trial fills a batch, and on a stream a caller passes, a trial walks alone."""
     if type(rng) is int:  # no batch holds trial i
-        i, (seed, end), _MEMO[7] = rng, _MEMO[6], None
-        runs = g.start in placement.index_of and _block(g, placement, strategy.n, budget, g.start, 0, 0)[3].size
-        if (hi := min(end, i + _BATCH_DRAWS // ((min(strategy.n, 8) + 1) * max(runs, 1)))) > i + 1:
+        i, (seed, end) = rng, run.chunk
+        runs = run.g.start in run.placement.index_of and _block(run, run.g.start, 0, 0)[3].size
+        if (hi := min(end, i + _BATCH_DRAWS // ((min(run.strategy.n, 8) + 1) * max(runs, 1)))) > i + 1:
             streams = Streams(seed, i, hi)
-            _MEMO[7] = i, _lockstep(g, placement, strategy, budget, streams.state, streams.inc, streams.run_states)
-            return _MEMO[7][1][0]
+            run.batch = i, _lockstep(run, streams.state, streams.inc, streams.run_states)
+            return run.batch[1][0]
         rng = RngStream(seed, i)
     alone = np.array([rng._state], np.uint64), np.array([rng._inc], np.uint64)
-    return _lockstep(g, placement, strategy, budget, *alone, lambda at, w, st, _: rng.run_states(at, w, st.ravel()))[0]
+    return _lockstep(run, *alone, lambda at, w, st, _: rng.run_states(at, w, st.ravel()))[0]
 
 
-def _memo(g: PortGraph, placement, chunk: tuple[int, int] | None = None) -> list:
-    """_MEMO for this pair: kept, or made anew once the pebbles are checked to lie in the graph. A ``chunk``, (seed,
-    end), always makes it anew, opening a harness chunk whose trials up to ``end`` run_trial gets by index."""
-    if chunk is not None or not (_MEMO and _MEMO[0] is g and _MEMO[1] is placement):
+class _Run:
+    """A run's shared state: ``g``, ``placement``, ``strategy`` and ``budget``, which passed run_trial's checks;
+    ``blocks``, the fixed-n blocks built for them, by where their round starts; ``kept``, the record of a strategy that
+    draws nothing, else None; ``chunk``, the seed and end of the harness chunk whose trial indices run_trial reads, or
+    None; and ``batch``, the fixed-n batch walked last, its first index and records, or None."""
+
+    __slots__ = ("g", "placement", "strategy", "budget", "blocks", "kept", "chunk", "batch")
+
+    def __init__(self, g: PortGraph, placement, strategy: AgentStrategy, budget: int, chunk: tuple | None) -> None:
+        quantum = isinstance(strategy, (FixedN, Adaptive, QuditOneShot))
+        if quantum and not isinstance(placement, Placement):
+            raise ValueError("quantum strategies need a full Placement")
+        _check_args(strategy, placement.scheme if quantum else None, budget, placement.delta if quantum else None)
+        if isinstance(strategy, FixedN) and strategy.n is None:
+            raise ValueError("FixedN.n must be resolved to a positive sample count")
         if isinstance(placement, Placement):  # a classical strategy's bare set is not checked
             bad = placement.nodes[(placement.nodes < 0) | (placement.nodes >= g.node_count)].tolist()
             if bad:
                 raise ValueError(f"placement references nodes outside the graph: {bad}")
-        _MEMO[:] = g, placement, {}, None, None, None, chunk, None
-    return _MEMO
+        self.g, self.placement, self.strategy, self.budget, self.blocks, self.chunk, self.batch = (
+            g, placement, strategy, budget, {}, chunk, None)
+        self.kept = _walk(g, placement, strategy, budget, None) if isinstance(strategy, _DRAWS_NOTHING) else None
+
+
+_CHUNK: _Run | None = None  # the run of the harness chunk open in this process
+
+
+@contextmanager
+def _chunk(g: PortGraph, placement, strategy: AgentStrategy, budget: int, seed: int, end: int):
+    """Open a harness chunk: until the with block ends, however it ends, run_trial calls with these arguments read its
+    run, and any call's int trial index i reads RngStream(seed, i), batched up to ``end`` for fixed-n."""
+    global _CHUNK
+    _CHUNK = _Run(g, placement, strategy, budget, (seed, end))
+    try:
+        yield _CHUNK
+    finally:
+        _CHUNK = None
 
 
 # The schemes each walking strategy decodes; classical strategies read no pebble.
@@ -528,32 +550,24 @@ def run_trial(
     RngStream(seed, i) of the chunk's seed; qudit and table trials read
     none, so it may be None for them. A fixed-n or adaptive trial leaves a
     stream where it was; a random walk takes one scalar draw per round. A
-    call with the memo's graph, placement, strategy and budget, which passed
-    the checks, skips them: a qudit or table trial returns its kept record.
+    call with the open chunk's arguments reads its run; any other checks
+    them and builds its own. A qudit or table trial returns its kept record.
     """
-    memo = _MEMO  # the memo's test inline: a call would cost a qudit trial about 5%
-    if not (memo and memo[0] is g and memo[1] is placement and memo[3] is strategy and memo[4] == step_budget):
-        quantum = isinstance(strategy, (FixedN, Adaptive, QuditOneShot))
-        if quantum and not isinstance(placement, Placement):
-            raise ValueError("quantum strategies need a full Placement")
-        _check_args(strategy, placement.scheme if quantum else None, step_budget, placement.delta if quantum else None)
-        if isinstance(strategy, FixedN) and strategy.n is None:
-            raise ValueError("FixedN.n must be resolved to a positive sample count")
-        walks = not isinstance(strategy, _DRAWS_NOTHING)
-        memo = _memo(g, placement)
-        memo[3:6] = strategy, step_budget, None if walks else _walk(g, placement, strategy, step_budget, None)
-        memo[7] = None  # any batch was walked for other arguments
-    if memo[5] is not None:
-        return memo[5]
-    if type(rng) is int and memo[6] is not None:  # a trial index of the open chunk
-        if memo[7] is not None and 0 <= rng - memo[7][0] < len(memo[7][1]):  # in the fixed-n batch walked last
-            return memo[7][1][rng - memo[7][0]]
+    run = _CHUNK  # the chunk's test inline: a call would cost a qudit trial about 5%
+    if not (run and run.g is g and run.placement is placement and run.strategy is strategy
+            and run.budget == step_budget):
+        run = _Run(g, placement, strategy, step_budget, run and run.chunk)
+    if run.kept is not None:
+        return run.kept
+    if type(rng) is int and run.chunk is not None:  # a trial index of the open chunk
+        if run.batch is not None and 0 <= rng - run.batch[0] < len(run.batch[1]):  # in the fixed-n batch walked last
+            return run.batch[1][rng - run.batch[0]]
         if not isinstance(strategy, FixedN):
-            rng = RngStream(memo[6][0], rng)
+            rng = RngStream(run.chunk[0], rng)
     elif not isinstance(rng, RngStream):
         raise ValueError(_stream_error(strategy, rng))
     if isinstance(strategy, FixedN):
-        return _fixed_trial(g, placement, strategy, step_budget, rng)
+        return _fixed_trial(run, rng)
     return _walk(g, placement, strategy, step_budget, rng)
 
 
@@ -562,7 +576,7 @@ def _stream_error(strategy: AgentStrategy, rng) -> str:
     name = type(strategy).__name__
     if rng is None:
         return f"{name} trials draw from a stream; got None"
-    if isinstance(rng, (int, np.integer)) and not isinstance(rng, bool) and _MEMO[6] is None:
+    if isinstance(rng, (int, np.integer)) and not isinstance(rng, bool) and _CHUNK is None:
         return f"{name} trial index {rng} names no stream: no harness chunk is open; pass an RngStream"
     return f"rng must be an RngStream, an int trial index of an open harness chunk, or None; got {rng!r}"
 

@@ -1,11 +1,11 @@
 """Experiment orchestration: many trials, stable aggregation, flat outputs.
 
 Reproducibility contract: trial ``i`` of an experiment draws from
-``RngStream(seed, stream_id=i)`` and nothing else (``run_trial`` gets ``i``
-and builds that stream, or walks it in a batch), so the per-trial records
-are a pure function of (config, trial index). Workers only decide who
-computes which index; aggregation is always in index order, which is why
-worker count cannot change a single output byte.
+``RngStream(seed, stream_id=i)`` and nothing else (``run_trial`` gets ``i`` in
+a harness chunk, which owns the run's state, and builds that stream or walks it
+in a batch), so the per-trial records are a pure function of (config, trial
+index). Workers only decide who computes which index; aggregation is always in
+index order, which is why worker count cannot change a single output byte.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from .agent import (
     QuditOneShot,
     RandomWalk,
     TrialResult,
-    _MEMO,
     _check_args,
-    _memo,
+    _chunk,
     run_trial,
 )
 from .analysis import BoundReport, bound_report, required_n
@@ -213,7 +212,7 @@ def parse_strategy(text: str) -> AgentStrategy:
         for key, val in kv.items():
             if len(key) < 2 or key[-1] not in "pn" or not key[:-1].isdigit():
                 raise ValueError(f"table keys look like 3p/3n/1p/1n, got {key!r}")
-            degree = int(key[:-1])
+            degree = _spec_int(key[:-1], "strategy", text)
             pebbled = key[-1] == "p"
             actions[(degree, pebbled)] = None if val == "s" else _spec_int(val, "strategy", text)
         if not actions:
@@ -261,15 +260,12 @@ def _trial_range(args) -> list[tuple[tuple, int, int]]:
     a chunk holds one slice of records, and returns (and pickles) O(runs)."""
     g, placement, strategy, budget, seed, lo, hi = args
     runs = []
-    try:
-        _memo(g, placement, (seed, hi))  # the chunk: run_trial gets trial i's index, and its stream is (seed, i)
+    with _chunk(g, placement, strategy, budget, seed, hi):  # run_trial gets trial i's index; its stream is (seed, i)
         for start in range(lo, hi, _PIECE):
             # run_trial is looked up per trial, as this module's global, so it can be replaced
             part = [run_trial(g, placement, strategy, budget, i) for i in range(start, min(start + _PIECE, hi))]
             _extend_runs(runs, _record_runs(part), start)
-        return runs
-    finally:
-        _MEMO.clear()  # run_trial's memo holds the run's graph alive
+    return runs
 
 
 def _check_trials(cfg: ExperimentConfig) -> None:

@@ -336,49 +336,44 @@ TYPE_ERROR = "rng must be an RngStream, an int trial index of an open harness ch
         (True, TYPE_ERROR.format("True"), TYPE_ERROR.format("True")),
     ],
 )
-def test_a_drawing_trial_names_what_its_rng_must_be(rng, message, chunk_message, monkeypatch):
+def test_a_drawing_trial_names_what_its_rng_must_be(rng, message, chunk_message):
     """A trial that draws gets an RngStream, or inside a harness chunk an int
     trial index; anything else raises a ValueError saying so, and an integer
     index with no chunk open says that no chunk is open. Inside a chunk, the
     int 3 is trial 3 of the chunk's seed."""
-    monkeypatch.setattr(agent, "_MEMO", [])
     g = gen_padded_path(4, 4, 2)
     placement = place_pebbles(g, GENERAL)
     for strategy in (FixedN(5), Adaptive(), RandomWalk()):
-        agent._MEMO.clear()
         with pytest.raises(ValueError) as err:
             run_trial(g, placement, strategy, 4, rng)
         assert str(err.value) == message.format(type(strategy).__name__)
-        agent._memo(g, placement, (9, 10))
-        if chunk_message is None:
-            assert run_trial(g, placement, strategy, 4, rng) == run_trial(g, placement, strategy, 4, fresh(9, 3))
-        else:
-            with pytest.raises(ValueError) as err:
-                run_trial(g, placement, strategy, 4, rng)
-            assert str(err.value) == chunk_message
+        with agent._chunk(g, placement, strategy, 4, 9, 10):
+            if chunk_message is None:
+                assert run_trial(g, placement, strategy, 4, rng) == run_trial(g, placement, strategy, 4, fresh(9, 3))
+            else:
+                with pytest.raises(ValueError) as err:
+                    run_trial(g, placement, strategy, 4, rng)
+                assert str(err.value) == chunk_message
 
 
 def test_run_trial_plans_each_graph_and_placement_once(monkeypatch):
-    """The placement's nodes are checked, and its memo made, once per
-    (graph, placement) pair, not once per trial."""
+    """The placement's nodes are checked, and a run built, once per harness
+    chunk, not once per trial; a call with other arguments, or outside a
+    chunk, builds a run of its own."""
     made = []
-
-    class Memo(list):
-        def __setitem__(self, key, value):
-            if key == slice(None):  # the memo made anew, for the pair value[:2]
-                made.append(tuple(value[:2]))
-            super().__setitem__(key, value)
-
-    monkeypatch.setattr(agent, "_MEMO", Memo())
+    init = agent._Run.__init__
+    monkeypatch.setattr(agent._Run, "__init__", lambda run, *args: made.append(args[1]) or init(run, *args))
     g = gen_padded_path(6, 4, 1)
     placement = place_pebbles(g, GENERAL)
-    first = [run_trial(g, placement, FixedN(7), 6, fresh(seed)) for seed in range(5)]
-    run_trial(g, placement, Adaptive(), 6, fresh(0))
-    assert made == [(g, placement)]
-    # an equal copy of the placement gets its own memo, and the same records
+    strategy = FixedN(7)
+    with agent._chunk(g, placement, strategy, 6, 0, 5):
+        first = [run_trial(g, placement, strategy, 6, fresh(seed)) for seed in range(5)]
+        run_trial(g, placement, Adaptive(), 6, fresh(0))
+    assert made == [placement, placement] and made[0] is made[1] is placement
+    # an equal copy of the placement is another argument, and gets the same records
     copy = Placement(placement.scheme, placement.delta, dict(placement.pebbles))
     assert [run_trial(g, copy, FixedN(7), 6, fresh(seed)) for seed in range(5)] == first
-    assert made == [(g, placement), (g, copy)]
+    assert len(made) == 7 and all(p is copy for p in made[2:])
 
 
 def test_kept_records_equal_a_fresh_walk():
@@ -421,26 +416,26 @@ def test_a_kept_record_is_recomputed_when_an_argument_changes(monkeypatch):
     walked = []
     walk = agent._walk
     monkeypatch.setattr(agent, "_walk", lambda *args: walked.append(args[1:4]) or walk(*args))
-    monkeypatch.setattr(agent, "_MEMO", [])
     g = gen_padded_path(6, 4, 3)
     placement = place_pebbles(g, EncodingScheme.QUDIT)
     strategy = QuditOneShot()
-    first = run_trial(g, placement, strategy, 6, fresh(0))
-    assert first.success and run_trial(g, placement, strategy, 6, fresh(1)) is first
-    assert len(walked) == 1
-    # the argument checks still run on every call
-    with pytest.raises(ValueError, match="step_budget"):
-        run_trial(g, placement, strategy, 0, fresh(0))
-    with pytest.raises(ValueError, match="qudit"):
-        run_trial(g, place_pebbles(g, GENERAL), strategy, 6, fresh(0))
-    short = run_trial(g, placement, strategy, 3, fresh(0))
-    assert (short.failure_kind, short.steps_taken) == (FailureKind.STEP_BUDGET_EXHAUSTED, 3)
-    # an equal copy of the placement or of the strategy is a new argument: compared by identity
-    copy = Placement(placement.scheme, placement.delta, dict(placement.pebbles))
-    assert run_trial(g, copy, strategy, 3, fresh(0)) == short
-    assert run_trial(g, copy, QuditOneShot(), 3, fresh(0)) == short
-    assert run_trial(g, copy, QuditOneShot(), 6, fresh(0)) == first
-    assert len(walked) == 5
+    with agent._chunk(g, placement, strategy, 6, 0, 2):
+        first = run_trial(g, placement, strategy, 6, fresh(0))
+        assert first.success and run_trial(g, placement, strategy, 6, fresh(1)) is first
+        assert len(walked) == 1
+        # the argument checks still run on every call
+        with pytest.raises(ValueError, match="step_budget"):
+            run_trial(g, placement, strategy, 0, fresh(0))
+        with pytest.raises(ValueError, match="qudit"):
+            run_trial(g, place_pebbles(g, GENERAL), strategy, 6, fresh(0))
+        short = run_trial(g, placement, strategy, 3, fresh(0))
+        assert (short.failure_kind, short.steps_taken) == (FailureKind.STEP_BUDGET_EXHAUSTED, 3)
+        # an equal copy of the placement or of the strategy is a new argument: compared by identity
+        copy = Placement(placement.scheme, placement.delta, dict(placement.pebbles))
+        assert run_trial(g, copy, strategy, 3, fresh(0)) == short
+        assert run_trial(g, copy, QuditOneShot(), 3, fresh(0)) == short
+        assert run_trial(g, copy, QuditOneShot(), 6, fresh(0)) == first
+        assert len(walked) == 5
     table = ClassicalTable(WLOG_TABLE)
     gadget = gen_gpqr(OSC_GADGET)
     assert run_trial(gadget, frozenset({0, 1, 2}), table, 7, fresh(0)) == run_trial(
@@ -449,12 +444,11 @@ def test_a_kept_record_is_recomputed_when_an_argument_changes(monkeypatch):
     assert len(walked) == 7  # two frozenset objects, one per call
 
 
-def test_bad_arguments_raise_after_a_memo_hit(monkeypatch):
-    """A call with the memo's graph, placement, strategy and budget skips the
-    argument checks. Bad arguments never enter the memo, so after a hit each
-    bad call still raises its message, and the next good call returns the
-    record a fresh memo gives."""
-    monkeypatch.setattr(agent, "_MEMO", [])
+def test_bad_arguments_raise_after_a_chunk_hit():
+    """A call with the open chunk's graph, placement, strategy and budget
+    skips the argument checks. Bad arguments never enter the chunk, so after
+    a hit each bad call still raises its message, and the next good call
+    returns the record a run of its own gives."""
     g, small = gen_padded_path(6, 4, 3), gen_padded_path(2, 4, 3)
     general, qudit = place_pebbles(g, GENERAL), place_pebbles(g, EncodingScheme.QUDIT)
     outside = [v for v in general.nodes.tolist() if v >= small.node_count]
@@ -465,20 +459,20 @@ def test_bad_arguments_raise_after_a_memo_hit(monkeypatch):
             ((g, general, FixedN(None), 6, fresh(0)), "FixedN.n must be resolved to a positive sample count"),
             ((g, general, QuditOneShot(), 6, None), "QuditOneShot requires the qudit scheme"),
             ((small, placement, strategy, 6, rng), f"placement references nodes outside the graph: {outside}"),
-            # for fixed-n, the memo's four arguments with no stream
+            # for fixed-n, the chunk's four arguments with no stream
             ((g, general, fixed, 6, None), "FixedN trials draw from a stream; got None"),
         ]
-        agent._MEMO.clear()
         fresh_record = run_trial(g, placement, strategy, 6, rng)
-        for args, message in bad_calls:
-            assert run_trial(g, placement, strategy, 6, rng) == fresh_record  # a memo hit
-            assert agent._MEMO[3] is strategy
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                run_trial(*args)
-            assert run_trial(g, placement, strategy, 6, rng) == fresh_record
+        with agent._chunk(g, placement, strategy, 6, 0, 1):
+            for args, message in bad_calls:
+                assert run_trial(g, placement, strategy, 6, rng) == fresh_record  # a chunk hit
+                assert agent._CHUNK.strategy is strategy
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    run_trial(*args)
+                assert run_trial(g, placement, strategy, 6, rng) == fresh_record
 
 
-def test_a_round_tripped_placement_builds_as_many_blocks(monkeypatch):
+def test_a_round_tripped_placement_builds_as_many_blocks():
     """placement_to_json writes its rows in column order, route order for a
     placed placement, so a JSON round trip keeps the fixed-n blocks whole even
     where node ids descend along the route."""
@@ -492,22 +486,24 @@ def test_a_round_tripped_placement_builds_as_many_blocks(monkeypatch):
     assert tripped == placed and placed.nodes[0] > placed.nodes[-1]
     built, records = [], []
     for placement in (placed, tripped):
-        monkeypatch.setattr(agent, "_MEMO", [])
-        records.append([run_trial(g, placement, FixedN(300), 200, fresh(0, i)) for i in range(3)])
-        built.append(len(agent._MEMO[2]))
+        strategy = FixedN(300)
+        with agent._chunk(g, placement, strategy, 200, 0, 3) as run:
+            records.append([run_trial(g, placement, strategy, 200, fresh(0, i)) for i in range(3)])
+        built.append(len(run.blocks))
     assert records[0] == records[1]
     assert built[0] == built[1] == 1
 
 
 def test_a_qudit_run_decodes_each_node_once(monkeypatch):
-    """1000 trials at D=10 share one walk: 10 decodes, not 10,000."""
+    """1000 trials of a chunk at D=10 share one walk: 10 decodes, not 10,000."""
     decoded = []
     decode = agent.decode_qudit
     monkeypatch.setattr(agent, "decode_qudit", lambda level: decoded.append(level) or decode(level))
     g = gen_padded_path(10, 4, 5)
     placement = place_pebbles(g, EncodingScheme.QUDIT)
     strategy = QuditOneShot()
-    records = [run_trial(g, placement, strategy, 10, fresh(0, i)) for i in range(1000)]
+    with agent._chunk(g, placement, strategy, 10, 0, 1000):
+        records = [run_trial(g, placement, strategy, 10, fresh(0, i)) for i in range(1000)]
     assert records[0].success and records[-1] is records[0]
     assert len(decoded) == 10
 
@@ -561,7 +557,7 @@ def test_full_run_success_is_product_of_node_successes():
 
 @pytest.mark.parametrize("offset", [0, -1])
 def test_pebbles_off_the_graph_are_named(offset):
-    """The memo's one array check names every pebble outside 0..node_count-1,
+    """A run's one array check names every pebble outside 0..node_count-1,
     in the placement's order, for quantum and table strategies alike."""
     g = gen_padded_path(4, 4, 2)
     full = place_pebbles(g, GENERAL)

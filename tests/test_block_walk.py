@@ -133,7 +133,6 @@ def test_block_walk_matches_per_node_walk(name):
 @pytest.mark.parametrize("name", list(CASES))
 def test_small_rounds_match_per_node_walk(name, monkeypatch):
     monkeypatch.setattr(agent, "_ROUND_DRAWS", SMALL_ROUNDS)
-    monkeypatch.setattr(agent, "_MEMO", [])
     test_block_walk_matches_per_node_walk(name)
 
 
@@ -188,21 +187,21 @@ def test_plan_matches_per_node_walk(name, round_draws, monkeypatch):
     """run_trial walks the blocks of the forced chain from the start, then on
     past the chain's end; the records are the per-node walk's."""
     monkeypatch.setattr(agent, "_ROUND_DRAWS", round_draws)
-    monkeypatch.setattr(agent, "_MEMO", [])
     build, n, chain_length, seeds, spread = PLAN_CASES[name]
     g, placement, budget = build()
     assert agent._fixed_block(g, placement, g.start, g.node_count, n, 0)[0] == chain_length
     size = max(1, round_draws // len(basis_family(GENERAL, placement.delta)))
-    failed_blocks = set()
-    for seed in range(seeds):
-        got = run_trial(g, placement, FixedN(n), budget, RngStream(seed, 3))
-        assert got == reference_walk(g, placement, FixedN(n), budget, RngStream(seed, 3)), seed
-        if got.failure_kind in (FailureKind.AMBIGUOUS_DECODE, FailureKind.WRONG_PORT_RANGE):
-            failed_blocks.add(got.steps_taken // size)
+    failed_blocks, strategy = set(), FixedN(n)
+    with agent._chunk(g, placement, strategy, budget, 0, seeds) as run:
+        for seed in range(seeds):
+            got = run_trial(g, placement, strategy, budget, RngStream(seed, 3))
+            assert got == reference_walk(g, placement, FixedN(n), budget, RngStream(seed, 3)), seed
+            if got.failure_kind in (FailureKind.AMBIGUOUS_DECODE, FailureKind.WRONG_PORT_RANGE):
+                failed_blocks.add(got.steps_taken // size)
     if spread == round_draws:
         assert 0 in failed_blocks and max(failed_blocks) > 0
     # every trial's first block: the chain's start, cut by the round size and the budget
-    first = agent._MEMO[2][(n, g.start, 0, min(budget, size))]
+    first = run.blocks[(g.start, 0, min(budget, size))]
     assert first[0] == min(chain_length, budget, size)
 
 
@@ -224,17 +223,19 @@ KEPT_CASES = {
 @pytest.mark.parametrize("name", list(KEPT_CASES))
 def test_kept_jumps_match_a_fresh_plan_and_the_per_node_walk(name, monkeypatch):
     """A trial's first round in each block reads its draws through jumps the
-    memo keeps. One memo serves every pass, in order; each record must equal
-    a walk from a memo made for that trial alone, and the per-node walk."""
+    run keeps. One chunk's run serves every trial of a pass, pass after pass;
+    each record must equal a walk from a run made for that trial alone, and
+    the per-node walk."""
     build, ns, round_draws = KEPT_CASES[name]
     monkeypatch.setattr(agent, "_ROUND_DRAWS", round_draws)
-    monkeypatch.setattr(agent, "_MEMO", [])
     g, placement, budget = build()
-    passes = [(n, [run_trial(g, placement, FixedN(n), budget, RngStream(seed, 4)) for seed in range(60)]) for n in ns]
-    assert agent._MEMO[2]
+    passes = []
+    for n in ns:
+        with agent._chunk(g, placement, strategy := FixedN(n), budget, 0, 60) as run:
+            passes.append((n, [run_trial(g, placement, strategy, budget, RngStream(seed, 4)) for seed in range(60)]))
+        assert run.blocks
     for n, kept in passes:
         for seed, got in enumerate(kept):
-            agent._MEMO.clear()
             assert got == run_trial(g, placement, FixedN(n), budget, RngStream(seed, 4)), (n, seed)
             assert got == reference_walk(g, placement, FixedN(n), budget, RngStream(seed, 4)), (n, seed)
 
@@ -246,12 +247,12 @@ def test_each_block_is_built_once_per_run(build, block_meas, monkeypatch):
     built = []
     fixed_block = agent._fixed_block
     monkeypatch.setattr(agent, "_fixed_block", lambda *args: built.append(args[-1]) or fixed_block(*args))
-    monkeypatch.setattr(agent, "_MEMO", [])
     g, placement, budget = build()
     n = PLAN_CASES[build.__name__][1]
-    for seed in range(50):
-        got = run_trial(g, placement, FixedN(n), budget, RngStream(seed, 5))
-        assert got == reference_walk(g, placement, FixedN(n), budget, RngStream(seed, 5)), seed
+    with agent._chunk(g, placement, strategy := FixedN(n), budget, 0, 50):
+        for seed in range(50):
+            got = run_trial(g, placement, strategy, budget, RngStream(seed, 5))
+            assert got == reference_walk(g, placement, FixedN(n), budget, RngStream(seed, 5)), seed
     assert block_meas in built
     assert len(built) == len(set(built))
     # a later run on the same pair with a smaller budget must not read the longer blocks
@@ -265,7 +266,6 @@ def test_a_node_reached_again_gets_a_block_at_its_new_offset(monkeypatch):
     until it fails or the budget ends; rounds of up to four nodes start at
     node 4 at steps 4, 8, 12, ..., each reading its own stream offsets."""
     monkeypatch.setattr(agent, "_ROUND_DRAWS", 8)
-    monkeypatch.setattr(agent, "_MEMO", [])
     g = gen_padded_path(12, 4, 4)
     (v4, _), (v5, _) = route(g)[4:6]
     back = next(p + 1 for p in range(g.degree(v5)) if neighbor_via_port(g, v5, p)[0] == v4)
@@ -418,7 +418,6 @@ def test_uniform_runs_at_the_threshold(name, monkeypatch):
     uniform run makes its decode ambiguous."""
     step, kind = THRESHOLD_CASES[name]
     monkeypatch.setattr(agent, "_ROUND_DRAWS", ROUND)
-    monkeypatch.setattr(agent, "_MEMO", [])
     p, got, _ = one_round(place_pebbles(gen_padded_path(2, 8, 3), GENERAL), step)
     assert p[0] == 1.0 and ((p[1:] > 0) & (p[1:] < 1)).all()
     assert got.failure_kind == kind
@@ -429,7 +428,6 @@ def test_an_unforced_node_decodes_its_one_uniform_run_by_its_sign(sign, kind, mo
     """With no certain basis, the one uniform run decodes the port: basis 0
     plus is the start node's port 1, and basis 0 minus a port it lacks."""
     monkeypatch.setattr(agent, "_ROUND_DRAWS", ROUND)
-    monkeypatch.setattr(agent, "_MEMO", [])
     state = turned(place_pebbles(gen_padded_path(2, 4, 3), GENERAL).states[0], 0.01)  # as in near_certain
     placement = Placement(GENERAL, 4, {0: QuantumPebble(0, state, 1)})
     p, got, _ = one_round(placement, mixed_but(0, lambda j: sign))

@@ -394,6 +394,15 @@ def test_config_errors_exit_2(capsys, tmp_path):
         assert "qpebble: error: delta must be >= " in err and f"got {delta}" in err
 
 
+@pytest.mark.parametrize("degree", ["²", "1" * 5000], ids=["superscript_two", "5000_digits"])
+def test_a_table_degree_that_is_no_int_names_the_strategy(degree, capsys):
+    """A table key's degree passes str.isdigit but int() cannot read it: a
+    digit that is no decimal digit, or more digits than int() reads."""
+    spec = f"table:{degree}p=1"
+    code, out, err = run_cli(capsys, ["simulate", "--gen", "path:D=3,delta=4", "--strategy", spec, "--trials", "1"])
+    assert (code, out, err) == (2, "", f"qpebble: error: cannot read {degree!r} as an integer in strategy {spec!r}\n")
+
+
 def test_a_strategy_spec_and_a_scheme_errors_name_their_text_and_exit_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["simulate", "--gen", "path:D=3,delta=4", "--strategy", "qudit:5"])
     assert (code, out, err) == (2, "", "qpebble: error: strategy qudit takes no parameters, got 'qudit:5'\n")

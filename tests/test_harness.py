@@ -44,7 +44,7 @@ from qpebble import cli as cli_module
 from qpebble import graph as graph_module
 from qpebble import harness as harness_module
 from qpebble.analysis import bound_report
-from qpebble.encoding import place_pebbles
+from qpebble.encoding import Placement, place_pebbles
 from qpebble.graph import serialize_graph, shortest_path
 from qpebble.harness import config_from_dict, env_seed_default, sweep_table_csv
 
@@ -741,8 +741,8 @@ def test_repeated_spec_keys_are_rejected():
     "scheme, strategy", [(EncodingScheme.GENERAL, FixedN()), (EncodingScheme.QUDIT, QuditOneShot())]
 )
 def test_a_run_releases_its_graph(scheme, strategy, monkeypatch):
-    """run_trial's memo holds the last graph and placement alive; a run drops
-    it once its trials are done."""
+    """A harness chunk's run holds its graph and placement alive; the chunk
+    closes once its trials are done, and nothing else keeps them."""
     made = []
     parse = harness_module.parse_graph_source
     monkeypatch.setattr(harness_module, "parse_graph_source", lambda *args: made.append(parse(*args)) or made[-1])
@@ -751,6 +751,50 @@ def test_a_run_releases_its_graph(scheme, strategy, monkeypatch):
     graph = weakref.ref(made.pop())
     gc.collect()
     assert graph() is None
+
+
+@pytest.mark.parametrize(
+    "scheme, strategy", [(EncodingScheme.GENERAL, FixedN(5)), (EncodingScheme.QUDIT, QuditOneShot())]
+)
+def test_a_chunk_closes_however_it_ends(scheme, strategy, monkeypatch):
+    """bench/child.py's memory mode ends a run by raising from run_trial. A
+    run that raises at trial 5 of 20 leaves no chunk open and its graph
+    freed, so a trial index names no stream after it. Inside an open chunk,
+    calls with another strategy object, budget or placement get their fresh
+    streams' records, and leave the chunk's batch, blocks and kept record."""
+    made = []
+    parse, run_trial_of = harness_module.parse_graph_source, harness_module.run_trial
+
+    def failing(*args):
+        if args[-1] == 5:
+            raise RuntimeError("trial 5")
+        return run_trial_of(*args)
+
+    monkeypatch.setattr(harness_module, "parse_graph_source", lambda *args: made.append(parse(*args)) or made[-1])
+    monkeypatch.setattr(harness_module, "run_trial", failing)
+    cfg = ExperimentConfig(graph_source="path:D=6,delta=4", scheme=scheme, strategy=strategy, trials=20, seed=3)
+    with pytest.raises(RuntimeError, match="^trial 5$"):
+        run_experiment(cfg)
+    assert agent_module._CHUNK is None
+    graph = weakref.ref(made.pop())
+    gc.collect()
+    assert graph() is None
+    g = gen_padded_path(6, 4, 3)
+    general, placement = place_pebbles(g, EncodingScheme.GENERAL), place_pebbles(g, scheme)
+    message = "FixedN trial index 3 names no stream: no harness chunk is open; pass an RngStream"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_trial(g, general, FixedN(5), 6, 3)
+    copy = Placement(placement.scheme, placement.delta, dict(placement.pebbles))
+    others = [(placement, replace(strategy), 6), (placement, strategy, 5), (copy, strategy, 6)]
+    want = [run_trial(g, p, s, budget, RngStream(3, i)) for i, (p, s, budget) in enumerate(others, 1)]
+    with agent_module._chunk(g, placement, strategy, 6, 3, 20) as run:
+        first = run_trial(g, placement, strategy, 6, 0)
+        batch, blocks, keys, kept = run.batch, run.blocks, list(run.blocks), run.kept
+        assert (batch is None) == (kept is not None)  # a fixed-n batch, or a qudit run's kept record
+        assert [run_trial(g, p, s, budget, i) for i, (p, s, budget) in enumerate(others, 1)] == want
+        assert run.batch is batch and run.blocks is blocks and list(blocks) == keys and run.kept is kept
+        assert run_trial(g, placement, strategy, 6, 0) is first
+    assert agent_module._CHUNK is None
 
 
 def test_parse_graph_source_forms(tmp_path):

@@ -172,7 +172,6 @@ def test_a_moved_or_crafted_stream_in_a_chunk_draws_alone():
 
     g = parse_graph_source("path:D=10,delta=4", 3)
     placement = place_pebbles(g, EncodingScheme.GENERAL)
-    agent._MEMO.clear()
     strategy, want, fresh = FixedN(4), [], []
     for i in range(20):
         moved = RngStream(3, i)
@@ -180,20 +179,18 @@ def test_a_moved_or_crafted_stream_in_a_chunk_draws_alone():
         want.append(run_trial(g, placement, FixedN(4), 10, moved))
         want.append(run_trial(g, placement, FixedN(4), 10, Inverted(3, i)))
         fresh.append(run_trial(g, placement, strategy, 10, RngStream(3, i)))
-    try:
-        agent._memo(g, placement, (3, 20))
+    with agent._chunk(g, placement, strategy, 10, 3, 20) as run:
         for i in range(20):
             assert run_trial(g, placement, strategy, 10, i) == fresh[i], i
             moved = RngStream(3, i)
             moved.next_u32()
             assert run_trial(g, placement, FixedN(4), 10, moved) == want[2 * i], i
             assert run_trial(g, placement, FixedN(4), 10, Inverted(3, i)) == want[2 * i + 1], i
-        assert agent._MEMO[7] is None  # a call with other arguments drops the batch the indices walked
+        batch = run.batch  # the indices' one batch: calls with other arguments walk their own
+        assert batch[0] == 0 and len(batch[1]) == 20
         assert run_trial(g, placement, strategy, 10, 0) == fresh[0]
         assert run_trial(g, placement, strategy, 10, Inverted(3, 1)) == want[3]
-        assert agent._MEMO[7] is not None  # a batch holding trial 1 was walked, and the stream did not read it
-    finally:
-        agent._MEMO.clear()
+        assert run.batch is batch  # a batch holding trial 1 was walked, and the stream did not read it
 
 
 CHUNK_STRATEGIES = {
@@ -218,13 +215,9 @@ def test_an_index_in_an_open_chunk_reads_what_its_fresh_stream_reads(name, monke
     g = parse_graph_source("path:D=10,delta=4", 11)
     placement = frozenset(node for node, _ in route(g)) if scheme is None else place_pebbles(g, scheme)
     indices = [*range(400), 400, 450, 5, 200, 181, 182, 0]
-    agent._MEMO.clear()
-    try:
-        want = [run_trial(g, placement, strategy, budget, RngStream(11, i)) for i in indices]
-        agent._memo(g, placement, (11, 400))
+    want = [run_trial(g, placement, strategy, budget, RngStream(11, i)) for i in indices]
+    with agent._chunk(g, placement, strategy, budget, 11, 400):
         got = [run_trial(g, placement, strategy, budget, i) for i in indices]
-    finally:
-        agent._MEMO.clear()
     assert got == want and (len(set(want)) > 1 or name in ("qudit", "table"))
     batches = [(0, 182), (182, 364), (364, 400), (5, 187), (200, 382), (181, 363), (0, 182)]
     assert CountedStreams.made == (batches if name == "fixed" else [])
@@ -250,14 +243,10 @@ def test_an_open_chunk_never_reads_a_batch_walked_for_other_arguments():
     g = parse_graph_source("path:D=10,delta=4", 3)
     placement = place_pebbles(g, EncodingScheme.GENERAL)
     calls = [(FixedN(5), 10), (FixedN(6), 10), (FixedN(5), 9), (FixedN(6), 12)]
-    agent._MEMO.clear()
     want = [run_trial(g, placement, strategy, budget, RngStream(3, i)) for i, (strategy, budget) in enumerate(calls)]
-    try:
-        agent._memo(g, placement, (3, 40))
+    with agent._chunk(g, placement, *calls[0], 3, 40):
         got = [run_trial(g, placement, strategy, budget, i) for i, (strategy, budget) in enumerate(calls)]
         assert got == want
-    finally:
-        agent._MEMO.clear()
 
 
 def test_equal_neighbouring_fixed_n_records_are_one_object():
@@ -267,13 +256,9 @@ def test_equal_neighbouring_fixed_n_records_are_one_object():
     identity."""
     g = parse_graph_source("path:D=10,delta=4", 7)
     placement, strategy = place_pebbles(g, EncodingScheme.GENERAL), FixedN(12)
-    agent._MEMO.clear()
-    try:
-        alone = [run_trial(g, placement, strategy, 10, RngStream(7, i)) for i in range(400)]
-        agent._memo(g, placement, (7, 400))
+    alone = [run_trial(g, placement, strategy, 10, RngStream(7, i)) for i in range(400)]
+    with agent._chunk(g, placement, strategy, 10, 7, 400):
         batched = [run_trial(g, placement, strategy, 10, i) for i in range(400)]
-    finally:
-        agent._MEMO.clear()
     assert batched == alone and len(set(alone)) > 2
     for records in (alone, batched):
         assert all(a is b for a, b in zip(records, records[1:]) if a == b)
@@ -300,13 +285,9 @@ def test_a_later_block_wider_than_the_first_is_walked_in_slices(monkeypatch):
     g = gen_padded_path(300, 8, 4)
     placed = place_pebbles(g, EncodingScheme.GENERAL)
     placement = changed(placed, g.start, "turned", 0.15)
-    agent._MEMO.clear()
-    try:
-        alone = [run_trial(g, placement, FixedN(20), 300, RngStream(5, i)) for i in range(455)]
-        agent._memo(g, placement, (5, 455))
-        batched = [run_trial(g, placement, FixedN(20), 300, i) for i in range(455)]
-    finally:
-        agent._MEMO.clear()
+    alone = [run_trial(g, placement, FixedN(20), 300, RngStream(5, i)) for i in range(455)]
+    with agent._chunk(g, placement, strategy := FixedN(20), 300, 5, 455):
+        batched = [run_trial(g, placement, strategy, 300, i) for i in range(455)]
     assert batched == alone and sum(r.steps_taken > 0 for r in alone) > 100
     assert len(WordCounting.words) > 100 and max(WordCounting.words) <= 8 * agent._ROUND_DRAWS + agent._BATCH_DRAWS
 
