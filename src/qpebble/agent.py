@@ -449,7 +449,7 @@ def _lockstep(walk: _Run, state, inc, draw) -> list:
 def _fixed_trial(run: _Run, rng: RngStream | int) -> TrialResult:
     """A fixed-n trial's record. Trial index i of the run's chunk walks a batch from i, as many of the chunk seed's
     next streams as fit the first block's first round in _BATCH_DRAWS words, which run_trial reads by position; where
-    one trial fills a batch, and on a stream a caller passes, a trial walks alone."""
+    one trial fills a batch, on a stream a caller passes, and in a run other than the chunk's, a trial walks alone."""
     if type(rng) is int:  # no batch holds trial i
         i, (seed, end) = rng, run.chunk
         runs = run.g.start in run.placement.index_of and _block(run, run.g.start, 0, 0)[3].size
@@ -551,7 +551,8 @@ def run_trial(
     none, so it may be None for them. A fixed-n or adaptive trial leaves a
     stream where it was; a random walk takes one scalar draw per round. A
     call with the open chunk's arguments reads its run; any other checks
-    them and builds its own. A qudit or table trial returns its kept record.
+    them and builds its own, where an index i walks alone on
+    RngStream(seed, i). A qudit or table trial returns its kept record.
     """
     run = _CHUNK  # the chunk's test inline: a call would cost a qudit trial about 5%
     if not (run and run.g is g and run.placement is placement and run.strategy is strategy
@@ -562,7 +563,7 @@ def run_trial(
     if type(rng) is int and run.chunk is not None:  # a trial index of the open chunk
         if run.batch is not None and 0 <= rng - run.batch[0] < len(run.batch[1]):  # in the fixed-n batch walked last
             return run.batch[1][rng - run.batch[0]]
-        if not isinstance(strategy, FixedN):
+        if run is not _CHUNK or not isinstance(strategy, FixedN):  # only the chunk's own run walks batches
             rng = RngStream(run.chunk[0], rng)
     elif not isinstance(rng, RngStream):
         raise ValueError(_stream_error(strategy, rng))

@@ -166,53 +166,58 @@ def _cmd_gen_graph(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# the subcommands, in the order the help lists them
+_COMMANDS = ("simulate", "sweep", "bound", "compare-fullpath", "impossible", "gen-graph")
+
+
+def _build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser, with the one subcommand argv starts with (its usage line still names all), else with all of them."""
     parser = argparse.ArgumentParser(prog="qpebble", description=__doc__.splitlines()[0])
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sim = subs.add_parser("simulate", help="run one experiment")
-    _add_experiment_flags(sim)
-    sim.add_argument("--out", help="write per-trial records here ('-' for stdout)")
-    sim.add_argument("--format", choices=["csv", "json"], default="csv")
-    sim.set_defaults(func=_cmd_simulate)
-
-    sw = subs.add_parser("sweep", help="repeat an experiment along one axis")
-    _add_experiment_flags(sw)
-    sw.add_argument("--axis", choices=["n", "D", "delta"], required=True)
-    sw.add_argument("--values", required=True, help="comma separated integers")
-    sw.add_argument("--out", help="write the table here (default stdout)")
-    sw.add_argument("--format", choices=["csv", "json"], default="csv")
-    sw.set_defaults(func=_cmd_sweep)
-
-    bd = subs.add_parser("bound", help="failure-bound report")
-    bd.add_argument("--D", type=int, required=True)
-    bd.add_argument("--delta", type=int, required=True)
-    bd.add_argument("--n", type=int, default=None)
-    bd.add_argument("--eps", type=float, default=0.01)
-    bd.set_defaults(func=_cmd_bound)
-
-    cmp_ = subs.add_parser("compare-fullpath", help="per-node vs single-state totals")
-    cmp_.add_argument("--D", type=int, required=True)
-    cmp_.add_argument("--delta", type=int, required=True)
-    cmp_.add_argument("--eps", type=float, default=0.01)
-    cmp_.set_defaults(func=_cmd_compare)
-
-    imp = subs.add_parser("impossible", help="exhaustive classical-rule check")
-    imp.add_argument("--witnesses", action="store_true", help="include the per-table witness gadgets")
-    imp.set_defaults(func=_cmd_impossible)
-
-    gg = subs.add_parser("gen-graph", help="emit a generated graph")
-    gg.add_argument("--gen", required=True, help="path:D=10,delta=4 | gpqr:p=2,q=2,r=2[,swaps=100]")
-    gg.add_argument("--seed", type=int)
-    gg.add_argument("--out", help="output file (default stdout)")
-    gg.set_defaults(func=_cmd_gen_graph)
-
+    one = argv[0] if argv and argv[0] in _COMMANDS else None
+    subs = parser.add_subparsers(dest="command", required=True, metavar=one and "{%s}" % ",".join(_COMMANDS))
+    if one in (None, "simulate"):
+        sim = subs.add_parser("simulate", help="run one experiment")
+        _add_experiment_flags(sim)
+        sim.add_argument("--out", help="write per-trial records here ('-' for stdout)")
+        sim.add_argument("--format", choices=["csv", "json"], default="csv")
+        sim.set_defaults(func=_cmd_simulate)
+    if one in (None, "sweep"):
+        sw = subs.add_parser("sweep", help="repeat an experiment along one axis")
+        _add_experiment_flags(sw)
+        sw.add_argument("--axis", choices=["n", "D", "delta"], required=True)
+        sw.add_argument("--values", required=True, help="comma separated integers")
+        sw.add_argument("--out", help="write the table here (default stdout)")
+        sw.add_argument("--format", choices=["csv", "json"], default="csv")
+        sw.set_defaults(func=_cmd_sweep)
+    if one in (None, "bound"):
+        bd = subs.add_parser("bound", help="failure-bound report")
+        bd.add_argument("--D", type=int, required=True)
+        bd.add_argument("--delta", type=int, required=True)
+        bd.add_argument("--n", type=int, default=None)
+        bd.add_argument("--eps", type=float, default=0.01)
+        bd.set_defaults(func=_cmd_bound)
+    if one in (None, "compare-fullpath"):
+        cmp_ = subs.add_parser("compare-fullpath", help="per-node vs single-state totals")
+        cmp_.add_argument("--D", type=int, required=True)
+        cmp_.add_argument("--delta", type=int, required=True)
+        cmp_.add_argument("--eps", type=float, default=0.01)
+        cmp_.set_defaults(func=_cmd_compare)
+    if one in (None, "impossible"):
+        imp = subs.add_parser("impossible", help="exhaustive classical-rule check")
+        imp.add_argument("--witnesses", action="store_true", help="include the per-table witness gadgets")
+        imp.set_defaults(func=_cmd_impossible)
+    if one in (None, "gen-graph"):
+        gg = subs.add_parser("gen-graph", help="emit a generated graph")
+        gg.add_argument("--gen", required=True, help="path:D=10,delta=4 | gpqr:p=2,q=2,r=2[,swaps=100]")
+        gg.add_argument("--seed", type=int)
+        gg.add_argument("--out", help="output file (default stdout)")
+        gg.set_defaults(func=_cmd_gen_graph)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (GraphFormatError, ValueError, OSError) as exc:

@@ -228,22 +228,33 @@ _ROW = attrgetter("success", "steps_taken", "measurements_total", "failure_kind.
 _JSON_ROW = ',\n    "success": %s,\n    "steps": %d,\n    "measurements": %d,\n    "failure_kind": "%s"\n  }'
 # trials per slice of _trial_range and per piece of the writers: what a run holds per trial at once
 _PIECE = 1 << 14
+# _record_runs' first gallop span, and its window of trials compared by identity with their neighbours
+_GALLOP, _SCAN = 64, 1 << 12
 
 
 def _record(row: tuple) -> TrialResult:
     return TrialResult(*row[:3], FailureKind(row[3]))
 
 
-def _record_runs(records: Sequence[TrialResult]) -> tuple[tuple[tuple, int, int], ...]:
-    """(row, lo, hi) for each run of trials lo..hi-1 with equal rows, in order, found in C: neighbours
-    are compared by identity, _ROW read once per run of one object, and equal neighbouring rows merged."""
+def _record_runs(records: list[TrialResult]) -> tuple[tuple[tuple, int, int], ...]:
+    """(row, lo, hi) for each run of trials lo..hi-1 with equal rows, in order, found in C: neighbours are compared by
+    identity in windows of _SCAN, before each of which a run of one object gallops over spans that double from _GALLOP
+    (list == tests identity first and stops at one __eq__ call); _ROW is read once per run, equal rows merged."""
     if not records:
         return ()
-    cuts = [0, *compress(range(1, len(records)), map(is_not, islice(records, 1, None), records))]
+    cuts, a, n, prev, nxt = [0], 1, len(records), iter(records), iter(records)  # every cut below a is found
+    while a < n:
+        x, w = records[a - 1], _GALLOP
+        while a + w <= n and records[a] is x and records[a + w - 1] is x and records[a : a + w] == [x] * w:
+            a, w = a + w, min(2 * w, _PIECE)
+        prev.__setstate__(a - 1), nxt.__setstate__(a)  # a list iterator moves in O(1), where islice steps
+        cuts += (np.flatnonzero(np.frombuffer(bytes(map(is_not, islice(nxt, _SCAN), prev)), np.bool_)) + a).tolist()
+        a += _SCAN
     rows = list(map(_ROW, map(records.__getitem__, cuts)))
-    keep = [0, *compress(range(1, len(rows)), map(ne, rows[1:], rows))]
-    bounds = [*map(cuts.__getitem__, keep), len(records)]
-    return tuple(zip(map(rows.__getitem__, keep), bounds, bounds[1:]))
+    keep = [*compress(range(1, len(rows)), map(ne, islice(rows, 1, None), rows))]
+    if len(keep) + 1 < len(rows):  # distinct objects with equal rows meet
+        cuts, rows = [0, *map(cuts.__getitem__, keep)], [rows[0], *map(rows.__getitem__, keep)]
+    return tuple(zip(rows, cuts, [*islice(cuts, 1, None), n]))
 
 
 def _extend_runs(runs: list, part: Iterable[tuple[tuple, int, int]], start: int = 0) -> None:
@@ -381,15 +392,18 @@ def sweep(
 def _run_indices(runs: Sequence[tuple[tuple, int, int]]) -> tuple[list[tuple], list[str]]:
     """Each run's row and its trial indices "lo\\n...{hi-1}\\n", for runs that cover trials first..end-1, split from
     one index column built in numpy: per digit width a uint8 matrix of digits and "\\n", then "\\0" after each run.
+    Place p's digits repeat those of lo // p ... (hi - 1) // p, a slice of "0123...9" repeated: no division per index.
     Trial i's text starts at (w + 1)(i - first), w the width of first, plus the sum of max(0, i - edge) over the width
     edges 10, 100, ... above first: a digit more per edge passed."""
     first, end, w = runs[0][1], runs[-1][2], len(str(runs[0][1]))
-    edges, parts = [first, *(10**k for k in range(w, len(str(end)))), end], []  # the first index of each width
+    edges, parts = [first, *(10**k for k in range(w, len(str(end - 1)))), end], []  # the first index of each width
+    units = np.frombuffer(b"0123456789" * ((end - first) // 10 + 2), np.uint8)
     for width, (lo, hi) in enumerate(zip(edges, edges[1:]), w):
-        v, digits = np.arange(lo, hi), np.full((hi - lo, width + 1), 10, np.uint8)
-        for j in range(width - 1, -1, -1):
-            digits[:, j] = v % 10 + 48
-            v //= 10
+        digits = np.full((hi - lo, width + 1), 10, np.uint8)
+        for j, p in enumerate(10**k for k in reversed(range(width))):
+            q, r = lo // p, (hi - 1) // p
+            digit = units[q % 10 : q % 10 + r - q + 1]
+            digits[:, j] = digit if p == 1 else np.repeat(digit, np.diff(np.clip(np.arange(q, r + 2) * p, lo, hi)))
         parts.append(digits.reshape(-1))
     ends = np.fromiter(map(itemgetter(2), runs), np.int64, len(runs))
     at = (w + 1) * (ends - first) + sum(np.maximum(ends - e, 0) for e in edges[1:-1])
@@ -400,7 +414,7 @@ def _run_indices(runs: Sequence[tuple[tuple, int, int]]) -> tuple[list[tuple], l
 def _pieces(records: ExperimentResult | Sequence[TrialResult]) -> Iterator[tuple[list[tuple], list[str]]]:
     """_run_indices of the records' runs (a result's or a view's kept runs) cut into pieces of trials k * _PIECE to
     (k + 1) * _PIECE - 1: a long run is split, and each piece's index column starts at its first index."""
-    runs = records.runs if isinstance(records, (ExperimentResult, _Records)) else _record_runs(records)
+    runs = records.runs if isinstance(records, (ExperimentResult, _Records)) else _record_runs(list(records))
     for cut in range(0, runs[-1][2] if runs else 0, _PIECE):
         i, j = bisect_right(runs, cut, key=itemgetter(2)), bisect_left(runs, cut + _PIECE, key=itemgetter(2))
         yield _run_indices([(row, max(lo, cut), min(hi, cut + _PIECE)) for row, lo, hi in runs[i : j + 1]])

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, output formats, env seed."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -550,3 +551,22 @@ def test_summary_json_keys_are_the_dataclass_fields():
     cfg = config_from_dict({"graph_source": "path:D=2,delta=4", "trials": 3})
     doc = run_experiment(cfg).summary.as_json_dict()
     assert list(doc) == [f.name for f in fields(SummaryStats)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["-h"], ["simulate", "--help"], ["gen-graph", "-h"], [], ["no-such-command"],
+     ["bound", "--D", "3", "--delta", "4", "junk"], ["simulate", "--trials", "x"]],
+)
+def test_a_parser_of_one_subcommand_prints_what_the_full_parser_prints(argv, capsys, monkeypatch):
+    """main builds only the subcommand argv starts with, and all six for -h, no arguments or an unknown name. Its
+    help, its usage errors (whose usage line names every subcommand) and its exit code are the full parser's."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as full:
+        cli._build_parser().parse_args(argv)
+    want = capsys.readouterr()
+    with pytest.raises(SystemExit) as got:
+        main(argv)
+    assert (got.value.code, capsys.readouterr()) == (full.value.code, want)
+    subs = next(a for a in cli._build_parser(argv)._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subs.choices) == (argv[:1] if argv and argv[0] in cli._COMMANDS else list(cli._COMMANDS))

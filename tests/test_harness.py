@@ -15,6 +15,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qpebble import (
     Adaptive,
@@ -521,6 +523,104 @@ def test_a_chunk_returns_its_runs_not_its_records():
     runs = harness_module._trial_range((g, place_pebbles(g, EncodingScheme.QUDIT), QuditOneShot(), 10, 7, 5, 10**5 + 5))
     assert runs == [((True, 10, 10, "none"), 5, 10**5 + 5)]
     assert len(pickle.dumps(runs)) < 4096
+
+
+def _row_of(record) -> tuple:
+    return record.success, record.steps_taken, record.measurements_total, record.failure_kind.value
+
+
+def _naive_runs(records) -> tuple:
+    """(row, lo, hi) per run of equal rows: one row per record, a record equal to its neighbour's row extending it."""
+    runs = []
+    for i, row in enumerate(map(_row_of, records)):
+        if runs and runs[-1][0] == row:
+            runs[-1][2] = i + 1
+        else:
+            runs.append([row, i, i + 1])
+    return tuple(map(tuple, runs))
+
+
+@st.composite
+def _record_lists(draw):
+    """Records at lengths 0, 1, 2, about a gallop window and 2**14 +- 1: runs of one object, of equal but distinct
+    objects, and of other rows, some equal to a neighbour's; a run of one object may hold one other record."""
+    n = draw(st.sampled_from([0, 1, 2, 63, 65, 4097, 2**14 - 1, 2**14, 2**14 + 1]))
+    rows = st.builds(TrialResult, st.booleans(), st.integers(0, 2), st.integers(0, 2), st.sampled_from(FailureKind))
+    pool, records = [_A, _B, replace(_A)], []
+    while len(records) < n:
+        record = draw(st.sampled_from(pool) | rows)
+        length = draw(st.sampled_from([1, 2, 3, 63, 64, 65, 500, 4097, 2**14]))
+        if draw(st.booleans()):  # equal but distinct objects
+            records += [replace(record) for _ in range(length)]
+        else:
+            run = [record] * length
+            if draw(st.booleans()):  # a record inside the run, which its ends do not show
+                run[draw(st.integers(0, length - 1))] = draw(st.sampled_from(pool) | rows)
+            records += run
+        pool.append(record)
+    return records[:n]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_record_lists())
+@example([_A] * 100 + [_B] + [_A] * 100)
+@example([_A] * 100 + [replace(_A)] + [_A] * 100 + [replace(_B)] * 200)
+def test_record_runs_match_a_naive_fold(records):
+    """_record_runs gallops over runs of one object and compares the rest by identity; its runs must be a per-record
+    fold's, whatever mix of one object, equal copies and other rows the records hold, at any window or piece edge."""
+    assert harness_module._record_runs(records) == _naive_runs(records)
+
+
+def _runs_from(first, lengths, rows):
+    """Runs of the given lengths from trial first on, each with the next of rows, which may repeat."""
+    bounds = np.cumsum([first, *lengths]).tolist()
+    return [(rows[k % len(rows)], lo, hi) for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+
+
+_ROWS = [_row_of(_A), _row_of(_B), (False, 10, 10, "step_budget_exhausted")]
+# run lengths that put run bounds on and beside the digit-width edges near 10**k
+_LENGTHS = st.lists(st.integers(1, 12) | st.integers(80, 1200), min_size=1, max_size=20)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 7).map(lambda k: 10**k) | st.integers(0, 10**7), st.integers(-1300, 5), _LENGTHS)
+@example(10**6, -3, [2**14 - 7, 7])
+@example(10**7, -2**14, [2**14])
+def test_index_columns_match_formatted_indices(edge, offset, lengths):
+    """The index column of runs from a first trial up to 10**7, near a width edge or not, built digit place by digit
+    place with no division per index: each run's text is its indices formatted one per line, across every edge."""
+    runs = _runs_from(max(0, edge + offset), lengths, _ROWS)
+    rows, indices = harness_module._run_indices(runs)
+    assert rows == [row for row, _, _ in runs]
+    assert indices == ["".join(f"{i}\n" for i in range(lo, hi)) for _, lo, hi in runs]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([0, 9, 99, 999, 9999, 10**5 - 2**14]), _LENGTHS, st.sampled_from([1, 2, 3]))
+def test_writers_match_a_per_row_reference_across_width_edges(lead, lengths, kinds):
+    """records_to_csv and records_to_json write a result's runs piece by piece; after a lead run of trials 0..lead-1
+    its runs cross the width edges 10 ... 10**5 and the piece seams, and both must equal per-row f-string texts."""
+    runs = _runs_from(0, [lead, *lengths] if lead else lengths, _ROWS[:kinds])
+    merged = []
+    harness_module._extend_runs(merged, runs)
+    view = harness_module._Records(tuple(merged))
+    records = list(view)
+    assert records_to_csv(view) == _plain_csv(records)
+    assert records_to_json(view) == _plain_json(records)
+
+
+def test_an_index_piece_allocates_in_its_trials_not_its_place_values():
+    """A piece of 2**14 trials from 10**6 builds its digit columns from the quotients' units digits, so what it
+    allocates is bounded by its trials (about 0.52 MB), not by the place value 10**6."""
+    runs = [(_row_of(_A), 10**6, 10**6 + 2**14)]
+    harness_module._run_indices(runs)  # numpy's lazily made state is not counted
+    tracemalloc.start()
+    try:
+        harness_module._run_indices(runs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _traced_peak(cfg, path) -> int:

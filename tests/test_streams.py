@@ -193,6 +193,27 @@ def test_a_moved_or_crafted_stream_in_a_chunk_draws_alone():
         assert run.batch is batch  # a batch holding trial 1 was walked, and the stream did not read it
 
 
+def test_an_index_with_other_arguments_in_a_chunk_walks_alone(monkeypatch):
+    """Inside an open chunk, a fixed-n call with an int index but another FixedN object, budget or placement walks
+    its one trial alone on RngStream(seed, i): it builds no Streams batch, returns the fresh stream's record, and
+    leaves the chunk's batch as it was."""
+    monkeypatch.setattr(agent, "Streams", CountedStreams)
+    monkeypatch.setattr(CountedStreams, "made", [])
+    g = parse_graph_source("path:D=10,delta=4", 3)
+    placement, strategy = place_pebbles(g, EncodingScheme.GENERAL), FixedN(5)
+    copy = place_pebbles(g, EncodingScheme.GENERAL)
+    others = [(placement, FixedN(5), 10), (placement, strategy, 9), (copy, strategy, 10)]
+    calls = [(i, *other) for i in (1, 2, 3, 272, 273, 3999) for other in others]
+    want = [run_trial(g, p, s, budget, RngStream(3, i)) for i, p, s, budget in calls]
+    with agent._chunk(g, placement, strategy, 10, 3, 4000) as run:
+        first = run_trial(g, placement, strategy, 10, 0)
+        batch = run.batch
+        assert CountedStreams.made == [(0, 273)]
+        assert [run_trial(g, p, s, budget, i) for i, p, s, budget in calls] == want
+        assert CountedStreams.made == [(0, 273)] and run.batch is batch
+        assert run_trial(g, placement, strategy, 10, 1) is batch[1][1] and first is batch[1][0]
+
+
 CHUNK_STRATEGIES = {
     "fixed": (EncodingScheme.GENERAL, FixedN(53), 10),
     "adaptive": (EncodingScheme.GENERAL, Adaptive(), 10),
