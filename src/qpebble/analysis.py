@@ -97,7 +97,7 @@ def required_n(dist: int, delta: int, eps: float = 0.01) -> int:
     hits exactly resolve to the mathematical answer despite float rounding
     of the bound itself. Float n times ln of the bound never grows with n, so
     doubling, then bisection, finds n. A delta whose bound rounds to 1, from
-    about 1.49e8 on, has no such n and raises ValueError.
+    about 1.49e8 on, has no such n and raises ValueError, as does an eps / dist that rounds to 0.
     """
     if dist < 1:
         raise ValueError(f"dist must be >= 1, got {dist}")
@@ -109,7 +109,8 @@ def required_n(dist: int, delta: int, eps: float = 0.01) -> int:
         db = 1.0
     if db == 1.0:
         raise ValueError("delta is too large: cos^2(pi / (2 delta)) rounds to 1, so no n meets the bound")
-    target = eps / _as_float("dist", dist)
+    if (target := eps / _as_float("dist", dist)) == 0.0:  # its log below would fail unnamed
+        raise ValueError(f"eps / dist rounds to 0 at eps={eps}, dist={dist}")
 
     def ok(n: int) -> bool:
         return _log_node_failure(delta, n) <= math.log(target * (1.0 + _THRESHOLD_SLACK))

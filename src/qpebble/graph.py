@@ -5,8 +5,8 @@ the local port numbers 0..deg-1. Each undirected edge carries an
 independent port number at each endpoint, so an edge is a row
 ``(u, port_at_u, v, port_at_v)`` of the graph's read-only (m, 4) int array.
 
-Lookups go through a CSR form built by a counting sort: port p of node v
-leads to ``neighbor[offsets[v] + p]``.
+Lookups go through a CSR form built by a counting sort: port p of node v leads
+to ``neighbor[offsets[v] + p]``. A slot no edge end fills holds -1; validation reads those.
 Each graph keeps one route search: a BFS from the treasure, which enqueues no
 degree-1 node, and the smallest-port walk from the start, both over the core
 (the other nodes, the start and the treasure) of a graph mostly of degree-1 nodes.
@@ -87,16 +87,20 @@ class PortGraph:
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (offsets, neighbor): each edge end, u's then v's, scattered
-        to its slot offsets[node] + port. No entry port: no agent sees one."""
-        ends, ports = self.edges[:, ::2].T.ravel(), self.edges[:, 1::2].T.ravel()
+        """Read-only (offsets, neighbor), for node ids in range: each edge end, u's then v's, scattered to its
+        slot offsets[node] + port. A slot no end fills (a gap, a repeated or out-of-range port) holds -1, which
+        validation reads. No entry port: no agent sees one."""
+        ends, slot = self.edges[:, ::2].T.ravel(), self.edges[:, 1::2].T.flatten()
+        deg, m = np.bincount(ends, minlength=self.node_count), len(self.edges)
         offsets = np.zeros(self.node_count + 1, dtype=np.int64)
-        np.bincount(ends, minlength=self.node_count).cumsum(out=offsets[1:])
-        slot = offsets[ends] + ports
-        m = len(self.edges)
-        nbr = np.empty_like(ends)
+        deg.cumsum(out=offsets[1:])
+        # a port out of 0..deg-1 (as unsigned, a negative one is too) goes to a spare slot past the end
+        out = slot.view(np.uint64) >= deg.view(np.uint64)[ends]
+        slot += offsets[ends]
+        slot[out] = 2 * m
+        nbr = np.full(2 * m + 1, -1, dtype=np.int64)
         nbr[slot[:m]], nbr[slot[m:]] = ends[m:], ends[:m]
-        return _read_only(offsets), _read_only(nbr)
+        return _read_only(offsets), _read_only(nbr[:-1])
 
     def degree(self, v: int) -> int:
         offsets = self.csr[0]
@@ -138,8 +142,7 @@ def _first_violation(g: PortGraph) -> str | None:
         return f"treasure {g.treasure} is not a valid node id"
     if g.start == g.treasure:
         return "start equals treasure"
-    edges = g.edges
-    u, v = edges[:, 0], edges[:, 2]
+    u, v = g.edges[:, 0], g.edges[:, 2]
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     # equal keys are parallel edges; a key wrapped by a bad id is never first
     key = lo * n + hi
@@ -147,6 +150,7 @@ def _first_violation(g: PortGraph) -> str | None:
     twin = np.zeros(len(key), dtype=bool)
     twin[order[1:]] = key[order[1:]] == key[order[:-1]]
     flagged = ((lo < 0) | (hi >= n) | (lo == hi) | twin).nonzero()[0]
+    del lo, hi, key, order, twin  # not held while the CSR and the route search are built
     if flagged.size:
         i = int(flagged[0])
         a, b = int(u[i]), int(v[i])
@@ -156,19 +160,14 @@ def _first_violation(g: PortGraph) -> str | None:
         if a == b:
             return f"self-loop at edge {i} (node {a})"
         return f"parallel edge at edge {i} ({a}-{b})"
-    # ports 0..deg-1 are deg distinct values in [0, deg): one end per CSR slot
-    ends, ports = edges[:, ::2].T.ravel(), edges[:, 1::2].T.ravel()
-    deg = np.bincount(ends, minlength=n)
-    fits = (ports >= 0) & (ports < deg[ends])
-    slot = np.where(fits, deg.cumsum()[ends] - deg[ends] + ports, 0)
-    bad = ends[~fits | (np.bincount(slot[fits], minlength=len(slot))[slot] > 1)]
-    if bad.size:
-        node = int(bad.min())
-        return f"port set not contiguous at node {node}: {sorted(ports[ends == node].tolist())}"
-    # ids, ports and edges are sound by now, so g.csr is exact; isolated nodes
-    # (empty port set) fall out of the connectivity check, named as from node 0
+    # a node's deg ends fill its deg CSR slots iff its ports are 0..deg-1: the first -1 is the smallest bad node's
+    offsets, nbr = g.csr
+    if nbr.size and nbr.min() < 0:
+        node = int(offsets.searchsorted(nbr.argmin(), "right")) - 1
+        return f"port set not contiguous at node {node}: {sorted(g.edges[:, 1::2][g.edges[:, ::2] == node].tolist())}"
+    # the CSR is exact by now; isolated nodes (empty port set) fall out of the connectivity check, named from node 0
     if not g._search[0]:
-        dist = _bfs(g.csr[0].tolist(), g.csr[1].tolist(), 0)
+        dist = _bfs(offsets.tolist(), nbr.tolist(), 0)
         return f"not connected: node {dist.index(-1)} unreachable"
     return None
 

@@ -1,13 +1,18 @@
 """CLI surface: subcommands, exit codes, output formats, env seed."""
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import os
+import re
 from dataclasses import fields
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qpebble import cli, harness, parse_graph, run_experiment
 from qpebble.cli import main
@@ -333,8 +338,9 @@ DELTA_ROUNDS_TO_ONE = "delta is too large: cos^2(pi / (2 delta)) rounds to 1, so
         (["--D", "10", "--delta", "200000000"], DELTA_ROUNDS_TO_ONE),
         (["--D", "10", "--delta", PAST_FLOAT], DELTA_ROUNDS_TO_ONE),
         (["--D", PAST_FLOAT, "--delta", "4"], "dist is too large to convert to a float"),
+        (["--D", "1" + "0" * 30, "--delta", "6", "--eps", "1e-300"], f"eps / dist rounds to 0 at eps=1e-300, dist={10**30}"),
     ],
-    ids=["delta_2e8", "delta_401_digits", "D_401_digits"],
+    ids=["delta_2e8", "delta_401_digits", "D_401_digits", "eps_over_D_underflows"],
 )
 def test_bound_and_compare_fullpath_name_an_argument_no_float_bound_holds(argv, message, capsys):
     for command in ("bound", "compare-fullpath"):
@@ -421,6 +427,91 @@ def test_argparse_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+# flag values: small integers, a few specs of each kind, and junk; no --out but stdout, so no file is written
+SMALL = st.integers(1, 12).map(str)
+FLAG_VALUES = {
+    "--gen": st.sampled_from(["path:D=3,delta=4", "path:D=2,delta=2", "gpqr:p=0,q=1,r=2", "gpqr:p=2,q=2,r=2,swaps=101",
+                              "path:D=0,delta=4", "path:D=3", "gpqr:p=3,q=0,r=0", "no/such/file"]),
+    "--scheme": st.sampled_from(["general", "bitsign4", "qudit", "full_path", "x"]),
+    "--strategy": st.sampled_from(["fixed:auto", "fixed:3", "fixed:0", "adaptive", "adaptive:1", "qudit", "random",
+                                   "table:3p=1,3n=0,1p=0,1n=0", "table:3p=s", "table:", "x"]),
+    "--trials": SMALL,
+    "--seed": SMALL,
+    "--step-budget": SMALL,
+    "--eps": st.sampled_from(["0.01", "0.5", "0", "1", "-1", "nan", "1e-300"]),
+    "--config": st.just("no/such/config.json"),
+    "--workers": st.sampled_from(["-1", "0", "1"]),
+    "--out": st.just("-"),
+    "--format": st.sampled_from(["csv", "json", "x"]),
+    "--axis": st.sampled_from(["n", "D", "delta", "x"]),
+    "--values": st.lists(st.sampled_from(["2", "1", "4", "0", "x", "", str(2**63)]), min_size=1, max_size=3).map(",".join),
+    "--D": SMALL | st.just(str(10**30)),
+    "--delta": SMALL | st.just(str(10**30)),
+    "--n": SMALL,
+    "--witnesses": st.just(None),
+}
+JUNK_VALUES = st.sampled_from(["", "x", "0", "-1", "1.5", "nan", "inf", "-", "1e-300", str(2**63), "9" * 30])
+EXPERIMENT = ["--gen", "--scheme", "--strategy", "--trials", "--seed", "--step-budget", "--eps", "--workers"]
+# each subcommand's flags, those it requires first; an unknown subcommand takes any
+COMMAND_FLAGS = {
+    "simulate": (["--gen", "--trials"], EXPERIMENT + ["--out", "--format"]),
+    "sweep": (["--gen", "--trials", "--axis", "--values"], EXPERIMENT + ["--format"]),
+    "bound": (["--D", "--delta"], ["--n", "--eps"]),
+    "compare-fullpath": (["--D", "--delta"], ["--eps"]),
+    "impossible": ([], ["--witnesses"]),
+    "gen-graph": (["--gen"], ["--seed"]),
+    "no-such-command": ([], list(FLAG_VALUES)),
+}
+# what a CLI error names: a flag's field, a spec or its key, a strategy or scheme, a graph file or its line
+ERROR_NAMES = re.compile(
+    r"^qpebble: error: .*\b(eps|dist|D|delta|n|trials|workers|step_budget|cap|axis|sweep|graph_source|strategy|scheme|"
+    r"FixedN|Adaptive|QuditOneShot|full_path|table|pendant_ports|swaps|generator|values|No such file|line)\b"
+)
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand with its required flags (each now and then left out), a few of its own flags, and
+    perhaps one flag of another; each value of the flag's kind or, now and then, junk. Trials, values and
+    graphs stay small; a D or delta past 2^24 nodes is refused before anything is allocated."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    required, own = COMMAND_FLAGS[command]
+    flags = [f for f in required if draw(st.integers(0, 9)) < 9] + draw(st.lists(st.sampled_from(own), max_size=3))
+    flags += draw(st.lists(st.sampled_from(sorted(FLAG_VALUES)), max_size=1))
+    argv = [command]
+    for flag in flags:
+        value = draw(JUNK_VALUES if flag != "--out" and draw(st.integers(0, 9)) == 9 else FLAG_VALUES[flag])
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@given(argvs())
+@example(["compare-fullpath", "--D", str(10**30), "--delta", "6", "--eps", "1e-300"])
+@example(["sweep", "--gen", "path:D=3,delta=4", "--trials", "2", "--axis", "delta", "--values", str(2**63)])
+@example(["simulate", "--gen", "path:D=2,delta=2", "--trials", "3", "--strategy", "random", "--out", "-"])
+@settings(max_examples=200, deadline=None)
+def test_an_argv_gives_an_exit_code_and_a_named_error(tmp_path_factory, argv):
+    """main returns 0 with output, 1 for the impossibility verdict, or 2 with one error line naming what is
+    wrong; or argparse exits 2. No other exception escapes. It runs in an empty directory, so a name
+    given as a path finds no file."""
+    out, err = io.StringIO(), io.StringIO()
+    here = os.getcwd()
+    os.chdir(tmp_path_factory.mktemp("argv"))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+        return
+    finally:
+        os.chdir(here)
+    assert code in ((0, 1) if argv[0] == "impossible" else (0, 2)), argv
+    if code == 2:
+        assert err.getvalue().count("\n") == 1 and ERROR_NAMES.match(err.getvalue()), (argv, err.getvalue())
+    else:
+        assert out.getvalue(), argv
 
 
 def sha256(data):

@@ -164,6 +164,31 @@ def test_a_one_edge_padded_path_allocates_nothing_for_delta(delta):
     assert (g.node_count, g.start, g.treasure, g.max_degree) == (2, 0, 1, 1)
 
 
+def test_validation_reads_the_csr_and_holds_few_edge_arrays():
+    """Validation finds bad port sets from the CSR's unfilled slots, so with the
+    CSR and the route search built it scatters no edge end again: its peak stays
+    under two copies of the edge rows. The CSR itself stays under three, and so
+    does validating a fresh graph, which drops its edge checks' arrays before it
+    builds the CSR and the route search."""
+    g, fresh = gen_padded_path(20000, 8, 7), gen_padded_path(20000, 8, 7)
+    tracemalloc.start()
+    try:
+        g.csr
+        csr_peak = tracemalloc.get_traced_memory()[1]
+        g._search
+        peaks = []
+        for graph in (g, fresh):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            assert validate(graph) is None
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+    finally:
+        tracemalloc.stop()
+    assert csr_peak < 3 * g.edges.nbytes
+    assert peaks[0] < 2 * g.edges.nbytes
+    assert peaks[1] < 3 * g.edges.nbytes
+
+
 def test_padded_path_shape():
     dist, delta, seed = 10, 4, 42
     g = gen_padded_path(dist, delta, seed)
@@ -533,9 +558,31 @@ def damaged_graphs(draw):
 @example(PortGraph(3, ((0, 0, 1, 0), (1, -1, 2, 0)), 0, 2))  # negative port
 @example(PortGraph(4, ((0, 0, 1, 0), (1, 1, 2, 0)), 0, 2))  # isolated node
 @example(PortGraph(4, ((0, 0, 1, 0), (2, 0, 3, 0)), 0, 1))  # two parts
+@example(PortGraph(3, ((0, 5, 1, 0), (1, 1, 2, 0)), 0, 2))  # a port past the degree
 @settings(max_examples=300, deadline=None)
 def test_validation_matches_the_loop_reference(g):
     assert validate(g) == reference_first_violation(g)
+    if all(0 <= x < g.node_count for x in g.edges[:, ::2].ravel().tolist()):
+        assert_csr_matches_the_edge_rows(g)
+
+
+def assert_csr_matches_the_edge_rows(g):
+    """g.csr of a graph with its ids in range, whatever its ports: each node's
+    row has one slot per edge end; a slot holds -1 exactly where none of the
+    node's ends uses that port, and otherwise a node it reaches through it."""
+    reach = [{} for _ in range(g.node_count)]
+    deg = [0] * g.node_count
+    for u, pu, v, pv in g.edges.tolist():
+        reach[u].setdefault(pu, set()).add(v)
+        reach[v].setdefault(pv, set()).add(u)
+        deg[u] += 1
+        deg[v] += 1
+    offsets, nbr = g.csr
+    assert offsets.tolist() == [sum(deg[:v]) for v in range(g.node_count + 1)]
+    assert len(nbr) == 2 * len(g.edges)
+    for v in range(g.node_count):
+        for p, w in enumerate(nbr[offsets[v] : offsets[v + 1]].tolist()):
+            assert w == -1 if p not in reach[v] else w in reach[v][p], (v, p, w)
 
 
 def reference_bfs(g, root):

@@ -47,7 +47,7 @@ from qpebble import graph as graph_module
 from qpebble import harness as harness_module
 from qpebble.analysis import bound_report
 from qpebble.encoding import Placement, place_pebbles
-from qpebble.graph import serialize_graph, shortest_path
+from qpebble.graph import serialize_graph, shortest_path, validate
 from qpebble.harness import config_from_dict, env_seed_default, sweep_table_csv
 
 
@@ -991,6 +991,132 @@ def test_an_unknown_scheme_names_its_key_and_the_schemes():
     message = "config key 'scheme' must be one of ['general', 'bitsign4', 'qudit', 'full_path'], got 'bogus'"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         config_from_dict({"graph_source": "path:D=4,delta=4", "scheme": "bogus"})
+
+
+# values of any JSON type, and a few that JSON cannot hold
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 5),
+    st.sampled_from([2**64, -(2**63)]),
+    st.floats(allow_nan=True),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.text(max_size=1), st.integers(0, 1), max_size=1),
+)
+SPEC_INTS = st.integers(-2, 5).map(str) | st.sampled_from(["", "x", "1.5", "n=3", "cap=2", "9" * 30, "s"])
+
+
+@st.composite
+def strategy_specs(draw):
+    """A strategy spec string: a known head or not, a colon or not, and an integer, table entries or junk."""
+    head = draw(st.sampled_from(["fixed", "adaptive", "qudit", "random", "table", "other", ""]))
+    if head == "table":
+        keys = st.sampled_from(["3p", "3n", "1p", "1n", "0p", "p", "3x", "99n", ""])
+        items = draw(st.lists(st.tuples(keys, SPEC_INTS, st.booleans()), max_size=3))
+        body = ",".join(f"{k}={v}" if pair else k for k, v, pair in items)
+    else:
+        body = draw(SPEC_INTS)
+    return head + draw(st.sampled_from([":", ""])) + body
+
+
+CONFIG_VALUES = {
+    "graph_source": st.sampled_from(["path:D=3,delta=4", "gpqr:p=0,q=1,r=2"]),
+    "scheme": st.sampled_from(["general", "bitsign4", "qudit", "full_path", "x", ""]),
+    "strategy": strategy_specs(),
+    "trials": st.integers(-2, 5),
+    "seed": st.integers(-2, 5) | st.sampled_from([2**64, -(2**63)]),
+    "step_budget": st.integers(-2, 5),
+    "eps": st.floats(-1, 2) | st.integers(-1, 1),
+}
+
+
+@st.composite
+def config_docs(draw):
+    """Each field most often present, with a value of its own kind or, less often, junk; now and then an
+    unknown key."""
+    doc = {}
+    for key, values in CONFIG_VALUES.items():
+        if draw(st.integers(0, 5)) < 5:
+            doc[key] = draw(JUNK if draw(st.integers(0, 9)) == 9 else values)
+    if draw(st.integers(0, 7)) == 7:
+        doc["bogus"] = draw(JUNK)
+    return doc
+
+
+# every message config_from_dict may give, each naming the key, field or spec at fault
+CONFIG_MESSAGES = (
+    r"^(unknown config keys: \[|config needs a graph_source$|"
+    r"config key '(graph_source|scheme|strategy|trials|seed|step_budget|eps)' must be |"
+    r"cannot read '.*' as an integer in strategy '|strategy (qudit|random) takes no parameters, got '|"
+    r"bad table parameter '|duplicate table key '|table keys look like 3p/3n/1p/1n, got '|"
+    r"table strategy needs at least one action$|unknown strategy '|FixedN\.n must be >= 1, got -?\d+$)"
+)
+
+
+@given(config_docs())
+@example({"graph_source": "path:D=3,delta=4", "strategy": "table:3p=s,1n=0", "scheme": "bitsign4", "eps": 0})
+@example({"graph_source": "path:D=3,delta=4", "strategy": "fixed:0"})
+@example({"graph_source": "path:D=3,delta=4", "trials": True})
+@settings(max_examples=300, deadline=None)
+def test_a_config_dict_gives_a_config_or_a_named_error(doc):
+    """Each dict either gives a config, which its own fields give again, or raises a ValueError naming the key,
+    field or spec at fault; nothing else escapes."""
+    try:
+        cfg = config_from_dict(doc)
+    except ValueError as exc:
+        assert re.match(CONFIG_MESSAGES, str(exc), re.S), str(exc)
+    else:
+        assert isinstance(cfg.scheme, EncodingScheme) and not isinstance(cfg.strategy, str)
+        assert config_from_dict({f.name: getattr(cfg, f.name) for f in fields(ExperimentConfig)}) == cfg
+
+
+# small values, junk, and values so large that the generators refuse them before allocating
+GEN_VALUES = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.sampled_from(["", "x", "1.5", " 3 ", "1_0", "-0", "000", "101", "0101", str(2**24), str(2**63), "9" * 30]),
+)
+
+
+@st.composite
+def generator_specs(draw):
+    """A path or gpqr spec: each of its keys most often present, in any order, and perhaps one junk item."""
+    head = draw(st.sampled_from(["path:", "gpqr:"]))
+    keys = {"path:": ["D", "delta"], "gpqr:": ["p", "q", "r", "swaps"]}[head]
+    own = {"D": st.integers(1, 9), "delta": st.sampled_from([2, 4, 6]), "swaps": st.sampled_from(["000", "101"])}
+    items = [f"{k}={draw(GEN_VALUES if draw(st.integers(0, 3)) == 3 else own.get(k, st.integers(0, 2)))}"
+             for k in keys if draw(st.integers(0, 9)) < 9]
+    if draw(st.integers(0, 3)) == 3:
+        items.append(draw(st.sampled_from(["x=1", "x", "", "D", "=3", "swaps=1", "delta=2"])))
+    return head + ",".join(draw(st.permutations(items)))
+
+
+# every message a generator spec may give, each naming the spec, the key or the generator's field at fault
+SPEC_MESSAGES = (
+    r"^(bad (path|gpqr) generator parameter '|duplicate (path|gpqr) generator key '|"
+    r"cannot read '.*' as an integer in graph source '(path|gpqr):|path generator needs D and delta, missing '|"
+    r"gpqr generator needs p, q, r, missing '|unknown (path|gpqr) generator keys: \[|"
+    r"swaps must be three binary digits, got '|dist must be >= 1, got |delta must be an even integer >= 2, got |"
+    r"padded path D=\d+, delta=\d+ has over \d+ nodes, the limit$|pendant_ports must be three values in 0\.\.2, got )"
+)
+
+
+@given(generator_specs())
+@example("path:D=1,delta=" + "9" * 30)
+@example(f"path:D={2**24},delta=2")
+@example(f"path:D=2,delta={2**24}")
+@example("gpqr:p=0,q=1,r=2,swaps=1_0")
+@settings(max_examples=300, deadline=None)
+def test_a_generator_spec_gives_a_valid_graph_or_a_named_error(spec):
+    """Each spec either gives a graph that validate passes, or raises a ValueError naming the spec, the key or
+    the generator's field at fault; nothing else escapes. A spec too large to build is refused before any
+    allocation, so only small graphs are built."""
+    try:
+        g = parse_graph_source(spec, 7)
+    except ValueError as exc:
+        assert re.match(SPEC_MESSAGES, str(exc)), str(exc)
+    else:
+        assert validate(g) is None
 
 
 def test_env_seed_default(monkeypatch):

@@ -14,6 +14,7 @@ CHECKS = {
     "success_lower_bound": (lambda: success_lower_bound(0, 4, 5), "dist and n must be >= 1, got dist=0, n=5"),
     "required_n_dist": (lambda: required_n(0, 4), "dist must be >= 1, got 0"),
     "required_n_eps": (lambda: required_n(10, 4, 1.0), "eps must be in (0, 1), got 1.0"),
+    "required_n_underflow": (lambda: required_n(10**30, 6, 1e-300), f"eps / dist rounds to 0 at eps=1e-300, dist={10**30}"),
     "bitsign4_wrong_run_prob": (lambda: bitsign4_wrong_run_prob(0), "n must be >= 1, got 0"),
     "basis_family": (lambda: basis_family(EncodingScheme.QUDIT, 4), "scheme qudit has no qubit basis family"),
     "encode_port": (lambda: encode_port(1, 4, EncodingScheme.QUDIT), "encode_port does not apply to scheme qudit"),
